@@ -68,44 +68,13 @@ _SCHEMA = [
 _KEY_TO_ATTR = {key: attr for key, attr, _, _ in _SCHEMA}
 
 
-@dataclasses.dataclass
-class ExperimentConfig:
-    out_dir: str
-    seed: int
-    dataset: str
-    strategy: str
-    lam: float
-    index_aware: bool
-    stage1_iters: int
-    transition_iters: int
-    hidden: int
-    learning_rate: float
-    batch_size: int
-    total_iters: int
-    clip_norm: float
-    val_every: int
-    warm_start_m2: bool
-    t_in: int
-    horizon: int
-    stride: int
-    train_frac: float
-    val_frac: float
-    test_frac: float
-    nodes: int
-    channels: int
-    length: int
-    coupling: float
-    noise: float
-    target_channels: tuple
-    height: int
-    width: int
-    num_sprites: int
-    speed_min: int
-    speed_max: int
-    seq_length: int
-    seq_count: int
-    sprite_size: int
-    checkpoint: str
+_KIND_TYPES = {"u64": int, "int": int, "float": float, "bool": bool,
+               "ints": tuple}
+
+# one field per schema row, in schema order; "str" and "choice:" are str
+ExperimentConfig = dataclasses.make_dataclass(
+    "ExperimentConfig",
+    [(attr, _KIND_TYPES.get(kind, str)) for _, attr, kind, _ in _SCHEMA])
 
 
 def _convert(key: str, kind: str, text: str, where: str):
@@ -345,8 +314,11 @@ def _read_metric_csv(path):
         if len(parts) != 4:
             raise DataFormatError(f"{path}:{lineno}: expected 4 fields, "
                                   f"got {len(parts)}")
-        rows.append(MetricsRow(int(parts[0]), parts[1], parts[2],
-                               float(parts[3])))
+        try:
+            rows.append(MetricsRow(int(parts[0]), parts[1], parts[2],
+                                   float(parts[3])))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
     return rows
 
 
@@ -457,6 +429,13 @@ def cmd_evaluate(cfg: ExperimentConfig) -> int:
         raise DimensionError(
             f"checkpoint {path} expects {p.f_in} input features per step, "
             f"dataset provides {f_in}")
+    slots = md.make_target_slots(test.contexts.shape[2],
+                                 test.contexts.shape[3],
+                                 test.meta.target_channels).tolist()
+    if p.target_slots.tolist() != slots:
+        raise DimensionError(
+            f"checkpoint {path} predicts input slots "
+            f"{p.target_slots.tolist()}, config target_channels give {slots}")
 
     rows = tr.evaluate(p, test, "test", cfg.total_iters)
     rows += tr.evaluate_horizon(p, test, "test", cfg.total_iters)

@@ -126,39 +126,32 @@ def render_frame(h: int, w: int, sprites, rows, cols) -> np.ndarray:
 
 def gen_moving_sprites(h: int, w: int, num_sprites: int, speed_range,
                        length: int, seed: int, count: int = 1,
-                       sprite_size: int = 5, sprite_bank=None) -> np.ndarray:
+                       sprite_size: int = 5) -> np.ndarray:
     """Frame sequences [count, T, H, W] with pixel values in [0, 1].
 
-    Sprites are solid squares (or entries of sprite_bank) moving with
-    constant integer velocity and elastic reflection at the walls.
-    Sequence i draws from the stream split(seed, i + 1); per sprite the
-    draw order is row, col, |row speed|, |col speed|, row sign, col sign.
+    Sprites are solid squares moving with constant integer velocity and
+    elastic reflection at the walls. Sequence i draws from the stream
+    split(seed, i + 1); per sprite the draw order is row, col,
+    |row speed|, |col speed|, row sign, col sign.
     """
     lo, hi = int(speed_range[0]), int(speed_range[1])
     if lo < 0 or hi < lo:
         raise ConfigError(f"speed range must satisfy 0 <= lo <= hi, got {lo}, {hi}")
     if num_sprites < 1 or length < 1 or count < 1:
         raise ConfigError("num_sprites, length, count must all be >= 1")
-    if sprite_bank is not None:
-        sprites_src = [np.asarray(s, dtype=np.float64) for s in sprite_bank]
-    else:
-        sprites_src = [np.ones((sprite_size, sprite_size))]
-    for s in sprites_src:
-        if s.shape[0] > h or s.shape[1] > w:
-            raise ConfigError(
-                f"sprite {list(s.shape)} does not fit grid {h}x{w}")
+    if sprite_size > h or sprite_size > w:
+        raise ConfigError(
+            f"sprite [{sprite_size}, {sprite_size}] does not fit grid {h}x{w}")
+    sprites = [np.ones((sprite_size, sprite_size))] * num_sprites
+    r_lim = h - sprite_size
+    c_lim = w - sprite_size
 
     base = RngState(seed)
     out = np.zeros((count, length, h, w))
     for idx in range(count):
         rng = base.split(idx + 1)
-        picks = (rng.randint_below(len(sprites_src), num_sprites)
-                 if len(sprites_src) > 1 else np.zeros(num_sprites, dtype=np.int64))
-        sprites = [sprites_src[p] for p in picks]
         rows, cols, v_r, v_c = [], [], [], []
-        for sp in sprites:
-            r_lim = h - sp.shape[0]
-            c_lim = w - sp.shape[1]
+        for _ in range(num_sprites):
             rows.append(int(rng.randint_below(r_lim + 1, 1)[0]))
             cols.append(int(rng.randint_below(c_lim + 1, 1)[0]))
             mag_r = lo + int(rng.randint_below(hi - lo + 1, 1)[0])
@@ -169,9 +162,9 @@ def gen_moving_sprites(h: int, w: int, num_sprites: int, speed_range,
             v_c.append(sign_c * mag_c)
         for t in range(length):
             out[idx, t] = render_frame(h, w, sprites, rows, cols)
-            for k, sp in enumerate(sprites):
-                rows[k], v_r[k] = advance_position(rows[k], v_r[k], h - sp.shape[0])
-                cols[k], v_c[k] = advance_position(cols[k], v_c[k], w - sp.shape[1])
+            for k in range(num_sprites):
+                rows[k], v_r[k] = advance_position(rows[k], v_r[k], r_lim)
+                cols[k], v_c[k] = advance_position(cols[k], v_c[k], c_lim)
     return out
 
 
@@ -354,6 +347,10 @@ def load_series_csv(path) -> np.ndarray:
                 v = float(parts[3])
             except ValueError as exc:
                 raise DataFormatError(f"line {lineno}: {exc}") from None
+            if t < 0 or n < 0 or f < 0:
+                raise DataFormatError(
+                    f"line {lineno}: negative index in time={t}, node={n}, "
+                    f"channel={f}")
             if (t, n, f) in entries:
                 raise DataFormatError(
                     f"line {lineno}: duplicate entry for time={t}, node={n}, channel={f}")

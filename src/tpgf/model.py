@@ -5,7 +5,7 @@ Wiring conventions (the usual ones, fixed here once):
   - decoder initial state = encoder final state
   - decoder initial input = last context frame
   - frames/measurement grids are flattened before reaching this module:
-    unbatched arrays are [T, F_in], batched are [B, T, F_in]
+    inputs are batches [B, T, F_in]
 
 When the model predicts only a subset of the input channels, feedback
 into the next decoder step overwrites the predicted slots of the last
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, DimensionError
+from .errors import ConfigError, DataFormatError
 from . import nn
 from .rng import RngState
 
@@ -41,18 +41,6 @@ class Seq2SeqParams:
         return [self.encoder.w_x, self.encoder.w_h, self.encoder.b,
                 self.decoder.w_x, self.decoder.w_h, self.decoder.b,
                 self.projection.w, self.projection.b]
-
-
-@dataclass
-class ForecastRequest:
-    context: np.ndarray  # [T_in, ...] flattening to [T_in, F_in]
-    horizon: int
-
-    def __post_init__(self):
-        if self.context.shape[0] < 1:
-            raise ConfigError("context must contain at least one step")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
 
 
 def make_target_slots(nodes: int, channels: int, target_channels) -> np.ndarray:
@@ -85,48 +73,15 @@ def init_seq2seq(hidden: int, f_in: int, f_out: int, rng: RngState,
         hidden=hidden, f_in=f_in, f_out=f_out, target_slots=target_slots)
 
 
-def flatten_steps(x: np.ndarray, f_in: int) -> np.ndarray:
-    """[T, ...] -> [T, F_in] or [B, T, ...] -> [B, T, F_in]."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim >= 2 and int(np.prod(x.shape[1:])) == f_in:
-        return x.reshape(x.shape[0], f_in)
-    if x.ndim >= 3 and int(np.prod(x.shape[2:])) == f_in:
-        return x.reshape(x.shape[0], x.shape[1], f_in)
-    raise DimensionError(
-        f"cannot flatten shape {list(x.shape)} to feature width {f_in}")
-
-
-def embed_targets(carrier: np.ndarray, values: np.ndarray,
-                  slots: np.ndarray) -> np.ndarray:
-    """Overwrite the predicted slots of a carrier frame; other slots keep
-    the carrier's values."""
-    if carrier.shape[:-1] != values.shape[:-1] or values.shape[-1] != slots.shape[0]:
-        raise DimensionError(
-            f"embed shapes incompatible: carrier {list(carrier.shape)}, "
-            f"values {list(values.shape)}, slots {slots.shape[0]}")
-    out = carrier.copy()
-    out[..., slots] = values
-    return out
-
-
 def encode_full(context: np.ndarray, p: Seq2SeqParams):
-    """Run the encoder over all steps; returns (final state, caches)."""
-    context = flatten_steps(context, p.f_in)
-    batched = context.ndim == 3
-    steps = context.shape[1] if batched else context.shape[0]
-    state = nn.zero_state(p.hidden, context.shape[0] if batched else None)
+    """Run the encoder over every step of a [B, T_in, F_in] batch;
+    returns (final state, caches)."""
+    state = nn.zero_state(p.hidden, context.shape[0])
     caches = []
-    for t in range(steps):
-        x = context[:, t] if batched else context[t]
-        state, cache = nn.lstm_step(x, state, p.encoder)
+    for t in range(context.shape[1]):
+        state, cache = nn.lstm_step(context[:, t], state, p.encoder)
         caches.append(cache)
     return state, caches
-
-
-def encode(context: np.ndarray, p: Seq2SeqParams) -> nn.LstmState:
-    """Final encoder state after consuming the context in time order."""
-    state, _ = encode_full(context, p)
-    return state
 
 
 def decode_step(prev_input: np.ndarray, state: nn.LstmState, p: Seq2SeqParams):
@@ -134,36 +89,6 @@ def decode_step(prev_input: np.ndarray, state: nn.LstmState, p: Seq2SeqParams):
     new_state, step_cache = nn.lstm_step(prev_input, state, p.decoder)
     pred, lin_cache = nn.linear_forward(new_state.h, p.projection)
     return pred, new_state, (step_cache, lin_cache)
-
-
-def rollout(req: ForecastRequest, p: Seq2SeqParams, input_selector=None) -> np.ndarray:
-    """K sequential decode steps -> predictions [K, F_out].
-
-    The first decoder input is the last context frame. After step s the
-    selector is called as input_selector(s, own_feedback) where
-    own_feedback is the carrier with the step-s prediction embedded; it
-    returns the next decoder input. None means closed loop (always feed
-    the model's own prediction). The selector runs K-1 times.
-    """
-    context = flatten_steps(req.context, p.f_in)
-    if context.ndim != 2:
-        raise DimensionError("rollout expects an unbatched [T_in, F_in] context")
-    state = encode(context, p)
-    carrier = context[-1]
-    x = carrier
-    preds = np.empty((req.horizon, p.f_out))
-    for s in range(1, req.horizon + 1):
-        pred, state, _ = decode_step(x, state, p)
-        preds[s - 1] = pred
-        if s < req.horizon:
-            own = embed_targets(carrier, pred, p.target_slots)
-            x = own if input_selector is None else np.asarray(
-                input_selector(s, own), dtype=np.float64)
-            if x.shape != (p.f_in,):
-                raise DimensionError(
-                    f"selector returned shape {list(x.shape)} at step {s}, "
-                    f"expected [{p.f_in}]")
-    return preds
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +129,9 @@ def load_checkpoint(path) -> Seq2SeqParams:
         raise DataFormatError("checkpoint truncated inside slot table")
     slots = np.frombuffer(blob, dtype="<u4", count=n_slots,
                           offset=offset).astype(np.int64)
+    if n_slots and slots.max() >= f_in:
+        raise DataFormatError(
+            f"slot table entry {slots.max()} is outside [0, f_in={f_in})")
     offset += 4 * n_slots
 
     shapes = [(4 * hidden, f_in), (4 * hidden, hidden), (4 * hidden,),

@@ -1,5 +1,6 @@
-"""Decoder-input selection: decay schedules, coin flips, and the
-half-timescale index bookkeeping used by the two-stage curriculum.
+"""Decoder-input selection: the decay schedules that set the coin-flip
+probability, and the half-timescale subsampling used by the two-stage
+curriculum. The coin flips themselves are drawn in `training`.
 
 Conventions fixed here and relied on everywhere else:
   - time positions are 1-based for parity purposes; position 1 is odd
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .rng import RngState
 
 # exp() overflows float64 just above 709; past this the epsilon value
 # underflows to 0 anyway
@@ -30,12 +30,6 @@ class Strategy(enum.Enum):
     TEACHER_FORCING = "teacher_forcing"
     SCHEDULED_SAMPLING = "scheduled_sampling"
     TPG = "tpg"
-
-
-class Source(enum.Enum):
-    GROUND_TRUTH = "ground_truth"
-    OWN_PREDICTION = "own_prediction"
-    INTERMEDIATE_MODEL = "intermediate_model"
 
 
 @dataclass
@@ -57,13 +51,6 @@ class ScheduleConfig:
                 f"stage1_iters must be non-negative, got {self.stage1_iters}")
         if self.strategy is Strategy.TPG and self.stage1_iters < 1:
             raise ConfigError("tpg requires stage1_iters >= 1")
-
-
-@dataclass
-class SamplingDecision:
-    tau: int
-    epsilon_used: float
-    source: Source
 
 
 def inverse_sigmoid_epsilon(i: int, lam: float) -> float:
@@ -109,31 +96,6 @@ def epsilon_for(config: ScheduleConfig, i: int, v: int) -> float:
     return inverse_sigmoid_epsilon(j, config.lam)
 
 
-def draw_tau(epsilon: float, rng: RngState,
-             preferred: Source = Source.GROUND_TRUTH) -> SamplingDecision:
-    """One coin flip: tau=1 (use the preferred source) with probability
-    epsilon, else tau=0 (use the model's own prediction)."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ConfigError(f"epsilon must lie in [0, 1], got {epsilon}")
-    tau = int(rng.bernoulli(epsilon, 1)[0])
-    return SamplingDecision(
-        tau=tau,
-        epsilon_used=epsilon,
-        source=preferred if tau == 1 else Source.OWN_PREDICTION,
-    )
-
-
-def mix_inputs(tau: int, fallback: np.ndarray, preferred: np.ndarray) -> np.ndarray:
-    """Select preferred when tau=1, fallback when tau=0, bit-exactly."""
-    if fallback.shape != preferred.shape:
-        raise DimensionError(
-            f"mix_inputs shapes differ: {list(fallback.shape)} vs "
-            f"{list(preferred.shape)}")
-    if tau not in (0, 1):
-        raise ConfigError(f"tau must be 0 or 1, got {tau}")
-    return preferred if tau == 1 else fallback
-
-
 def subsample_odd_even(seq: np.ndarray):
     """Split along the leading time axis into 1-based odd positions
     (1, 3, 5, ...) and even positions; order preserved."""
@@ -159,11 +121,3 @@ def interleave_odd_even(odd: np.ndarray, even: np.ndarray) -> np.ndarray:
     out[0::2] = odd
     out[1::2] = even
     return out
-
-
-def m1_source_index(j: int):
-    """Map a 1-based full-timescale target index to the half-timescale
-    model's output: (parity, 1-based index within that parity half)."""
-    if j < 1:
-        raise IndexError(f"target index must be >= 1, got {j}")
-    return ("odd" if j % 2 == 1 else "even"), (j + 1) // 2

@@ -1,35 +1,16 @@
 """Dense float64 tensor helpers shared by every other module.
 
 Tensors are plain numpy float64 arrays of rank 1 to 3, row-major. The
-functions here add the error contracts the rest of the package relies on
-(shape checks that name both operands, seeded initialization, time-axis
-gathering); the arithmetic itself is numpy's.
+functions here are the LSTM gate activations and seeded initialization;
+the arithmetic itself is numpy's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .rng import RngState
-
-
-def tensor(data) -> np.ndarray:
-    """Coerce to a float64 array of rank 1..3."""
-    x = np.asarray(data, dtype=np.float64)
-    if x.ndim == 0 or x.ndim > 3:
-        raise DimensionError(f"tensor rank must be 1..3, got shape {x.shape}")
-    return x
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul shapes incompatible: {list(a.shape)} x {list(b.shape)}"
-        )
-    return a @ b
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -47,51 +28,6 @@ def tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(np.asarray(x, dtype=np.float64))
 
 
-def _binary(name, fn, a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(
-            f"{name} operand shapes differ: {list(a.shape)} vs {list(b.shape)}"
-        )
-    return fn(a, b)
-
-
-def add(a, b):
-    return _binary("add", np.add, a, b)
-
-
-def sub(a, b):
-    return _binary("sub", np.subtract, a, b)
-
-
-def mul(a, b):
-    return _binary("mul", np.multiply, a, b)
-
-
-def scale(x, alpha: float):
-    return np.asarray(x, dtype=np.float64) * float(alpha)
-
-
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "scale": scale,
-}
-
-
-def elementwise(op: str, *args) -> np.ndarray:
-    """Dispatch an entrywise operation by name."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ConfigError(f"unknown elementwise op {op!r}") from None
-    return fn(*args)
-
-
 def randn(shape, scale: float, rng: RngState) -> np.ndarray:
     """I.i.d. normal(0, scale^2) entries from the seeded generator."""
     if not scale > 0:
@@ -99,21 +35,3 @@ def randn(shape, scale: float, rng: RngState) -> np.ndarray:
     dims = tuple(int(d) for d in np.atleast_1d(shape))
     n = int(np.prod(dims)) if dims else 1
     return (rng.normal(n) * float(scale)).reshape(dims)
-
-
-def slice_time(x: np.ndarray, indices) -> np.ndarray:
-    """Gather the listed steps along the leading (time) axis, in order."""
-    x = np.asarray(x, dtype=np.float64)
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    t = x.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= t):
-        bad = idx[(idx < 0) | (idx >= t)][0]
-        raise IndexError(f"time index {bad} out of range for length {t}")
-    return x[idx]
-
-
-def check_finite(x: np.ndarray, what: str) -> np.ndarray:
-    """Raise if any entry is NaN or infinite."""
-    if not np.isfinite(x).all():
-        raise FloatingPointError(f"non-finite values in {what}")
-    return x

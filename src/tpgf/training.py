@@ -27,7 +27,9 @@ from .data import Dataset
 from .model import (Seq2SeqParams, decode_step, encode_full, init_seq2seq,
                     make_target_slots)
 from .rng import RngState
-from .sampling import ScheduleConfig, Strategy, epsilon_for, inverse_sigmoid_epsilon
+from .sampling import (ScheduleConfig, Strategy, epsilon_for,
+                       interleave_odd_even, inverse_sigmoid_epsilon,
+                       subsample_odd_even)
 
 _TENSOR_NAMES = ["encoder.w_x", "encoder.w_h", "encoder.b",
                  "decoder.w_x", "decoder.w_h", "decoder.b",
@@ -438,13 +440,6 @@ def evaluate(p: Seq2SeqParams, ds: Dataset, split: str = "test",
     return rows
 
 
-def predict_closed_loop(p: Seq2SeqParams, ds: Dataset) -> np.ndarray:
-    """Closed-loop predictions for every sample, [num, K, N, Ft]."""
-    ctx, tgt, (n, ft) = flatten_dataset(ds)
-    preds = rollout_batch(p, ctx, tgt.shape[1])
-    return preds.reshape(len(ds), tgt.shape[1], n, ft)
-
-
 def evaluate_horizon(p: Seq2SeqParams, ds: Dataset, split: str = "test",
                      iteration: int = 0) -> list:
     """Closed-loop error resolved per forecast step.
@@ -528,13 +523,15 @@ def _half_timescale_groups(ds: Dataset):
     """Parity-subsampled (ctx, tgt, shape) pairs, odd half first.
 
     Target step 1 anchors the parity: the odd half holds target steps
-    1, 3, 5, ... and the context frames lying on the same stride-2 grid;
+    1, 3, 5, ... and the context frames lying on the same stride-2 grid,
+    which are the even positions counted back from the forecast origin;
     the even half holds the rest.
     """
     ctx, tgt, shape = flatten_dataset(ds)
-    t_in = ctx.shape[1]
-    odd = (ctx[:, t_in % 2::2], tgt[:, 0::2], shape)
-    even = (ctx[:, (t_in + 1) % 2::2], tgt[:, 1::2], shape)
+    back_odd, back_even = subsample_odd_even(ctx.swapaxes(0, 1)[::-1])
+    tgt_odd, tgt_even = subsample_odd_even(tgt.swapaxes(0, 1))
+    odd = (back_even[::-1].swapaxes(0, 1), tgt_odd.swapaxes(0, 1), shape)
+    even = (back_odd[::-1].swapaxes(0, 1), tgt_even.swapaxes(0, 1), shape)
     return odd, even
 
 
@@ -610,9 +607,8 @@ def train_tpg(splits, cfg: TrainConfig):
     even_ctx = groups1[1][0]
     m1_odd = rollout_batch(m1, odd_ctx, (k + 1) // 2)
     m1_even = rollout_batch(m1, even_ctx, k // 2)
-    m1_full = np.empty((ctx.shape[0], k, f_out))
-    m1_full[:, 0::2] = m1_odd
-    m1_full[:, 1::2] = m1_even
+    m1_full = interleave_odd_even(m1_odd.swapaxes(0, 1),
+                                  m1_even.swapaxes(0, 1)).swapaxes(0, 1)
 
     groups2 = [(ctx, tgt, shape)]
     eval2 = {}

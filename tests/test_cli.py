@@ -269,6 +269,13 @@ def test_evaluate_tampered_checkpoint(tmp_path, capsys):
     assert cli.main(["evaluate", "--config", cfg_path]) == 3
     assert "magic" in capsys.readouterr().err.lower()
 
+    # restore the magic, then point the first slot far outside f_in
+    blob[0] ^= 0xFF
+    blob[24:28] = (10 ** 6).to_bytes(4, "little")
+    (out / "model.ckpt").write_bytes(bytes(blob))
+    assert cli.main(["evaluate", "--config", cfg_path]) == 3
+    assert "slot table entry 1000000" in capsys.readouterr().err
+
 
 def test_evaluate_dim_mismatch(tmp_path, capsys):
     cfg_a, out_a = trained_run(tmp_path, "dima")
@@ -280,6 +287,19 @@ def test_evaluate_dim_mismatch(tmp_path, capsys):
     assert cli.main(["generate", "--config", cfg_b]) == 0
     assert cli.main(["evaluate", "--config", cfg_b]) == 3
     assert "features" in capsys.readouterr().err
+
+    # same feature width, but other predicted channels (same count, or fewer)
+    for channels, want in (("1,2", "[1, 2, 4, 5, 7, 8]"), ("0", "[0, 3, 6]")):
+        out_c = tmp_path / f"dimc{channels}"
+        text = BASE.replace("target_channels = 0,1",
+                            f"target_channels = {channels}") + \
+            f"out_dir = {out_c}\ncheckpoint = {out_a / 'model.ckpt'}\n"
+        cfg_c = write_cfg(tmp_path / "dimc.cfg", text)
+        assert cli.main(["generate", "--config", cfg_c]) == 0
+        assert cli.main(["evaluate", "--config", cfg_c]) == 3
+        err = capsys.readouterr().err
+        assert "model.ckpt" in err
+        assert "[0, 1, 3, 4, 6, 7]" in err and want in err
 
 
 def test_evaluate_missing_checkpoint(tmp_path, capsys):
@@ -351,6 +371,20 @@ def test_compare_errors(tmp_path, capsys):
     path.write_text("\n".join(lines[:-1]) + "\n50,test,extra_metric,1.0\n")
     assert cli.main(["compare", "--config", cfg_a, "--config", cfg_b]) == 2
     assert "metric set" in capsys.readouterr().err
+
+
+def test_compare_non_numeric_cell_names_line(tmp_path, capsys):
+    for bad, line in (("20,test,loss,abc", 2),
+                      ("20,test,loss,1.0\nx,test,mae,1.0", 3)):
+        argv = ["compare"]
+        for name, rows in (("na", "20,test,loss,0.5"), ("nb", bad)):
+            cfg_path, out = make_run(tmp_path, name)
+            out.mkdir(exist_ok=True)
+            (out / "metrics.csv").write_text(
+                "iter,split,metric,value\n" + rows + "\n")
+            argv += ["--config", cfg_path]
+        assert cli.main(argv) == 3
+        assert f"metrics.csv:{line}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

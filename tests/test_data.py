@@ -261,6 +261,11 @@ def test_csv_bad_header_and_duplicate(tmp_path):
     p2.write_text("time,node,channel,value\n0,0,0,1.0\n0,0,0,2.0\n")
     with pytest.raises(DataFormatError):
         dt.load_series_csv(p2)
+    p3 = tmp_path / "n.csv"
+    p3.write_text("time,node,channel,value\n0,0,0,1.0\n-1,0,0,2.0\n")
+    with pytest.raises(DataFormatError) as ei:
+        dt.load_series_csv(p3)
+    assert "line 3" in str(ei.value) and "time=-1" in str(ei.value)
 
 
 def test_frames_roundtrip_bit_exact(tmp_path):

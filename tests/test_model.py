@@ -2,9 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tpgf.errors import ConfigError, DataFormatError, DimensionError
+from tpgf.errors import ConfigError, DataFormatError
 from tpgf import model as md
 from tpgf import nn
+from tpgf import training as tr
 from tpgf.rng import RngState
 from tpgf.tensor import randn
 
@@ -16,9 +17,9 @@ def small_params(hidden=3, f_in=4, f_out=4, seed=9, slots=None):
 
 def test_encode_single_step_equals_lstm_step():
     p = small_params()
-    x = randn((1, 4), 1.0, RngState(2))
-    got = md.encode(x, p)
-    want, _ = nn.lstm_step(x[0], nn.zero_state(3), p.encoder)
+    x = randn((1, 1, 4), 1.0, RngState(2))
+    got, _ = md.encode_full(x, p)
+    want, _ = nn.lstm_step(x[:, 0], nn.zero_state(3, 1), p.encoder)
     npt.assert_array_equal(got.h, want.h)
     npt.assert_array_equal(got.c, want.c)
 
@@ -28,35 +29,30 @@ def test_encode_zero_params_zero_state():
     p.encoder.w_x[:] = 0.0
     p.encoder.w_h[:] = 0.0
     p.encoder.b[:] = 0.0
-    state = md.encode(randn((5, 4), 2.0, RngState(3)), p)
+    state, _ = md.encode_full(randn((1, 5, 4), 2.0, RngState(3)), p)
     # zero-parameter cell from zero initial state stays at zero
-    npt.assert_array_equal(state.h, np.zeros(3))
-    npt.assert_array_equal(state.c, np.zeros(3))
+    npt.assert_array_equal(state.h, np.zeros((1, 3)))
+    npt.assert_array_equal(state.c, np.zeros((1, 3)))
 
 
 def test_encode_matches_manual_unroll():
     p = small_params(seed=21)
-    ctx = randn((3, 4), 1.0, RngState(5))
-    got = md.encode(ctx, p)
-    state = nn.zero_state(3)
+    ctx = randn((1, 3, 4), 1.0, RngState(5))
+    got, _ = md.encode_full(ctx, p)
+    state = nn.zero_state(3, 1)
     for t in range(3):
-        state, _ = nn.lstm_step(ctx[t], state, p.encoder)
+        state, _ = nn.lstm_step(ctx[:, t], state, p.encoder)
     npt.assert_allclose(got.h, state.h, atol=1e-12)
     npt.assert_allclose(got.c, state.c, atol=1e-12)
 
 
-def test_encode_accepts_unflattened_and_batched():
+def test_encode_batch_rows_match_single_rows():
     p = small_params()
-    ctx = randn((5, 2, 2), 1.0, RngState(7))  # [T, N, F] with N*F = 4
-    a = md.encode(ctx, p)
-    b = md.encode(ctx.reshape(5, 4), p)
-    npt.assert_array_equal(a.h, b.h)
-
     batch = randn((6, 5, 4), 1.0, RngState(8))  # [B, T, F_in]
-    bs = md.encode(batch, p)
+    bs, _ = md.encode_full(batch, p)
     assert bs.h.shape == (6, 3)
-    one = md.encode(batch[2], p)
-    npt.assert_allclose(bs.h[2], one.h, atol=1e-14)
+    one, _ = md.encode_full(batch[2:3], p)
+    npt.assert_allclose(bs.h[2:3], one.h, atol=1e-14)
 
 
 def test_decode_step_zero_params_gives_bias():
@@ -83,100 +79,47 @@ def test_decode_step_is_lstm_then_linear():
     npt.assert_array_equal(pred, pred2)
 
 
-def test_rollout_k1_never_calls_selector():
-    p = small_params()
-    calls = []
-
-    def sel(s, own):
-        calls.append(s)
-        return own
-
-    req = md.ForecastRequest(context=randn((4, 4), 1.0, RngState(6)), horizon=1)
-    preds = md.rollout(req, p, sel)
-    assert preds.shape == (1, 4)
-    assert calls == []
-
-
-def test_rollout_selector_called_k_minus_1():
-    p = small_params()
-    calls = []
-
-    def sel(s, own):
-        calls.append(s)
-        return own
-
-    req = md.ForecastRequest(context=randn((4, 4), 1.0, RngState(6)), horizon=7)
-    md.rollout(req, p, sel)
-    assert calls == list(range(1, 7))
-
-
 def test_rollout_closed_loop_matches_manual_iteration():
     p = small_params(seed=41)
-    ctx = randn((5, 4), 1.0, RngState(10))
-    req = md.ForecastRequest(context=ctx, horizon=4)
-    got = md.rollout(req, p, None)
+    ctx = randn((1, 5, 4), 1.0, RngState(10))
+    got = tr.rollout_batch(p, ctx, 4)
 
-    state = md.encode(ctx, p)
-    carrier = ctx[-1]
+    state, _ = md.encode_full(ctx, p)
+    carrier = ctx[:, -1]
     x = carrier
     want = []
     for s in range(4):
         pred, state, _ = md.decode_step(x, state, p)
         want.append(pred)
-        x = md.embed_targets(carrier, pred, p.target_slots)
-    npt.assert_allclose(got, np.stack(want), atol=1e-14)
+        x = carrier.copy()
+        x[:, p.target_slots] = pred
+    npt.assert_allclose(got, np.stack(want, axis=1), atol=1e-14)
 
 
 def test_rollout_teacher_forced_matches_stepwise():
     slots = md.make_target_slots(2, 2, [1])  # predict channel 1 of 2 nodes
     p = small_params(hidden=3, f_in=4, f_out=2, seed=52, slots=slots)
-    ctx = randn((5, 4), 1.0, RngState(11))
-    truth = randn((4, 4), 1.0, RngState(12))  # full observed future frames
+    ctx = randn((1, 5, 4), 1.0, RngState(11))
+    truth = randn((1, 3, 2), 1.0, RngState(12))  # observed inputs to steps 2..4
+    taus = np.ones((1, 3), dtype=np.int64)
+    got, _ = tr.forward_train(p, ctx, truth, taus)
 
-    def sel(s, own):
-        return truth[s - 1]
-
-    req = md.ForecastRequest(context=ctx, horizon=4)
-    got = md.rollout(req, p, sel)
-
-    state = md.encode(ctx, p)
-    x = ctx[-1]
+    state, _ = md.encode_full(ctx, p)
+    carrier = ctx[:, -1]
+    x = carrier
     want = []
     for s in range(4):
         pred, state, _ = md.decode_step(x, state, p)
         want.append(pred)
-        x = truth[s]
-    npt.assert_allclose(got, np.stack(want), atol=1e-14)
-
-
-def test_rollout_selector_shape_violation_names_step():
-    p = small_params()
-    req = md.ForecastRequest(context=randn((4, 4), 1.0, RngState(6)), horizon=3)
-    with pytest.raises(DimensionError) as ei:
-        md.rollout(req, p, lambda s, own: np.zeros(5))
-    assert "step 1" in str(ei.value)
-
-
-def test_embed_targets():
-    carrier = np.array([10.0, 20.0, 30.0, 40.0])
-    slots = np.array([1, 3])
-    out = md.embed_targets(carrier, np.array([-1.0, -2.0]), slots)
-    npt.assert_array_equal(out, [10.0, -1.0, 30.0, -2.0])
-    npt.assert_array_equal(carrier, [10.0, 20.0, 30.0, 40.0])
-    with pytest.raises(DimensionError):
-        md.embed_targets(carrier, np.zeros(3), slots)
+        if s < 3:
+            x = carrier.copy()
+            x[:, slots] = truth[:, s]
+    npt.assert_allclose(got, np.stack(want, axis=1), atol=1e-14)
 
 
 def test_make_target_slots_layout():
     slots = md.make_target_slots(3, 4, [0, 2])
     npt.assert_array_equal(slots, [0, 2, 4, 6, 8, 10])
-
-
-def test_forecast_request_validation():
-    with pytest.raises(ConfigError):
-        md.ForecastRequest(context=np.zeros((0, 4)), horizon=2)
-    with pytest.raises(ConfigError):
-        md.ForecastRequest(context=np.zeros((3, 4)), horizon=0)
 
 
 def test_init_validation():
@@ -243,3 +186,11 @@ def test_checkpoint_bad_version(tmp_path):
     bad.write_bytes(bytes(blob))
     with pytest.raises(DataFormatError):
         md.load_checkpoint(bad)
+
+    # a slot table entry past f_in would index outside the input frame
+    blob = bytearray(path.read_bytes())
+    blob[24:28] = (10 ** 6).to_bytes(4, "little")
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError) as ei:
+        md.load_checkpoint(bad)
+    assert "1000000" in str(ei.value)

@@ -111,52 +111,6 @@ def test_schedule_config_validation():
                           transition_iters=0)
 
 
-def test_draw_tau_degenerate():
-    rng = RngState(9)
-    for _ in range(50):
-        assert sp.draw_tau(1.0, rng).tau == 1
-        assert sp.draw_tau(0.0, rng).tau == 0
-
-
-def test_draw_tau_records_epsilon_and_source():
-    rng = RngState(4)
-    d = sp.draw_tau(1.0, rng, preferred=sp.Source.INTERMEDIATE_MODEL)
-    assert d.epsilon_used == 1.0
-    assert d.source is sp.Source.INTERMEDIATE_MODEL
-    d0 = sp.draw_tau(0.0, rng, preferred=sp.Source.INTERMEDIATE_MODEL)
-    assert d0.source is sp.Source.OWN_PREDICTION
-
-
-def test_draw_tau_statistics():
-    # binomial 3-sigma band around 0.7 with 10k draws
-    rng = RngState(1234)
-    n = 10_000
-    hits = sum(sp.draw_tau(0.7, rng).tau for _ in range(n))
-    assert 0.686 <= hits / n <= 0.714
-
-
-def test_draw_tau_validation():
-    with pytest.raises(ConfigError):
-        sp.draw_tau(1.2, RngState(1))
-    with pytest.raises(ConfigError):
-        sp.draw_tau(-0.1, RngState(1))
-
-
-def test_mix_inputs_selects_bit_exact():
-    a = np.array([1.0, 2.0, 3.0])
-    b = np.array([4.0, 5.0, 6.0])
-    assert sp.mix_inputs(1, a, b) is b
-    assert sp.mix_inputs(0, a, b) is a
-    npt.assert_array_equal(sp.mix_inputs(0, a, a.copy()), a)
-
-
-def test_mix_inputs_errors():
-    with pytest.raises(DimensionError):
-        sp.mix_inputs(1, np.zeros(3), np.zeros(4))
-    with pytest.raises(ConfigError):
-        sp.mix_inputs(2, np.zeros(3), np.zeros(3))
-
-
 def test_subsample_basic():
     seq = np.arange(6.0).reshape(6, 1)
     odd, even = sp.subsample_odd_even(seq)
@@ -188,22 +142,3 @@ def test_interleave_roundtrip_all_lengths():
 def test_interleave_length_mismatch():
     with pytest.raises(DimensionError):
         sp.interleave_odd_even(np.zeros((2, 1)), np.zeros((4, 1)))
-
-
-def test_m1_source_index():
-    assert sp.m1_source_index(1) == ("odd", 1)
-    assert sp.m1_source_index(2) == ("even", 1)
-    assert sp.m1_source_index(7) == ("odd", 4)
-    assert sp.m1_source_index(8) == ("even", 4)
-    with pytest.raises(IndexError):
-        sp.m1_source_index(0)
-
-
-def test_m1_source_index_covers_both_halves():
-    # every target index maps into range for the 19/18 split of T=37
-    odd_hits, even_hits = set(), set()
-    for j in range(1, 38):
-        parity, k = sp.m1_source_index(j)
-        (odd_hits if parity == "odd" else even_hits).add(k)
-    assert odd_hits == set(range(1, 20))
-    assert even_hits == set(range(1, 19))
