@@ -142,3 +142,32 @@ def test_interleave_roundtrip_all_lengths():
 def test_interleave_length_mismatch():
     with pytest.raises(DimensionError):
         sp.interleave_odd_even(np.zeros((2, 1)), np.zeros((4, 1)))
+
+
+def test_m1_source_index():
+    # train_tpg merges m1's half-timescale outputs [B, K_half, F] with
+    # interleave_odd_even along the time axis: full target step j (1-based)
+    # reads the odd half at (j+1)//2 when j is odd, the even half otherwise
+    b, k, f = 2, 8, 3
+    m1_odd = np.broadcast_to(1000.0 + np.arange(1, 5)[None, :, None], (b, 4, f))
+    m1_even = np.broadcast_to(2000.0 + np.arange(1, 5)[None, :, None], (b, 4, f))
+    full = sp.interleave_odd_even(m1_odd.swapaxes(0, 1),
+                                  m1_even.swapaxes(0, 1)).swapaxes(0, 1)
+    assert full.shape == (b, k, f)
+    assert (full[:, 0] == 1001.0).all()  # j=1 -> odd half, index 1
+    assert (full[:, 1] == 2001.0).all()  # j=2 -> even half, index 1
+    assert (full[:, 6] == 1004.0).all()  # j=7 -> odd half, index 4
+    assert (full[:, 7] == 2004.0).all()  # j=8 -> even half, index 4
+
+
+def test_m1_source_index_covers_both_halves():
+    # every index of both halves lands in the full sequence exactly once,
+    # for the 19/18 split of T=37
+    odd = 1000 + np.arange(1, 20)
+    even = 2000 + np.arange(1, 19)
+    full = sp.interleave_odd_even(odd, even)
+    assert full.shape == (37,) and len(set(full.tolist())) == 37
+    odd_hits = {int(v) - 1000 for v in full if v < 2000}
+    even_hits = {int(v) - 2000 for v in full if v >= 2000}
+    assert odd_hits == set(range(1, 20))
+    assert even_hits == set(range(1, 19))

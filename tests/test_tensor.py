@@ -7,9 +7,22 @@ from tpgf.rng import RngState
 from tpgf import tensor as tc
 
 
-def test_sigmoid_stable_extremes():
+def test_elementwise_basics():
     assert tc.sigmoid(np.array([0.0]))[0] == 0.5
     assert tc.tanh(np.array([0.0]))[0] == 0.0
+    x = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
+    s = tc.sigmoid(x)
+    assert s.shape == x.shape and s.dtype == np.float64
+    npt.assert_allclose(s, 1.0 / (1.0 + np.exp(-x)), rtol=1e-14)
+    npt.assert_allclose(s + tc.sigmoid(-x), np.ones_like(x), rtol=1e-15)
+    npt.assert_array_equal(tc.tanh(x), np.tanh(x))
+    # integer input is promoted to float64
+    t = tc.tanh(np.array([1, -2]))
+    assert t.dtype == np.float64
+    npt.assert_array_equal(t, np.tanh(np.array([1.0, -2.0])))
+
+
+def test_sigmoid_stable_extremes():
     x = np.array([-1000.0, -50.0, 50.0, 1000.0])
     y = tc.sigmoid(x)
     assert np.isfinite(y).all()
