@@ -12,6 +12,7 @@ Every generator is a pure function of (config, seed).
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 from dataclasses import dataclass
 
@@ -196,8 +197,10 @@ def windowize(raw: np.ndarray, t_in: int, k: int, stride: int = 1,
 
     starts = np.arange(0, total - window + 1, stride, dtype=np.int64)
     contexts = np.stack([raw[s:s + t_in] for s in starts])
-    targets = np.stack([raw[s + t_in:s + window][:, :, target_channels]
-                        for s in starts])
+    # take() yields a C-contiguous [T, N, Ft] series, so the stacked
+    # targets are C-contiguous too and flatten to views
+    picked = raw.take(target_channels, axis=2)
+    targets = np.stack([picked[s + t_in:s + window] for s in starts])
     meta = DataMeta(channel_names=list(channel_names),
                     target_channels=target_channels,
                     window_starts=starts)
@@ -347,6 +350,9 @@ def load_series_csv(path) -> np.ndarray:
                 v = float(parts[3])
             except ValueError as exc:
                 raise DataFormatError(f"line {lineno}: {exc}") from None
+            if not math.isfinite(v):
+                raise DataFormatError(
+                    f"line {lineno}: non-finite value {parts[3]!r}")
             if t < 0 or n < 0 or f < 0:
                 raise DataFormatError(
                     f"line {lineno}: negative index in time={t}, node={n}, "

@@ -73,15 +73,16 @@ def init_seq2seq(hidden: int, f_in: int, f_out: int, rng: RngState,
         hidden=hidden, f_in=f_in, f_out=f_out, target_slots=target_slots)
 
 
-def encode_full(context: np.ndarray, p: Seq2SeqParams):
-    """Run the encoder over every step of a [B, T_in, F_in] batch;
-    returns (final state, caches)."""
+def encode_full(context: np.ndarray, p: Seq2SeqParams, caches=None):
+    """Run the encoder over every step of a [B, T_in, F_in] batch and
+    return its final state. Appends each step's cache to `caches` when
+    given a list; keeps none otherwise."""
     state = nn.zero_state(p.hidden, context.shape[0])
-    caches = []
     for t in range(context.shape[1]):
         state, cache = nn.lstm_step(context[:, t], state, p.encoder)
-        caches.append(cache)
-    return state, caches
+        if caches is not None:
+            caches.append(cache)
+    return state
 
 
 def decode_step(prev_input: np.ndarray, state: nn.LstmState, p: Seq2SeqParams):

@@ -55,11 +55,16 @@ class LinearParams:
 
 @dataclass
 class StepCache:
-    """Everything the matching backward call needs, nothing recomputed."""
+    """Everything the matching backward call needs, nothing recomputed.
+
+    `act` holds the four gate activations stacked like the weight rows;
+    i, f, g and o are views into it.
+    """
 
     x: np.ndarray
     h_prev: np.ndarray
     c_prev: np.ndarray
+    act: np.ndarray
     i: np.ndarray
     f: np.ndarray
     g: np.ndarray
@@ -103,13 +108,16 @@ def lstm_step(x: np.ndarray, state: LstmState, p: LstmParams):
             f"state shapes differ: h {list(state.h.shape)} vs c {list(state.c.shape)}"
         )
     pre = x @ p.w_x.T + state.h @ p.w_h.T + p.b
-    i = sigmoid(pre[..., 0 * hidden:1 * hidden])
-    f = sigmoid(pre[..., 1 * hidden:2 * hidden])
-    g = tanh(pre[..., 2 * hidden:3 * hidden])
-    o = sigmoid(pre[..., 3 * hidden:4 * hidden])
+    # one sigmoid over all four gate blocks, then tanh over the g rows
+    act = sigmoid(pre)
+    act[..., 2 * hidden:3 * hidden] = tanh(pre[..., 2 * hidden:3 * hidden])
+    i = act[..., 0 * hidden:1 * hidden]
+    f = act[..., 1 * hidden:2 * hidden]
+    g = act[..., 2 * hidden:3 * hidden]
+    o = act[..., 3 * hidden:4 * hidden]
     c_new = f * state.c + i * g
     t = np.tanh(c_new)
-    cache = StepCache(x=x, h_prev=state.h, c_prev=state.c,
+    cache = StepCache(x=x, h_prev=state.h, c_prev=state.c, act=act,
                       i=i, f=f, g=g, o=o, c_new=c_new, tanh_c_new=t)
     return LstmState(h=o * t, c=c_new), cache
 
@@ -118,8 +126,10 @@ def lstm_step_backward(grad_h: np.ndarray, grad_c: np.ndarray,
                        cache: StepCache, p: LstmParams):
     """Exact gradients of one step.
 
-    Returns (grad_x, grad_state, grad_params) where grad_state is the
-    gradient flowing into the previous step's (h, c).
+    Returns (grad_pre, grad_state, grad_params). grad_pre is the
+    gradient of the stacked [.., 4C] gate pre-activations; the input
+    gradient is grad_pre @ p.w_x, left to callers that need it.
+    grad_state is the gradient flowing into the previous step's (h, c).
     """
     hidden = p.hidden
     if cache.i.shape[-1] != hidden or cache.x.shape[-1] != p.f_in:
@@ -128,21 +138,21 @@ def lstm_step_backward(grad_h: np.ndarray, grad_c: np.ndarray,
             f"params expect hidden={hidden}, f_in={p.f_in}"
         )
     t = cache.tanh_c_new
-    d_o = grad_h * t
     dc = grad_c + grad_h * cache.o * (1.0 - t * t)
-    d_f = dc * cache.c_prev
-    d_i = dc * cache.g
-    d_g = dc * cache.i
     dc_prev = dc * cache.f
 
-    da = np.concatenate([
-        d_i * cache.i * (1.0 - cache.i),
-        d_f * cache.f * (1.0 - cache.f),
-        d_g * (1.0 - cache.g * cache.g),
-        d_o * cache.o * (1.0 - cache.o),
-    ], axis=-1)
+    # gradients of the activations i, f, g, o, stacked like cache.act
+    da = np.empty_like(cache.act)
+    np.multiply(dc, cache.g, out=da[..., 0 * hidden:1 * hidden])
+    np.multiply(dc, cache.c_prev, out=da[..., 1 * hidden:2 * hidden])
+    np.multiply(dc, cache.i, out=da[..., 2 * hidden:3 * hidden])
+    np.multiply(grad_h, t, out=da[..., 3 * hidden:4 * hidden])
+    # through the activations: sigmoid' = a(1-a), tanh' = 1-g^2
+    d_g = da[..., 2 * hidden:3 * hidden] * (1.0 - cache.g * cache.g)
+    da *= cache.act
+    da *= 1.0 - cache.act
+    da[..., 2 * hidden:3 * hidden] = d_g
 
-    grad_x = da @ p.w_x
     dh_prev = da @ p.w_h
     da2 = da.reshape(-1, 4 * hidden)
     grad_params = LstmParams(
@@ -150,7 +160,7 @@ def lstm_step_backward(grad_h: np.ndarray, grad_c: np.ndarray,
         w_h=da2.T @ cache.h_prev.reshape(-1, hidden),
         b=da2.sum(axis=0),
     )
-    return grad_x, LstmState(h=dh_prev, c=dc_prev), grad_params
+    return da, LstmState(h=dh_prev, c=dc_prev), grad_params
 
 
 def linear_forward(x: np.ndarray, p: LinearParams):

@@ -14,13 +14,18 @@ from .rng import RngState
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, stable for large |x|."""
+    """Logistic function, stable for large |x|, in one pass.
+
+    Per element this is 1/(1 + exp(-x)) for x >= 0 and
+    exp(x)/(1 + exp(x)) otherwise, so exp never overflows. min(x, -x)
+    is -|x| except that it keeps the sign of a nan.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.minimum(x, -x)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    np.divide(out, e, out=out)
     return out
 
 

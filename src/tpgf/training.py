@@ -184,7 +184,6 @@ def adam_step(params: Seq2SeqParams, grads: list, state: TrainState,
 class RolloutCaches:
     enc_caches: list
     dec_caches: list  # [(lstm StepCache, linear cache), ...] per step
-    carrier: np.ndarray
     taus: np.ndarray  # [B, K-1] decisions for inputs to steps 2..K
 
 
@@ -198,40 +197,53 @@ def forward_train(p: Seq2SeqParams, contexts: np.ndarray,
     context frame with either the own prediction (tau=0) or the
     preferred value (tau=1) embedded at the target slots.
     """
-    b, _, f_in = contexts.shape
-    if f_in != p.f_in:
-        raise DimensionError(
-            f"contexts have width {f_in}, model expects {p.f_in}")
+    b = contexts.shape[0]
     k = taus.shape[1] + 1
     if k > 1 and (preferred is None or preferred.shape != (b, k - 1, p.f_out)):
         have = None if preferred is None else list(preferred.shape)
         raise DimensionError(
             f"preferred values must be [{b}, {k - 1}, {p.f_out}], got {have}")
-    state, enc_caches = encode_full(contexts, p)
-    carrier = contexts[:, -1]
-    x = carrier
-    preds = np.empty((b, k, p.f_out))
-    dec_caches = []
-    for s in range(1, k + 1):
-        pred, state, caches = decode_step(x, state, p)
-        preds[:, s - 1] = pred
-        dec_caches.append(caches)
-        if s < k:
-            col = taus[:, s - 1][:, None]
-            values = np.where(col == 1, preferred[:, s - 1], pred)
-            x = carrier.copy()
-            x[:, p.target_slots] = values
-    return preds, RolloutCaches(enc_caches=enc_caches, dec_caches=dec_caches,
-                                carrier=carrier, taus=taus)
+    caches = RolloutCaches(enc_caches=[], dec_caches=[], taus=taus)
+    preds = _unroll(p, contexts, k, preferred, taus, caches)
+    return preds, caches
 
 
 def rollout_batch(p: Seq2SeqParams, contexts: np.ndarray, horizon: int) -> np.ndarray:
     """Closed-loop batched inference: every feedback is the model's own
-    prediction. Returns [B, K, F_out]."""
-    b = contexts.shape[0]
-    taus = np.zeros((b, horizon - 1), dtype=np.int64)
-    preferred = np.zeros((b, horizon - 1, p.f_out)) if horizon > 1 else None
-    preds, _ = forward_train(p, contexts, preferred, taus)
+    prediction, and no backward cache is kept. Returns [B, K, F_out]."""
+    return _unroll(p, contexts, horizon, None, None, None)
+
+
+def _unroll(p: Seq2SeqParams, contexts: np.ndarray, k: int,
+            preferred: np.ndarray | None, taus: np.ndarray | None,
+            caches: RolloutCaches | None) -> np.ndarray:
+    """The step loop of forward_train and rollout_batch.
+
+    The input to step s+1 is the last context frame with prediction s
+    at the target slots, or preferred[:, s-1] where taus[:, s-1] is 1
+    (nowhere when taus is None). Step caches go into `caches` unless it
+    is None.
+    """
+    b, _, f_in = contexts.shape
+    if f_in != p.f_in:
+        raise DimensionError(
+            f"contexts have width {f_in}, model expects {p.f_in}")
+    state = encode_full(contexts, p,
+                        None if caches is None else caches.enc_caches)
+    carrier = contexts[:, -1]
+    x = carrier
+    preds = np.empty((b, k, p.f_out))
+    for s in range(1, k + 1):
+        pred, state, step_caches = decode_step(x, state, p)
+        preds[:, s - 1] = pred
+        if caches is not None:
+            caches.dec_caches.append(step_caches)
+        if s < k:
+            if taus is not None:
+                col = taus[:, s - 1][:, None]
+                pred = np.where(col == 1, preferred[:, s - 1], pred)
+            x = carrier.copy()
+            x[:, p.target_slots] = pred
     return preds
 
 
@@ -273,13 +285,15 @@ def bptt(p: Seq2SeqParams, caches: RolloutCaches, dpreds: np.ndarray) -> list:
         dh_lin, gp = nn.linear_backward(dpred, lin_cache, p.projection)
         g_proj.w += gp.w
         g_proj.b += gp.b
-        dx, dstate, gd = nn.lstm_step_backward(dh + dh_lin, dc, step_cache,
+        da, dstate, gd = nn.lstm_step_backward(dh + dh_lin, dc, step_cache,
                                                p.decoder)
         g_dec.w_x += gd.w_x
         g_dec.w_h += gd.w_h
         g_dec.b += gd.b
         dh, dc = dstate.h, dstate.c
-        pending_dx = dx
+        if s > 1:
+            # the input of step s was built from prediction s-1
+            pending_dx = da @ p.decoder.w_x
 
     # decoder initial state is the encoder final state
     for cache in reversed(caches.enc_caches):
@@ -398,6 +412,8 @@ def _loop(p, groups, cfg, rng, state, curves, start_iter, end_iter,
         dpreds = composite_loss_grad(preds.reshape(b, k, n, ft),
                                      tgt.reshape(b, k, n, ft)).reshape(b, k, -1)
         grads = bptt(p, caches, dpreds)
+        # free this iteration's caches before the next forward builds its own
+        del caches
         grads = clip_gradients(grads, cfg.clip_norm)
         adam_step(p, grads, state, cfg)
     if end_iter > start_iter:

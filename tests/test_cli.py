@@ -1,9 +1,13 @@
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from test_acceptance import CLI_CFG
 from tpgf import cli
 from tpgf import data as dt
 from tpgf.errors import ConfigError
@@ -221,6 +225,19 @@ def test_train_rerun_identical_artifacts(tmp_path):
     assert (out / "model.ckpt").read_bytes() == first_ckpt
 
 
+def test_train_rejects_non_finite_data_cell(tmp_path, capsys):
+    cfg_path, out = make_run(tmp_path, "nan")
+    assert cli.main(["generate", "--config", cfg_path]) == 0
+    path = out / "data" / "train.csv"
+    lines = path.read_text().splitlines()
+    t, n, f, _ = lines[5].split(",")
+    lines[5] = f"{t},{n},{f},nan"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["train", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert "line 6" in err and "non-finite" in err
+
+
 def test_train_without_dataset_hints_generate(tmp_path, capsys):
     cfg_path, out = make_run(tmp_path, "nogen")
     assert cli.main(["train", "--config", cfg_path]) == 3
@@ -398,6 +415,26 @@ def test_thread_cap_env(tmp_path, monkeypatch):
     cfg_path, out = make_run(tmp_path, "thr")
     assert cli.main(["generate", "--config", cfg_path]) == 0
     assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+def test_artifacts_identical_across_thread_caps(tmp_path):
+    # the cap only takes effect before numpy loads, so every command runs
+    # in a fresh interpreter
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        cfg_path = write_cfg(tmp_path / f"threads{threads}.cfg",
+                             CLI_CFG + f"out_dir = {out}\n")
+        for command in ("generate", "train"):
+            subprocess.run([sys.executable, "-m", "tpgf.cli", command,
+                            "--config", cfg_path],
+                           env=dict(env, TPGF_THREADS=threads), check=True,
+                           capture_output=True)
+        artifacts.append({name: (out / name).read_bytes()
+                          for name in ("model.ckpt", "curves.csv")})
+    assert artifacts[0] == artifacts[1]
 
 
 def test_single_command_rejects_multiple_configs(tmp_path):

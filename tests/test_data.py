@@ -122,6 +122,17 @@ def test_windowize_shapes_and_target_subset():
     npt.assert_array_equal(ds.targets[0], raw[s0 + 8:s0 + 11][:, :, [0, 2, 4]])
 
 
+def test_windowize_targets_c_contiguous_same_values():
+    raw = dt.gen_multinode_series(4, 5, 300, 0.2, 0.1, seed=6)
+    ds = dt.windowize(raw, t_in=8, k=3, stride=1, target_channels=[4, 0, 2])
+    assert ds.targets.flags.c_contiguous
+    want = np.stack([raw[s + 8:s + 11][:, :, [4, 0, 2]]
+                     for s in ds.meta.window_starts])
+    npt.assert_array_equal(ds.targets, want)
+    for part in dt.normalize(*dt.split(ds, (0.8, 0.1, 0.1))):
+        assert part.targets.flags.c_contiguous
+
+
 def test_windowize_sequences():
     seqs = dt.gen_moving_sprites(8, 9, 1, (1, 1), length=7, seed=4, count=3,
                                  sprite_size=3)
@@ -266,6 +277,16 @@ def test_csv_bad_header_and_duplicate(tmp_path):
     with pytest.raises(DataFormatError) as ei:
         dt.load_series_csv(p3)
     assert "line 3" in str(ei.value) and "time=-1" in str(ei.value)
+
+
+def test_csv_rejects_non_finite_values(tmp_path):
+    for cell in ("nan", "NaN", "inf", "-inf", "Infinity", "1e999"):
+        path = tmp_path / "nf.csv"
+        path.write_text("time,node,channel,value\n0,0,0,1.0\n"
+                        f"1,0,0,{cell}\n2,0,0,0.5\n")
+        with pytest.raises(DataFormatError) as ei:
+            dt.load_series_csv(path)
+        assert "line 3" in str(ei.value) and "non-finite" in str(ei.value)
 
 
 def test_frames_roundtrip_bit_exact(tmp_path):

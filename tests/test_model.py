@@ -18,7 +18,7 @@ def small_params(hidden=3, f_in=4, f_out=4, seed=9, slots=None):
 def test_encode_single_step_equals_lstm_step():
     p = small_params()
     x = randn((1, 1, 4), 1.0, RngState(2))
-    got, _ = md.encode_full(x, p)
+    got = md.encode_full(x, p)
     want, _ = nn.lstm_step(x[:, 0], nn.zero_state(3, 1), p.encoder)
     npt.assert_array_equal(got.h, want.h)
     npt.assert_array_equal(got.c, want.c)
@@ -29,7 +29,7 @@ def test_encode_zero_params_zero_state():
     p.encoder.w_x[:] = 0.0
     p.encoder.w_h[:] = 0.0
     p.encoder.b[:] = 0.0
-    state, _ = md.encode_full(randn((1, 5, 4), 2.0, RngState(3)), p)
+    state = md.encode_full(randn((1, 5, 4), 2.0, RngState(3)), p)
     # zero-parameter cell from zero initial state stays at zero
     npt.assert_array_equal(state.h, np.zeros((1, 3)))
     npt.assert_array_equal(state.c, np.zeros((1, 3)))
@@ -38,10 +38,13 @@ def test_encode_zero_params_zero_state():
 def test_encode_matches_manual_unroll():
     p = small_params(seed=21)
     ctx = randn((1, 3, 4), 1.0, RngState(5))
-    got, _ = md.encode_full(ctx, p)
+    caches = []
+    got = md.encode_full(ctx, p, caches)
     state = nn.zero_state(3, 1)
     for t in range(3):
-        state, _ = nn.lstm_step(ctx[:, t], state, p.encoder)
+        state, cache = nn.lstm_step(ctx[:, t], state, p.encoder)
+        npt.assert_array_equal(caches[t].act, cache.act)
+    assert len(caches) == 3
     npt.assert_allclose(got.h, state.h, atol=1e-12)
     npt.assert_allclose(got.c, state.c, atol=1e-12)
 
@@ -49,9 +52,9 @@ def test_encode_matches_manual_unroll():
 def test_encode_batch_rows_match_single_rows():
     p = small_params()
     batch = randn((6, 5, 4), 1.0, RngState(8))  # [B, T, F_in]
-    bs, _ = md.encode_full(batch, p)
+    bs = md.encode_full(batch, p)
     assert bs.h.shape == (6, 3)
-    one, _ = md.encode_full(batch[2:3], p)
+    one = md.encode_full(batch[2:3], p)
     npt.assert_allclose(bs.h[2:3], one.h, atol=1e-14)
 
 
@@ -84,7 +87,7 @@ def test_rollout_closed_loop_matches_manual_iteration():
     ctx = randn((1, 5, 4), 1.0, RngState(10))
     got = tr.rollout_batch(p, ctx, 4)
 
-    state, _ = md.encode_full(ctx, p)
+    state = md.encode_full(ctx, p)
     carrier = ctx[:, -1]
     x = carrier
     want = []
@@ -104,7 +107,7 @@ def test_rollout_teacher_forced_matches_stepwise():
     taus = np.ones((1, 3), dtype=np.int64)
     got, _ = tr.forward_train(p, ctx, truth, taus)
 
-    state, _ = md.encode_full(ctx, p)
+    state = md.encode_full(ctx, p)
     carrier = ctx[:, -1]
     x = carrier
     want = []

@@ -7,7 +7,7 @@ import pytest
 from tpgf.errors import DimensionError
 from tpgf import nn
 from tpgf.rng import RngState
-from tpgf.tensor import randn
+from tpgf.tensor import randn, sigmoid, tanh
 
 
 def rel_err(a, f):
@@ -87,6 +87,27 @@ def test_gate_ranges():
     assert ((cache.g > -1) & (cache.g < 1)).all()
 
 
+def test_gates_equal_per_slice_activations():
+    C, F, B = 32, 9, 7
+    p, rng = make_params(C, F, 17)
+    x = randn((B, F), 3.0, rng)
+    state = nn.LstmState(h=randn((B, C), 1.0, rng), c=randn((B, C), 1.0, rng))
+    new, cache = nn.lstm_step(x, state, p)
+    pre = x @ p.w_x.T + state.h @ p.w_h.T + p.b
+    want = {"i": sigmoid(pre[:, 0 * C:1 * C]), "f": sigmoid(pre[:, 1 * C:2 * C]),
+            "g": tanh(pre[:, 2 * C:3 * C]), "o": sigmoid(pre[:, 3 * C:4 * C])}
+    for name, gate in want.items():
+        npt.assert_array_equal(getattr(cache, name).view(np.int64),
+                               gate.view(np.int64), err_msg=name)
+    # i, f, g, o are views into the one stacked activation array
+    assert cache.act.shape == (B, 4 * C)
+    for name in "ifgo":
+        assert np.shares_memory(getattr(cache, name), cache.act)
+    c_new = want["f"] * state.c + want["i"] * want["g"]
+    npt.assert_array_equal(new.c, c_new)
+    npt.assert_array_equal(new.h, want["o"] * np.tanh(c_new))
+
+
 def test_batched_step_matches_per_sample():
     C, F, B = 3, 4, 5
     p, rng = make_params(C, F, 23)
@@ -106,8 +127,8 @@ def test_backward_zero_upstream():
     _, cache = nn.lstm_step(randn((F,), 1.0, rng),
                             nn.LstmState(h=randn((C,), 1.0, rng),
                                          c=randn((C,), 1.0, rng)), p)
-    gx, gs, gp = nn.lstm_step_backward(np.zeros(C), np.zeros(C), cache, p)
-    assert not gx.any() and not gs.h.any() and not gs.c.any()
+    da, gs, gp = nn.lstm_step_backward(np.zeros(C), np.zeros(C), cache, p)
+    assert not da.any() and not gs.h.any() and not gs.c.any()
     assert not gp.w_x.any() and not gp.w_h.any() and not gp.b.any()
 
 
@@ -125,7 +146,8 @@ def _fd_check_lstm(C, F, seed, coords=None, tol=1e-6):
     gc = randn((C,), 1.0, rng)
 
     _, cache = nn.lstm_step(x, nn.LstmState(h=h, c=c), p)
-    gx, gs, gp = nn.lstm_step_backward(gh, gc, cache, p)
+    da, gs, gp = nn.lstm_step_backward(gh, gc, cache, p)
+    gx = da @ p.w_x
 
     tensors = {
         "x": (x, gx), "h": (h, gs.h), "c": (c, gs.c),
@@ -173,13 +195,15 @@ def test_backward_batched_is_sum_of_samples():
     ghb = randn((B, C), 1.0, rng)
     gcb = randn((B, C), 1.0, rng)
     _, cache = nn.lstm_step(xb, nn.LstmState(h=hb, c=cb), p)
-    gxb, gsb, gpb = nn.lstm_step_backward(ghb, gcb, cache, p)
+    dab, gsb, gpb = nn.lstm_step_backward(ghb, gcb, cache, p)
+    gxb = dab @ p.w_x
 
     acc = nn.LstmParams(w_x=np.zeros_like(p.w_x), w_h=np.zeros_like(p.w_h),
                         b=np.zeros_like(p.b))
     for k in range(B):
         _, ck = nn.lstm_step(xb[k], nn.LstmState(h=hb[k], c=cb[k]), p)
-        gx, gs, gp = nn.lstm_step_backward(ghb[k], gcb[k], ck, p)
+        da, gs, gp = nn.lstm_step_backward(ghb[k], gcb[k], ck, p)
+        gx = da @ p.w_x
         npt.assert_allclose(gxb[k], gx, atol=1e-14)
         npt.assert_allclose(gsb.h[k], gs.h, atol=1e-14)
         acc.w_x += gp.w_x
@@ -188,6 +212,31 @@ def test_backward_batched_is_sum_of_samples():
     npt.assert_allclose(gpb.w_x, acc.w_x, atol=1e-12)
     npt.assert_allclose(gpb.w_h, acc.w_h, atol=1e-12)
     npt.assert_allclose(gpb.b, acc.b, atol=1e-12)
+
+
+def test_backward_bit_exact_against_per_gate_form():
+    # reference: the four gate gradients formed one by one and
+    # concatenated, with the input gradient from every step
+    C, F, B = 32, 9, 7
+    p, rng = make_params(C, F, 19)
+    state = nn.LstmState(h=randn((B, C), 1.0, rng), c=randn((B, C), 1.0, rng))
+    _, cache = nn.lstm_step(randn((B, F), 3.0, rng), state, p)
+    gh = randn((B, C), 1.0, rng)
+    gc = randn((B, C), 1.0, rng)
+    da, gs, gp = nn.lstm_step_backward(gh, gc, cache, p)
+
+    t = cache.tanh_c_new
+    dc = gc + gh * cache.o * (1.0 - t * t)
+    want = np.concatenate([
+        (dc * cache.g) * cache.i * (1.0 - cache.i),
+        (dc * cache.c_prev) * cache.f * (1.0 - cache.f),
+        (dc * cache.i) * (1.0 - cache.g * cache.g),
+        (gh * t) * cache.o * (1.0 - cache.o),
+    ], axis=-1)
+    for got, ref in ((da, want), (gs.c, dc * cache.f), (gs.h, want @ p.w_h),
+                     (da @ p.w_x, want @ p.w_x), (gp.w_x, want.T @ cache.x),
+                     (gp.w_h, want.T @ cache.h_prev), (gp.b, want.sum(axis=0))):
+        npt.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def test_step_shape_errors():

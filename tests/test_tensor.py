@@ -30,6 +30,40 @@ def test_sigmoid_stable_extremes():
     npt.assert_allclose(y[1], np.exp(-50) / (1 + np.exp(-50)), rtol=1e-12)
 
 
+def _two_branch_sigmoid(x):
+    """The masked two-branch form: 1/(1+exp(-x)) where x >= 0, and
+    exp(x)/(1+exp(x)) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bit_exact_against_two_branch_form():
+    tiny = np.finfo(np.float64).tiny
+    special = np.array([0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 1e308,
+                        -1e308, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                        -5e-324, tiny / 3, -tiny / 3, tiny, -tiny, 36.7,
+                        -36.7, 709.7, -709.7, 1.0, -1.0])
+    sweep = np.concatenate([
+        special,
+        np.linspace(-60.0, 60.0, 1000),
+        tc.randn((32 * 128 - 1000 - special.size,), 8.0, RngState(3)),
+    ]).reshape(32, 128)  # one [B, 4H] gate pre-activation
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _two_branch_sigmoid(sweep)
+    got = tc.sigmoid(sweep)
+    # int64 views compare bits: signed zeros and nan payloads included
+    npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    # a row, a column and a 1-d input give the same bits as the whole
+    npt.assert_array_equal(tc.sigmoid(sweep[3]).view(np.int64),
+                           want[3].view(np.int64))
+    npt.assert_array_equal(tc.sigmoid(sweep[:, 5]).view(np.int64),
+                           want[:, 5].view(np.int64))
+
+
 def test_randn_deterministic():
     a = tc.randn((4,), 1.0, RngState(42))
     b = tc.randn((4,), 1.0, RngState(42))

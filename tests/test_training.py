@@ -222,6 +222,21 @@ def _fd_full_rollout(hidden, f_in, k, taus_value, seed, tol=1e-5,
     return checked
 
 
+@pytest.mark.parametrize("b", [1, 7])
+@pytest.mark.parametrize("k", [1, 3])
+def test_rollout_batch_equals_forward_train_zero_taus(b, k):
+    slots = md.make_target_slots(3, 2, [1])
+    p = md.init_seq2seq(5, 6, 3, RngState(61), target_slots=slots)
+    ctx = randn((b, 4, 6), 1.0, RngState(62))
+    taus = np.zeros((b, k - 1), dtype=np.int64)
+    preferred = randn((b, k - 1, 3), 1.0, RngState(63)) if k > 1 else None
+    want, caches = tr.forward_train(p, ctx, preferred, taus)
+    assert len(caches.enc_caches) == 4 and len(caches.dec_caches) == k
+    got = tr.rollout_batch(p, ctx, k)
+    assert got.shape == (b, k, 3)
+    npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_bptt_zero_loss_grads():
     rng = RngState(3)
     p = md.init_seq2seq(2, 3, 3, rng)
@@ -444,6 +459,15 @@ def test_tpg_horizon_too_short():
     splits = make_splits(seed=5, k=1, t_in=8)
     with pytest.raises(ConfigError):
         tr.train_tpg(splits, tpg_cfg())
+
+
+def test_flatten_dataset_returns_views():
+    for ds in make_splits():
+        a = tr.flatten_dataset(ds)
+        b = tr.flatten_dataset(ds)
+        assert np.shares_memory(a[0], b[0]) and np.shares_memory(a[1], b[1])
+        assert np.shares_memory(a[1], ds.targets)
+        npt.assert_array_equal(a[1], ds.targets.reshape(a[1].shape))
 
 
 def test_half_timescale_groups_shapes():
