@@ -111,6 +111,8 @@ def parse_config(path: str) -> ExperimentConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text ({exc})") from None
 
     kinds = {key: kind for key, _, kind, _ in _SCHEMA}
     values = {}
@@ -303,6 +305,8 @@ def _read_metric_csv(path):
             text = fh.read()
     except OSError as exc:
         raise DataFormatError(f"cannot read metrics {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"metrics {path} is not UTF-8 text ({exc})") from None
     lines = text.splitlines()
     if not lines or lines[0] != _CURVE_HEADER:
         raise DataFormatError(f"{path}: expected header '{_CURVE_HEADER}'")

@@ -331,7 +331,16 @@ def write_series_csv(series: np.ndarray, path):
 
 
 def load_series_csv(path) -> np.ndarray:
-    with open(path) as fh:
+    try:
+        return _parse_series_csv(path)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def _parse_series_csv(path) -> np.ndarray:
+    with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != _CSV_HEADER:
             raise DataFormatError(
@@ -412,7 +421,13 @@ def load_frame_sequences(path) -> np.ndarray:
         raise DataFormatError(
             f"frame file size {len(blob)} does not match header (expected {need})")
     data = np.frombuffer(blob, dtype="<f8", offset=len(_FRAME_MAGIC) + 20)
-    return data.reshape(count, total, h, w).astype(np.float64)
+    seqs = data.reshape(count, total, h, w).astype(np.float64)
+    finite = np.isfinite(seqs).reshape(count, total, h * w).all(axis=2)
+    if not finite.all():
+        seq, frame = np.argwhere(~finite)[0]
+        raise DataFormatError(
+            f"{path}: non-finite pixel in sequence {seq}, frame {frame}")
+    return seqs
 
 
 _IDX_IMAGE_MAGIC = 0x00000803

@@ -75,23 +75,36 @@ def _ssim_global(x: np.ndarray, y: np.ndarray) -> float:
     return float(num / den)
 
 
-def ssim_per_frame(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean SSIM over sliding Gaussian windows of one [H, W] frame pair."""
+def ssim_per_frame(pred: np.ndarray, target: np.ndarray):
+    """Mean SSIM over sliding Gaussian windows, one value per frame.
+
+    An [H, W] frame pair gives a float; an [N, H, W] stack gives an
+    array of N values, each with the same bits as the frame on its own.
+    """
     x = np.asarray(pred, dtype=np.float64)
     y = np.asarray(target, dtype=np.float64)
     _check_shapes(x, y, "ssim")
-    if x.ndim != 2:
-        raise DimensionError(f"ssim expects a 2-d frame, got shape {list(x.shape)}")
-    if x.shape[0] < _WIN or x.shape[1] < _WIN:
-        return _ssim_global(x, y)
+    if x.ndim not in (2, 3):
+        raise DimensionError(
+            f"ssim expects an [H, W] frame or an [N, H, W] stack, "
+            f"got shape {list(x.shape)}")
+    if x.ndim == 2:
+        return float(_ssim_stack(x[None], y[None])[0])
+    return _ssim_stack(x, y)
+
+
+def _ssim_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    if x.shape[1] < _WIN or x.shape[2] < _WIN:
+        return np.array([_ssim_global(a, b) for a, b in zip(x, y)])
 
     half = _WIN // 2
-    xp = np.pad(x, half, mode="reflect")
-    yp = np.pad(y, half, mode="reflect")
+    pad = ((0, 0), (half, half), (half, half))
+    xp = np.pad(x, pad, mode="reflect")
+    yp = np.pad(y, pad, mode="reflect")
 
     def filt(img):
-        views = sliding_window_view(img, (_WIN, _WIN))
-        return np.einsum("ijkl,kl->ij", views, _WINDOW)
+        views = sliding_window_view(img, (_WIN, _WIN), axis=(1, 2))
+        return np.einsum("nijkl,kl->nij", views, _WINDOW)
 
     mx = filt(xp)
     my = filt(yp)
@@ -104,4 +117,5 @@ def ssim_per_frame(pred: np.ndarray, target: np.ndarray) -> float:
 
     num = (2 * mx * my + _C1) * (2 * cov + _C2)
     den = (mx * mx + my * my + _C1) * (vx + vy + _C2)
-    return float(np.mean(num / den))
+    # one mean per [H, W] frame keeps the bits of the per-frame sum order
+    return np.array([np.mean(r) for r in num / den])

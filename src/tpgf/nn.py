@@ -107,7 +107,14 @@ def lstm_step(x: np.ndarray, state: LstmState, p: LstmParams):
         raise DimensionError(
             f"state shapes differ: h {list(state.h.shape)} vs c {list(state.c.shape)}"
         )
-    pre = x @ p.w_x.T + state.h @ p.w_h.T + p.b
+    if x.shape[:-1] != state.h.shape[:-1]:
+        raise DimensionError(
+            f"lstm input batch {list(x.shape[:-1])} differs from state batch "
+            f"{list(state.h.shape[:-1])}")
+    # in place, in the order of x @ w_x.T + h @ w_h.T + b, so same bits
+    pre = x @ p.w_x.T
+    pre += state.h @ p.w_h.T
+    pre += p.b
     # one sigmoid over all four gate blocks, then tanh over the g rows
     act = sigmoid(pre)
     act[..., 2 * hidden:3 * hidden] = tanh(pre[..., 2 * hidden:3 * hidden])
@@ -115,7 +122,8 @@ def lstm_step(x: np.ndarray, state: LstmState, p: LstmParams):
     f = act[..., 1 * hidden:2 * hidden]
     g = act[..., 2 * hidden:3 * hidden]
     o = act[..., 3 * hidden:4 * hidden]
-    c_new = f * state.c + i * g
+    c_new = f * state.c
+    c_new += i * g
     t = np.tanh(c_new)
     cache = StepCache(x=x, h_prev=state.h, c_prev=state.c, act=act,
                       i=i, f=f, g=g, o=o, c_new=c_new, tanh_c_new=t)

@@ -14,19 +14,22 @@ from .rng import RngState
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, stable for large |x|, in one pass.
+    """Logistic function, stable for large |x|, without a select.
 
     Per element this is 1/(1 + exp(-x)) for x >= 0 and
-    exp(x)/(1 + exp(x)) otherwise, so exp never overflows. min(x, -x)
-    is -|x| except that it keeps the sign of a nan.
+    exp(x)/(1 + exp(x)) otherwise, so exp never overflows. The
+    numerator exp(min(x, 0)) is exactly 1 where x >= 0; the denominator
+    uses min(x, -x), which is -|x| except that it keeps the sign of a
+    nan.
     """
     x = np.asarray(x, dtype=np.float64)
-    e = np.minimum(x, -x)
-    np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
-    e += 1.0
-    np.divide(out, e, out=out)
-    return out
+    num = np.minimum(x, 0.0)
+    np.exp(num, out=num)
+    den = np.minimum(x, -x)
+    np.exp(den, out=den)
+    den += 1.0
+    np.divide(num, den, out=num)
+    return num
 
 
 def tanh(x: np.ndarray) -> np.ndarray:

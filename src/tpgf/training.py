@@ -368,7 +368,9 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
             _loop(p, groups, cfg, rng, state, curves, start_iter, end_iter,
                   eps_fn, preferred_fn, prefix, stage_fn, cadence)
     except FloatingPointError as exc:
-        raise DivergenceError(str(exc), params=best, curves=curves) from exc
+        raise DivergenceError(
+            f"{exc} at iteration {state.iteration}, stage {state.stage}",
+            params=best, curves=curves) from exc
     if has_val and np.isfinite(best_loss):
         copy_into(p, best)
     return p, state
@@ -448,10 +450,9 @@ def evaluate(p: Seq2SeqParams, ds: Dataset, split: str = "test",
                                mt.mae(pr[..., j], tg[..., j])))
     if ds.meta.grid is not None:
         h, w = ds.meta.grid
-        frames_p = np.clip(pr.reshape(num, k, h, w), 0.0, 1.0)
-        frames_t = tg.reshape(num, k, h, w)
-        vals = [mt.ssim_per_frame(frames_p[i, t], frames_t[i, t])
-                for i in range(num) for t in range(k)]
+        frames_p = np.clip(pr.reshape(num * k, h, w), 0.0, 1.0)
+        frames_t = tg.reshape(num * k, h, w)
+        vals = mt.ssim_per_frame(frames_p, frames_t)
         rows.append(MetricsRow(iteration, split, "ssim", float(np.mean(vals))))
     return rows
 

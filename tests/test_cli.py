@@ -115,6 +115,14 @@ def test_missing_config_file(tmp_path):
     assert cli.main(["train", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+def test_non_utf8_config_file(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"# caf\xe9\nhidden = 4\n")
+    assert cli.main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "UTF-8" in err
+
+
 # ---------------------------------------------------------------------------
 # generate
 
@@ -235,7 +243,48 @@ def test_train_rejects_non_finite_data_cell(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert cli.main(["train", "--config", cfg_path]) == 3
     err = capsys.readouterr().err
-    assert "line 6" in err and "non-finite" in err
+    assert "line 6" in err and "non-finite" in err and str(path) in err
+
+
+def test_train_rejects_non_utf8_data_file(tmp_path, capsys):
+    cfg_path, out = make_run(tmp_path, "latin1")
+    assert cli.main(["generate", "--config", cfg_path]) == 0
+    path = out / "data" / "val.csv"
+    blob = path.read_bytes()
+    path.write_bytes(blob[:40] + b"\xe9" + blob[41:])
+    assert cli.main(["train", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "UTF-8" in err
+
+
+SPRITES = """
+dataset = sprites
+height = 8
+width = 8
+sprite_size = 3
+speed_min = 1
+speed_max = 2
+seq_length = 10
+seq_count = 12
+t_in = 6
+horizon = 4
+hidden = 4
+total_iters = 4
+val_every = 2
+"""
+
+
+def test_train_rejects_non_finite_pixel(tmp_path, capsys):
+    out = tmp_path / "px"
+    cfg_path = write_cfg(tmp_path / "px.cfg", SPRITES + f"out_dir = {out}\n")
+    assert cli.main(["generate", "--config", cfg_path]) == 0
+    path = out / "data" / "train.frames"
+    seqs = dt.load_frame_sequences(path)
+    seqs[2, 7, 3, 4] = np.inf
+    dt.write_frame_sequences(seqs, path)
+    assert cli.main(["train", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert "sequence 2, frame 7" in err and str(path) in err
 
 
 def test_train_without_dataset_hints_generate(tmp_path, capsys):
@@ -402,6 +451,20 @@ def test_compare_non_numeric_cell_names_line(tmp_path, capsys):
             argv += ["--config", cfg_path]
         assert cli.main(argv) == 3
         assert f"metrics.csv:{line}" in capsys.readouterr().err
+
+
+def test_compare_non_utf8_metrics_names_path(tmp_path, capsys):
+    argv = ["compare"]
+    for name, rows in (("ua", b"20,test,loss,0.5"),
+                       ("ub", b"20,test,loss,0.5\n20,test,caf\xe9,1.0")):
+        cfg_path, out = make_run(tmp_path, name)
+        out.mkdir(exist_ok=True)
+        (out / "metrics.csv").write_bytes(
+            b"iter,split,metric,value\n" + rows + b"\n")
+        argv += ["--config", cfg_path]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert str(tmp_path / "ub" / "metrics.csv") in err and "UTF-8" in err
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,18 @@ def test_frames_bad_magic_and_truncation(tmp_path):
         dt.load_frame_sequences(short)
 
 
+def test_frames_reject_non_finite_pixel(tmp_path):
+    path = tmp_path / "frames.bin"
+    for bad in (np.nan, np.inf, -np.inf):
+        seqs = np.zeros((3, 4, 5, 5))
+        seqs[1, 2, 4, 0] = bad
+        dt.write_frame_sequences(seqs, path)
+        with pytest.raises(DataFormatError) as ei:
+            dt.load_frame_sequences(path)
+        assert "sequence 1, frame 2" in str(ei.value)
+        assert str(path) in str(ei.value)
+
+
 def _idx_blob(count, rows, cols, value=255):
     header = (0x00000803).to_bytes(4, "big") + count.to_bytes(4, "big") \
         + rows.to_bytes(4, "big") + cols.to_bytes(4, "big")

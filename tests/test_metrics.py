@@ -3,6 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tpgf.errors import DimensionError
 from tpgf import metrics as mt
@@ -167,3 +168,40 @@ def test_ssim_symmetry_and_bound():
 def test_ssim_rejects_bad_rank():
     with pytest.raises(DimensionError):
         mt.ssim_per_frame(np.zeros(16), np.zeros(16))
+    with pytest.raises(DimensionError):
+        mt.ssim_per_frame(np.zeros((2, 2, 16, 16)), np.zeros((2, 2, 16, 16)))
+
+
+def _single_frame_ssim(x, y):
+    """The one-frame form: 2-d sliding windows and one mean per frame."""
+    if x.shape[0] < 11 or x.shape[1] < 11:
+        return mt._ssim_global(x, y)
+    xp = np.pad(x, 5, mode="reflect")
+    yp = np.pad(y, 5, mode="reflect")
+
+    def filt(img):
+        views = sliding_window_view(img, (11, 11))
+        return np.einsum("ijkl,kl->ij", views, mt._WINDOW)
+
+    mx, my = filt(xp), filt(yp)
+    vx = filt(xp * xp) - mx * mx
+    vy = filt(yp * yp) - my * my
+    cov = filt(xp * yp) - mx * my
+    num = (2 * mx * my + mt._C1) * (2 * cov + mt._C2)
+    den = (mx * mx + my * my + mt._C1) * (vx + vy + mt._C2)
+    return float(np.mean(num / den))
+
+
+@pytest.mark.parametrize("shape", [(120, 16, 16), (1, 16, 16), (7, 11, 11),
+                                   (5, 13, 17), (3, 64, 64), (4, 8, 12)])
+def test_ssim_stack_bit_exact_against_single_frames(shape):
+    rng = RngState(sum(shape))
+    n = int(np.prod(shape))
+    x = rng.uniform(n).reshape(shape)
+    y = np.clip(x + 0.2 * rng.normal(n).reshape(shape), 0.0, 1.0)
+    got = mt.ssim_per_frame(x, y)
+    assert isinstance(got, np.ndarray) and got.shape == (shape[0],)
+    want = np.array([_single_frame_ssim(a, b) for a, b in zip(x, y)])
+    npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    each = np.array([mt.ssim_per_frame(a, b) for a, b in zip(x, y)])
+    npt.assert_array_equal(got.view(np.int64), each.view(np.int64))

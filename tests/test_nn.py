@@ -108,6 +108,29 @@ def test_gates_equal_per_slice_activations():
     npt.assert_array_equal(new.h, want["o"] * np.tanh(c_new))
 
 
+@pytest.mark.parametrize("B", [1, 7, 32, 165])
+def test_step_bit_exact_against_expression_form(B):
+    # reference: pre-activation and cell update as single expressions
+    C, F = 32, 9
+    p, rng = make_params(C, F, 29)
+    x = randn((B, F), 3.0, rng)
+    state = nn.LstmState(h=randn((B, C), 1.0, rng), c=randn((B, C), 1.0, rng))
+    new, cache = nn.lstm_step(x, state, p)
+    pre = x @ p.w_x.T + state.h @ p.w_h.T + p.b
+    act = sigmoid(pre)
+    act[:, 2 * C:3 * C] = tanh(pre[:, 2 * C:3 * C])
+    i, f, g, o = (act[:, k * C:(k + 1) * C] for k in range(4))
+    c_new = f * state.c + i * g
+    t = np.tanh(c_new)
+    want = {"x": x, "h_prev": state.h, "c_prev": state.c, "act": act,
+            "i": i, "f": f, "g": g, "o": o, "c_new": c_new, "tanh_c_new": t}
+    for name, ref in want.items():
+        npt.assert_array_equal(getattr(cache, name).view(np.int64),
+                               ref.view(np.int64), err_msg=name)
+    npt.assert_array_equal(new.c.view(np.int64), c_new.view(np.int64))
+    npt.assert_array_equal(new.h.view(np.int64), (o * t).view(np.int64))
+
+
 def test_batched_step_matches_per_sample():
     C, F, B = 3, 4, 5
     p, rng = make_params(C, F, 23)
@@ -245,6 +268,10 @@ def test_step_shape_errors():
         nn.lstm_step(np.zeros(4), nn.zero_state(2), p)
     with pytest.raises(DimensionError):
         nn.lstm_step(np.zeros(3), nn.zero_state(5), p)
+    # input and state must carry the same batch shape
+    for x in (np.zeros(3), np.zeros((5, 3))):
+        with pytest.raises(DimensionError):
+            nn.lstm_step(x, nn.zero_state(2, 4), p)
 
 
 def test_backward_cache_params_mismatch():

@@ -406,6 +406,14 @@ def test_train_divergence_keeps_checkpoint():
     # retained checkpoint is the best-so-far (here: the initial params)
     for a, b in zip(err.params.tensors(), initial):
         npt.assert_array_equal(a, b)
+    # the message keeps the cause and names where training stopped
+    assert str(err) == "non-finite training loss at iteration 1, stage main"
+
+    cfg = tpg_cfg(total=20, stage1=10)
+    cfg.learning_rate = 1e200
+    with pytest.raises(DivergenceError) as ei:
+        tr.train_tpg(make_splits(seed=5, k=4), cfg)
+    assert str(ei.value) == "non-finite training loss at iteration 1, stage M1"
 
 
 # ---------------------------------------------------------------------------
