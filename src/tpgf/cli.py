@@ -184,9 +184,13 @@ def _validate(cfg: ExperimentConfig, lines: dict, path: str) -> None:
         if cfg.speed_min < 1 or cfg.speed_min > cfg.speed_max:
             fail("speed_min", f"need 1 <= speed_min <= speed_max, got "
                  f"{cfg.speed_min}..{cfg.speed_max}")
-        if cfg.seq_length < cfg.t_in + cfg.horizon:
-            fail("seq_length", f"must cover t_in + horizon = "
-                 f"{cfg.t_in + cfg.horizon}, got {cfg.seq_length}")
+        if cfg.sprite_size > min(cfg.height, cfg.width):
+            fail("sprite_size", f"must fit the {cfg.height}x{cfg.width} "
+                 f"grid, got {cfg.sprite_size}")
+    span = "length" if cfg.dataset == "multinode" else "seq_length"
+    if getattr(cfg, span) < cfg.t_in + cfg.horizon:
+        fail(span, f"must cover t_in + horizon = {cfg.t_in + cfg.horizon}, "
+             f"got {getattr(cfg, span)}")
 
     if cfg.strategy == "tpg":
         if cfg.stage1_iters < 1:

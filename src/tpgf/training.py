@@ -1,5 +1,6 @@
-"""Loss, Adam, BPTT, and the three training drivers: teacher forcing,
-scheduled sampling, and the two-stage half-timescale curriculum.
+"""Loss, Adam, BPTT, and one training loop for the three curricula:
+teacher forcing, scheduled sampling, and the two-stage half-timescale
+curriculum. Each is a decay schedule plus a preferred source.
 
 Per-iteration draw order (the determinism contract depends on it):
   1. batch sample indices, one randint_below call
@@ -16,7 +17,7 @@ prediction pass gradient back through the feedback path.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +29,7 @@ from .model import (Seq2SeqParams, decode_step, encode_full, init_seq2seq,
                     make_target_slots)
 from .rng import RngState
 from .sampling import (ScheduleConfig, Strategy, epsilon_for,
-                       interleave_odd_even, inverse_sigmoid_epsilon,
-                       subsample_odd_even)
+                       interleave_odd_even, subsample_odd_even)
 
 _TENSOR_NAMES = ["encoder.w_x", "encoder.w_h", "encoder.b",
                  "decoder.w_x", "decoder.w_h", "decoder.b",
@@ -42,6 +42,11 @@ _STREAM_M2_INIT = 0x12
 _STREAM_STAGE1 = 0x51
 _STREAM_STAGE2 = 0x52
 
+# Adam moment decay rates and denominator offset
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS_ADAM = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -51,9 +56,6 @@ class TrainConfig:
     batch_size: int = 32
     total_iters: int = 2000
     clip_norm: float = 5.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     warm_start_m2: bool = True
     seed: int = 0
     val_every: int = 50
@@ -61,9 +63,6 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ConfigError(
-                f"adam betas must lie in (0, 1), got {self.beta1}, {self.beta2}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.total_iters < 0:
@@ -99,10 +98,6 @@ def make_train_state(p: Seq2SeqParams, rng: RngState, stage: str = "main") -> Tr
                       m=[np.zeros_like(t) for t in p.tensors()],
                       v=[np.zeros_like(t) for t in p.tensors()],
                       adam_t=0, stage=stage, rng=rng)
-
-
-def clone_params(p: Seq2SeqParams) -> Seq2SeqParams:
-    return copy.deepcopy(p)
 
 
 def copy_into(dst: Seq2SeqParams, src: Seq2SeqParams):
@@ -165,15 +160,14 @@ def adam_step(params: Seq2SeqParams, grads: list, state: TrainState,
             raise FloatingPointError(f"non-finite gradient in {name}")
     state.adam_t += 1
     t = state.adam_t
-    b1, b2 = cfg.beta1, cfg.beta2
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
+    bc1 = 1.0 - _BETA1 ** t
+    bc2 = 1.0 - _BETA2 ** t
     for p, g, m, v in zip(tensors, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps_adam)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
+        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + _EPS_ADAM)
     return params, state
 
 
@@ -318,6 +312,22 @@ def flatten_dataset(ds: Dataset):
             ds.targets.reshape(num, k, n * ft), (n, ft))
 
 
+def _truth_group(ds: Dataset):
+    """(ctx, tgt, tgt, shape): a whole split, ground truth preferred."""
+    ctx, tgt, shape = flatten_dataset(ds)
+    return ctx, tgt, tgt, shape
+
+
+def _unpack_splits(splits):
+    """The training split, which must hold windows, and (name, dataset)
+    for each of val and test that does."""
+    train, val, test = splits
+    if len(train) == 0:
+        raise ConfigError("training split is empty")
+    return train, [(name, ds) for name, ds in (("val", val), ("test", test))
+                   if ds is not None and len(ds) > 0]
+
+
 def _closed_loop_loss(p: Seq2SeqParams, ctx: np.ndarray, tgt: np.ndarray,
                       shape) -> float:
     n, ft = shape
@@ -332,27 +342,31 @@ def _closed_loop_loss(p: Seq2SeqParams, ctx: np.ndarray, tgt: np.ndarray,
 # inner driver
 
 def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
-                  rng: RngState, state: TrainState, curves: list,
-                  start_iter: int, end_iter: int, eps_fn, preferred_fn,
-                  prefix: str = "", stage_fn=None):
-    """Shared minibatch loop.
+                  schedule: ScheduleConfig, state: TrainState, curves: list,
+                  start_iter: int, end_iter: int, prefix: str = "") -> None:
+    """Minibatch loop over global iterations start_iter..end_iter-1. Trains
+    p in place and leaves it at its best validation loss.
 
-    groups: list of (ctx [num,T,f_in], tgt [num,K,f_out], (N,Ft)) cycled
-    per iteration. eval_groups: {split: [same triples]} for cadence
-    rows. eps_fn(i, s) gives the tau probability for the input of step
-    s+1 at global iteration i. preferred_fn(group_idx, sample_idx) gives
-    the tau=1 values [B, K-1, f_out].
+    groups: (ctx [num, T, f_in], tgt [num, K, f_out], preferred [num, K,
+    f_out], (N, Ft)) tuples, cycled per iteration. Where tau=1, the input
+    to decoder step s+1 is preferred[idx][:, s-1]: ground truth for tf,
+    ss and tpg stage 1, the frozen m1's closed-loop estimates in stage 2.
+    At iteration i, tau=1 has probability epsilon_for(schedule, i, s + 1),
+    drawn from state.rng. eval_groups: {split: [tuples of the same form]}
+    for the closed-loop cadence rows. A tpg schedule relabels state.stage
+    M2Solo once epsilon at v=2 drops below 1e-3.
     """
-    best = clone_params(p)
+    best = copy.deepcopy(p)
     best_loss = np.inf
     has_val = "val" in eval_groups
+    b = cfg.batch_size
 
     def cadence(i):
         nonlocal best_loss
         rows = {}
         for split, parts in eval_groups.items():
             losses = [_closed_loop_loss(p, ctx, tgt, shape)
-                      for ctx, tgt, shape in parts]
+                      for ctx, tgt, _, shape in parts]
             rows[split] = float(np.mean(losses))
             curves.append(MetricsRow(i, split, prefix + "loss", rows[split]))
         if has_val and rows["val"] < best_loss:
@@ -365,62 +379,49 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
         # overflow is allowed to produce inf here; the finiteness checks
         # below turn it into a DivergenceError with the best checkpoint
         with np.errstate(over="ignore", invalid="ignore"):
-            _loop(p, groups, cfg, rng, state, curves, start_iter, end_iter,
-                  eps_fn, preferred_fn, prefix, stage_fn, cadence)
+            for i in range(start_iter, end_iter):
+                state.iteration = i
+                if (schedule.strategy is Strategy.TPG
+                        and epsilon_for(schedule, i, 2) < 1e-3):
+                    state.stage = "M2Solo"
+                ctx_all, tgt_all, preferred_all, (n, ft) = \
+                    groups[(i - start_iter) % len(groups)]
+                k = tgt_all.shape[1]
+                idx = state.rng.randint_below(ctx_all.shape[0], b)
+                taus = np.empty((b, k - 1), dtype=np.int64)
+                for s in range(1, k):
+                    eps = epsilon_for(schedule, i, s + 1)
+                    if eps >= 1.0:
+                        taus[:, s - 1] = 1
+                    elif eps <= 0.0:
+                        taus[:, s - 1] = 0
+                    else:
+                        taus[:, s - 1] = state.rng.bernoulli(eps, b)
+                preferred = preferred_all[idx][:, :-1] if k > 1 else None
+
+                preds, caches = forward_train(p, ctx_all[idx], preferred, taus)
+                preds = preds.reshape(b, k, n, ft)
+                tgt = tgt_all[idx].reshape(b, k, n, ft)
+                total, _ = composite_loss(preds, tgt)
+                if not np.isfinite(total):
+                    raise FloatingPointError("non-finite training loss")
+                if i % cfg.val_every == 0:
+                    curves.append(MetricsRow(i, "train", prefix + "loss", total))
+                    cadence(i)
+                grads = bptt(p, caches,
+                             composite_loss_grad(preds, tgt).reshape(b, k, -1))
+                # free this iteration's caches before the next forward builds its own
+                del caches
+                adam_step(p, clip_gradients(grads, cfg.clip_norm), state, cfg)
+            if end_iter > start_iter:
+                state.iteration = end_iter
+                cadence(end_iter)
     except FloatingPointError as exc:
         raise DivergenceError(
             f"{exc} at iteration {state.iteration}, stage {state.stage}",
             params=best, curves=curves) from exc
     if has_val and np.isfinite(best_loss):
         copy_into(p, best)
-    return p, state
-
-
-def _loop(p, groups, cfg, rng, state, curves, start_iter, end_iter,
-          eps_fn, preferred_fn, prefix, stage_fn, cadence) -> None:
-    for i in range(start_iter, end_iter):
-        state.iteration = i
-        if stage_fn is not None:
-            state.stage = stage_fn(i)
-        group_idx = (i - start_iter) % len(groups)
-        ctx_all, tgt_all, shape = groups[group_idx]
-        num = ctx_all.shape[0]
-        k = tgt_all.shape[1]
-
-        idx = rng.randint_below(num, cfg.batch_size)
-        ctx = ctx_all[idx]
-        tgt = tgt_all[idx]
-        taus = np.empty((cfg.batch_size, k - 1), dtype=np.int64)
-        for s in range(1, k):
-            eps = eps_fn(i, s)
-            if eps >= 1.0:
-                taus[:, s - 1] = 1
-            elif eps <= 0.0:
-                taus[:, s - 1] = 0
-            else:
-                taus[:, s - 1] = rng.bernoulli(eps, cfg.batch_size)
-        preferred = preferred_fn(group_idx, idx) if k > 1 else None
-
-        preds, caches = forward_train(p, ctx, preferred, taus)
-        n, ft = shape
-        b = cfg.batch_size
-        total, _ = composite_loss(preds.reshape(b, k, n, ft),
-                                  tgt.reshape(b, k, n, ft))
-        if not np.isfinite(total):
-            raise FloatingPointError("non-finite training loss")
-        if i % cfg.val_every == 0:
-            curves.append(MetricsRow(i, "train", prefix + "loss", total))
-            cadence(i)
-        dpreds = composite_loss_grad(preds.reshape(b, k, n, ft),
-                                     tgt.reshape(b, k, n, ft)).reshape(b, k, -1)
-        grads = bptt(p, caches, dpreds)
-        # free this iteration's caches before the next forward builds its own
-        del caches
-        grads = clip_gradients(grads, cfg.clip_norm)
-        adam_step(p, grads, state, cfg)
-    if end_iter > start_iter:
-        state.iteration = end_iter
-        cadence(end_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +486,8 @@ def evaluate_horizon(p: Seq2SeqParams, ds: Dataset, split: str = "test",
 def init_model(train: Dataset, cfg: TrainConfig) -> Seq2SeqParams:
     """Fresh model sized for a dataset, seeded from the config.
 
-    Uses the same init stream as a TPG run's first model, so a scheduled
-    baseline and a TPG run started from one seed share their starting
-    point.
+    A TPG run's first model comes from here too, so a scheduled baseline
+    and a TPG run started from one seed share their starting point.
     """
     n = train.contexts.shape[2]
     f = train.contexts.shape[3]
@@ -508,36 +508,19 @@ def train_scheduled(p: Seq2SeqParams, splits, cfg: TrainConfig):
         raise ConfigError(
             f"train_scheduled handles teacher_forcing/scheduled_sampling, "
             f"got {cfg.schedule.strategy.value}")
-    train, val, test = splits
-    if len(train) == 0:
-        raise ConfigError("training split is empty")
-    ctx, tgt, shape = flatten_dataset(train)
-    groups = [(ctx, tgt, shape)]
-    eval_groups = {}
-    for name, ds in (("val", val), ("test", test)):
-        if ds is not None and len(ds) > 0:
-            eval_groups[name] = [flatten_dataset(ds)]
-
+    train, evals = _unpack_splits(splits)
     curves: list = []
-    rng = RngState(cfg.seed).split(_STREAM_SCHEDULED)
-    state = make_train_state(p, rng)
-
-    def eps_fn(i, s):
-        return epsilon_for(cfg.schedule, i, s + 1)
-
-    def preferred_fn(group_idx, idx):
-        return tgt[idx][:, :-1]
-
-    p, state = _run_training(p, groups, eval_groups, cfg, rng, state, curves,
-                             0, cfg.total_iters, eps_fn, preferred_fn)
-    for name, ds in (("val", val), ("test", test)):
-        if ds is not None and len(ds) > 0:
-            curves.extend(evaluate(p, ds, name, cfg.total_iters))
+    state = make_train_state(p, RngState(cfg.seed).split(_STREAM_SCHEDULED))
+    _run_training(p, [_truth_group(train)],
+                  {name: [_truth_group(ds)] for name, ds in evals},
+                  cfg, cfg.schedule, state, curves, 0, cfg.total_iters)
+    for name, ds in evals:
+        curves.extend(evaluate(p, ds, name, cfg.total_iters))
     return p, curves
 
 
 def _half_timescale_groups(ds: Dataset):
-    """Parity-subsampled (ctx, tgt, shape) pairs, odd half first.
+    """Parity-subsampled (ctx, tgt, tgt, shape) groups, odd half first.
 
     Target step 1 anchors the parity: the odd half holds target steps
     1, 3, 5, ... and the context frames lying on the same stride-2 grid,
@@ -547,8 +530,9 @@ def _half_timescale_groups(ds: Dataset):
     ctx, tgt, shape = flatten_dataset(ds)
     back_odd, back_even = subsample_odd_even(ctx.swapaxes(0, 1)[::-1])
     tgt_odd, tgt_even = subsample_odd_even(tgt.swapaxes(0, 1))
-    odd = (back_even[::-1].swapaxes(0, 1), tgt_odd.swapaxes(0, 1), shape)
-    even = (back_odd[::-1].swapaxes(0, 1), tgt_even.swapaxes(0, 1), shape)
+    tgt_odd, tgt_even = tgt_odd.swapaxes(0, 1), tgt_even.swapaxes(0, 1)
+    odd = (back_even[::-1].swapaxes(0, 1), tgt_odd, tgt_odd, shape)
+    even = (back_odd[::-1].swapaxes(0, 1), tgt_even, tgt_even, shape)
     return odd, even
 
 
@@ -565,9 +549,7 @@ def train_tpg(splits, cfg: TrainConfig):
     if cfg.schedule.strategy is not Strategy.TPG:
         raise ConfigError(f"train_tpg requires the tpg strategy, "
                           f"got {cfg.schedule.strategy.value}")
-    train, val, test = splits
-    if len(train) == 0:
-        raise ConfigError("training split is empty")
+    train, evals = _unpack_splits(splits)
     k = train.targets.shape[1]
     if k < 2:
         raise ConfigError(f"tpg needs horizon >= 2 to subsample, got {k}")
@@ -581,73 +563,37 @@ def train_tpg(splits, cfg: TrainConfig):
             f"{cfg.schedule.transition_iters} must equal total_iters "
             f"{cfg.total_iters}")
 
-    ctx, tgt, shape = flatten_dataset(train)
-    f_in = ctx.shape[2]
-    f_out = tgt.shape[2]
-    n, ft = shape
-    slots = make_target_slots(n, train.contexts.shape[3],
-                              train.meta.target_channels)
-
     curves: list = []
 
     # stage 1: half-timescale model on both parity halves
-    m1 = init_seq2seq(cfg.hidden, f_in, f_out,
-                      RngState(cfg.seed).split(_STREAM_M1_INIT),
-                      target_slots=slots)
-    groups1 = list(_half_timescale_groups(train))
-    eval1 = {}
-    for name, ds in (("val", val), ("test", test)):
-        if ds is not None and len(ds) > 0:
-            eval1[name] = list(_half_timescale_groups(ds))
-    rng1 = RngState(cfg.seed).split(_STREAM_STAGE1)
-    state1 = make_train_state(m1, rng1, stage="M1")
+    m1 = init_model(train, cfg)
+    odd, even = _half_timescale_groups(train)
+    state1 = make_train_state(m1, RngState(cfg.seed).split(_STREAM_STAGE1),
+                              stage="M1")
     ss = ScheduleConfig(strategy=Strategy.SCHEDULED_SAMPLING, lam=cfg.schedule.lam)
-
-    def eps1(i, s):
-        return inverse_sigmoid_epsilon(i, ss.lam)
-
-    def preferred1(group_idx, idx):
-        return groups1[group_idx][1][idx][:, :-1]
-
-    m1, state1 = _run_training(m1, groups1, eval1, cfg, rng1, state1, curves,
-                               0, stage1, eps1, preferred1, prefix="m1.",
-                               stage_fn=lambda i: "M1")
+    _run_training(m1, [odd, even],
+                  {name: _half_timescale_groups(ds) for name, ds in evals},
+                  cfg, ss, state1, curves, 0, stage1, prefix="m1.")
 
     # stage 2: frozen m1 feeds the full-timescale model
-    m2 = (clone_params(m1) if cfg.warm_start_m2 else
-          init_seq2seq(cfg.hidden, f_in, f_out,
+    m2 = (copy.deepcopy(m1) if cfg.warm_start_m2 else
+          init_seq2seq(cfg.hidden, m1.f_in, m1.f_out,
                        RngState(cfg.seed).split(_STREAM_M2_INIT),
-                       target_slots=slots))
+                       target_slots=m1.target_slots))
 
     # m1's closed-loop estimates, interleaved back to full order [num, K, f_out]
-    odd_ctx = groups1[0][0]
-    even_ctx = groups1[1][0]
-    m1_odd = rollout_batch(m1, odd_ctx, (k + 1) // 2)
-    m1_even = rollout_batch(m1, even_ctx, k // 2)
+    m1_odd = rollout_batch(m1, odd[0], (k + 1) // 2)
+    m1_even = rollout_batch(m1, even[0], k // 2)
     m1_full = interleave_odd_even(m1_odd.swapaxes(0, 1),
                                   m1_even.swapaxes(0, 1)).swapaxes(0, 1)
 
-    groups2 = [(ctx, tgt, shape)]
-    eval2 = {}
-    for name, ds in (("val", val), ("test", test)):
-        if ds is not None and len(ds) > 0:
-            eval2[name] = [flatten_dataset(ds)]
-    rng2 = RngState(cfg.seed).split(_STREAM_STAGE2)
-    state2 = make_train_state(m2, rng2, stage="Transition")
-
-    def eps2(i, s):
-        return epsilon_for(cfg.schedule, i, s + 1)
-
-    def preferred2(group_idx, idx):
-        return m1_full[idx][:, :-1]
-
-    def stage2_label(i):
-        return "M2Solo" if epsilon_for(cfg.schedule, i, 2) < 1e-3 else "Transition"
-
-    m2, state2 = _run_training(m2, groups2, eval2, cfg, rng2, state2, curves,
-                               stage1, cfg.total_iters, eps2, preferred2,
-                               prefix="m2.", stage_fn=stage2_label)
-    for name, ds in (("val", val), ("test", test)):
-        if ds is not None and len(ds) > 0:
-            curves.extend(evaluate(m2, ds, name, cfg.total_iters))
+    ctx, tgt, shape = flatten_dataset(train)
+    state2 = make_train_state(m2, RngState(cfg.seed).split(_STREAM_STAGE2),
+                              stage="Transition")
+    _run_training(m2, [(ctx, tgt, m1_full, shape)],
+                  {name: [_truth_group(ds)] for name, ds in evals},
+                  cfg, cfg.schedule, state2, curves, stage1, cfg.total_iters,
+                  prefix="m2.")
+    for name, ds in evals:
+        curves.extend(evaluate(m2, ds, name, cfg.total_iters))
     return m1, m2, curves

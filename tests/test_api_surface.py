@@ -1,4 +1,5 @@
-"""Every public module-level function and class of tpgf is used by tpgf.
+"""Every public module-level function and class of tpgf is used by tpgf,
+and every import of a tpgf module is read by that module.
 
 A public name that no other code in the package refers to is shadow
 API: its unit tests pass, but no pipeline ever runs it. The scan is
@@ -61,3 +62,30 @@ def test_every_public_name_is_used_or_allowed():
     # equality, not a subset: a stale allowlist entry would hide a name
     # that later loses its last caller
     assert sorted(unreferenced_public_names()) == sorted(ALLOWED)
+
+
+def unused_imports() -> list:
+    """'module:line name' for each imported name its module never loads.
+
+    No linter ships with the package's test dependencies, so this is the
+    one check for imports that a removal left behind.
+    """
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in loaded:
+                    unused.append(f"{path.stem}:{node.lineno} {bound}")
+    return unused
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []

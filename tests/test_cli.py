@@ -68,6 +68,19 @@ def test_bad_lambda_names_key_and_line(tmp_path):
     assert "lambda" in msg and "line 2" in msg
 
 
+@pytest.mark.parametrize("text, want", [
+    ("length = 20\n",
+     "key 'length' (line 1): must cover t_in + horizon = 36, got 20"),
+    ("dataset = sprites\nheight = 4\nwidth = 6\nsprite_size = 5\n",
+     "key 'sprite_size' (line 4): must fit the 4x6 grid, got 5"),
+], ids=["length", "sprite_size"])
+def test_data_shape_errors_name_key_and_line(tmp_path, text, want):
+    cfg_path = write_cfg(tmp_path / "shape.cfg", text)
+    with pytest.raises(ConfigError) as ei:
+        cli.parse_config(cfg_path)
+    assert str(ei.value) == f"{cfg_path}: {want}"
+
+
 def test_tpg_cross_field_error(tmp_path):
     cfg_path = write_cfg(tmp_path / "x.cfg",
                          "strategy = tpg\nstage1_iters = 0\n")

@@ -415,6 +415,16 @@ def test_train_divergence_keeps_checkpoint():
         tr.train_tpg(make_splits(seed=5, k=4), cfg)
     assert str(ei.value) == "non-finite training loss at iteration 1, stage M1"
 
+    # without val and test splits stage 1 ends cleanly, and the fresh m2
+    # diverges in the transition stage
+    cfg = tpg_cfg(total=20, stage1=1)
+    cfg.learning_rate = 1e200
+    cfg.warm_start_m2 = False
+    with pytest.raises(DivergenceError) as ei:
+        tr.train_tpg((make_splits(seed=5, k=4)[0], None, None), cfg)
+    assert str(ei.value) == \
+        "non-finite training loss at iteration 2, stage Transition"
+
 
 # ---------------------------------------------------------------------------
 # train_tpg
@@ -443,6 +453,28 @@ def test_tpg_runs_and_is_deterministic():
     # both stages left their fingerprints in the curves
     metrics = {r.metric for r in ca}
     assert "m1.loss" in metrics and "m2.loss" in metrics
+
+
+def test_tpg_regression_frozen():
+    def final_rows(splits, cfg):
+        _, _, curves = tr.train_tpg(splits, cfg)
+        m2 = [r for r in curves if r.split == "train" and r.metric == "m2.loss"]
+        test = [r for r in curves if r.split == "test" and r.metric == "loss"]
+        return m2[-1], test[-1]
+
+    # frozen regression values, recorded from the fixed-seed runs
+    m2, test = final_rows(make_splits(seed=5, k=4), tpg_cfg())
+    assert (m2.iteration, test.iteration) == (50, 80)
+    assert rel_err(m2.value, 1.1898978576866739) < 1e-6
+    assert rel_err(test.value, 1.265332319157352) < 1e-6
+
+    cfg = tpg_cfg(seed=13)
+    cfg.schedule.index_aware = False
+    cfg.warm_start_m2 = False
+    m2, test = final_rows(make_splits(seed=9, t_in=9, k=5), cfg)
+    assert (m2.iteration, test.iteration) == (50, 80)
+    assert rel_err(m2.value, 1.7421136977251135) < 1e-6
+    assert rel_err(test.value, 1.379701815586207) < 1e-6
 
 
 def test_tpg_stage_validation():
