@@ -173,6 +173,9 @@ def _validate(cfg: ExperimentConfig, lines: dict, path: str) -> None:
     if min(fracs) < 0 or abs(sum(fracs) - 1.0) > 1e-9:
         fail("train_frac", "train_frac + val_frac + test_frac must be "
              f"non-negative and sum to 1, got {fracs}")
+    for key, frac in zip(("train_frac", "val_frac", "test_frac"), fracs):
+        if frac == 0:
+            fail(key, f"must be > 0, got {frac}")
     if not cfg.target_channels:
         fail("target_channels", "must name at least one channel")
     if cfg.dataset == "multinode":

@@ -260,7 +260,7 @@ def split(dataset: Dataset, fractions):
     dropped = num - int(sum(m.sum() for m in masks))
     parts = []
     for frac, mask in zip((f1, f2, f3), masks):
-        if frac > 1e-9 and not mask.any():
+        if frac > 0 and not mask.any():
             raise ConfigError(
                 f"split fraction {frac} produced an empty partition "
                 f"({num} windows total)")
@@ -319,24 +319,77 @@ _CSV_HEADER = "time,node,channel,value"
 
 
 def write_series_csv(series: np.ndarray, path):
-    """Dense long-format CSV; %.17g keeps float64 values exact."""
+    """Dense long-format CSV; %.17g keeps float64 values exact.
+
+    One write per time step, from a %-template with node and channel
+    baked in (% formats exactly as an f-string's :.17g). Writing step by
+    step bounds the text held in memory.
+    """
     series = np.asarray(series, dtype=np.float64)
     total, nodes, channels = series.shape
+    block = "".join(f"{{t}},{n},{f},%.17g\n"
+                    for n in range(nodes) for f in range(channels))
     with open(path, "w") as fh:
         fh.write(_CSV_HEADER + "\n")
         for t in range(total):
-            for n in range(nodes):
-                for f in range(channels):
-                    fh.write(f"{t},{n},{f},{series[t, n, f]:.17g}\n")
+            fh.write(block.replace("{t}", str(t))
+                     % tuple(series[t].ravel().tolist()))
 
 
 def load_series_csv(path) -> np.ndarray:
+    series = _scan_series_csv(path)
+    if series is not None:
+        return series
     try:
         return _parse_series_csv(path)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
+
+
+_CSV_ROW = np.dtype([("t", "i8"), ("n", "i8"), ("f", "i8"), ("v", "f8")])
+# numpy's number parser skips these as whitespace around a field, where
+# int() and float() refuse them
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _scan_series_csv(path):
+    """One structured loadtxt pass over a well-formed series CSV.
+
+    Returns None wherever the line loop of _parse_series_csv must
+    decide: a bad header or body, a non-finite value, a negative index,
+    a duplicate or missing cell, or no rows at all. On what is left,
+    numpy's parser is never looser than int()/float(); it only refuses
+    some spellings they take (1_0, non-ASCII digits), which the loop
+    accepts. comments=None keeps '#' an error, as it is in the loop.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if fh.readline().rstrip("\n") != _CSV_HEADER:
+                return None
+            start = fh.tell()
+            body = fh.read()
+            if not body.strip() or any(c in body for c in _NUMPY_ONLY_SPACE):
+                return None
+            del body
+            fh.seek(start)
+            rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",",
+                              comments=None, ndmin=1)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    t, n, f, v = rows["t"], rows["n"], rows["f"], rows["v"]
+    if not np.isfinite(v).all() or min(t.min(), n.min(), f.min()) < 0:
+        return None
+    shape = (int(t.max()) + 1, int(n.max()) + 1, int(f.max()) + 1)
+    if math.prod(shape) != rows.size:
+        return None
+    flat = np.ravel_multi_index((t, n, f), shape)
+    if np.bincount(flat, minlength=rows.size).max() != 1:
+        return None
+    series = np.empty(rows.size)
+    series[flat] = v
+    return series.reshape(shape)
 
 
 def _parse_series_csv(path) -> np.ndarray:

@@ -581,13 +581,23 @@ def train_tpg(splits, cfg: TrainConfig):
                        RngState(cfg.seed).split(_STREAM_M2_INIT),
                        target_slots=m1.target_slots))
 
-    # m1's closed-loop estimates, interleaved back to full order [num, K, f_out]
-    m1_odd = rollout_batch(m1, odd[0], (k + 1) // 2)
-    m1_even = rollout_batch(m1, even[0], k // 2)
-    m1_full = interleave_odd_even(m1_odd.swapaxes(0, 1),
-                                  m1_even.swapaxes(0, 1)).swapaxes(0, 1)
-
+    # m1's closed-loop estimates, interleaved back to full order [num, K, f_out].
+    # An overflowed m1 can return finite estimates behind saturated gates,
+    # so the guard checks their squared error, as the loop checks its loss.
     ctx, tgt, shape = flatten_dataset(train)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1_odd = rollout_batch(m1, odd[0], (k + 1) // 2)
+        m1_even = rollout_batch(m1, even[0], k // 2)
+        m1_full = interleave_odd_even(m1_odd.swapaxes(0, 1),
+                                      m1_even.swapaxes(0, 1)).swapaxes(0, 1)
+        residual = (m1_full - tgt).ravel()
+        m1_sse = np.dot(residual, residual)
+    del residual
+    if not np.isfinite(m1_sse):
+        raise DivergenceError(
+            f"non-finite m1 precompute loss at iteration {stage1}, "
+            f"stage {state1.stage}", params=m1, curves=curves)
+
     state2 = make_train_state(m2, RngState(cfg.seed).split(_STREAM_STAGE2),
                               stage="Transition")
     _run_training(m2, [(ctx, tgt, m1_full, shape)],

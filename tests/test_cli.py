@@ -73,12 +73,30 @@ def test_bad_lambda_names_key_and_line(tmp_path):
      "key 'length' (line 1): must cover t_in + horizon = 36, got 20"),
     ("dataset = sprites\nheight = 4\nwidth = 6\nsprite_size = 5\n",
      "key 'sprite_size' (line 4): must fit the 4x6 grid, got 5"),
-], ids=["length", "sprite_size"])
+    ("train_frac = 0.0\nval_frac = 0.5\ntest_frac = 0.5\n",
+     "key 'train_frac' (line 1): must be > 0, got 0.0"),
+    ("val_frac = 0.0\ntest_frac = 0.2\n",
+     "key 'val_frac' (line 1): must be > 0, got 0.0"),
+    ("val_frac = 0.2\ntest_frac = 0\n",
+     "key 'test_frac' (line 2): must be > 0, got 0.0"),
+], ids=["length", "sprite_size", "train_frac", "val_frac", "test_frac"])
 def test_data_shape_errors_name_key_and_line(tmp_path, text, want):
     cfg_path = write_cfg(tmp_path / "shape.cfg", text)
     with pytest.raises(ConfigError) as ei:
         cli.parse_config(cfg_path)
     assert str(ei.value) == f"{cfg_path}: {want}"
+
+
+@pytest.mark.parametrize("val_frac, want", [
+    ("0.0", "key 'val_frac' (line 19): must be > 0, got 0.0"),
+    ("1e-12", "split fraction 1e-12 produced an empty partition"),
+], ids=["zero", "tiny"])
+def test_generate_rejects_empty_split(tmp_path, capsys, val_frac, want):
+    cfg_path, out = make_run(tmp_path, "empty",
+                             f"val_frac = {val_frac}\ntest_frac = 0.2\n")
+    assert cli.main(["generate", "--config", cfg_path]) == 2
+    assert want in capsys.readouterr().err
+    assert not (out / "data" / "val.csv").exists()
 
 
 def test_tpg_cross_field_error(tmp_path):
@@ -511,6 +529,42 @@ def test_artifacts_identical_across_thread_caps(tmp_path):
         artifacts.append({name: (out / name).read_bytes()
                           for name in ("model.ckpt", "curves.csv")})
     assert artifacts[0] == artifacts[1]
+
+
+# A desk-size library run (hidden 32, B 32, 10 nodes x 9 channels = 90
+# features): its GEMMs are large enough for OpenBLAS to split across
+# threads, which hidden 6 above never does.
+_DESK_RUN = """
+import hashlib, sys
+from tpgf import data as dt, model as md, training as tr
+from tpgf.sampling import ScheduleConfig, Strategy
+raw = dt.gen_multinode_series(10, 9, 400, 0.5, 0.2, seed=1)
+ds = dt.windowize(raw, 24, 12, 1, target_channels=[0, 1, 2])
+splits = dt.normalize(*dt.split(ds, (0.8, 0.1, 0.1)))
+cfg = tr.TrainConfig(
+    schedule=ScheduleConfig(strategy=Strategy.SCHEDULED_SAMPLING, lam=200.0),
+    hidden=32, batch_size=32, total_iters=40, val_every=20, seed=1)
+p, curves = tr.train_scheduled(tr.init_model(splits[0], cfg), splits, cfg)
+md.save_checkpoint(p, sys.argv[1])
+rows = "".join(f"{r.iteration},{r.split},{r.metric},{r.value:.17g}\\n"
+               for r in curves)
+print(hashlib.sha256(rows.encode()).hexdigest())
+with open(sys.argv[1], "rb") as fh:
+    print(hashlib.sha256(fh.read()).hexdigest())
+"""
+
+
+def test_desk_size_artifacts_identical_across_thread_caps(tmp_path):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-c", _DESK_RUN, str(tmp_path / f"{threads}.ckpt")],
+            env=env, check=True, capture_output=True, text=True)
+        digests.append(run.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
 def test_single_command_rejects_multiple_configs(tmp_path):

@@ -390,6 +390,9 @@ def test_train_scheduled_deterministic():
         npt.assert_array_equal(a, b)
 
 
+# every overflow on the way is caught by the loop or by the m1 precompute
+# guard; none escapes as a RuntimeWarning
+@pytest.mark.filterwarnings("error")
 def test_train_divergence_keeps_checkpoint():
     splits = make_splits(seed=3)
     p = make_model_for(splits, hidden=4, seed=4)
@@ -415,15 +418,19 @@ def test_train_divergence_keeps_checkpoint():
         tr.train_tpg(make_splits(seed=5, k=4), cfg)
     assert str(ei.value) == "non-finite training loss at iteration 1, stage M1"
 
-    # without val and test splits stage 1 ends cleanly, and the fresh m2
-    # diverges in the transition stage
+    # without val and test splits stage 1 ends cleanly, but its weights
+    # overflowed: m1's estimates, finite behind saturated gates, give a
+    # non-finite loss, and the guard stops before stage 2 sees them
     cfg = tpg_cfg(total=20, stage1=1)
     cfg.learning_rate = 1e200
     cfg.warm_start_m2 = False
     with pytest.raises(DivergenceError) as ei:
         tr.train_tpg((make_splits(seed=5, k=4)[0], None, None), cfg)
     assert str(ei.value) == \
-        "non-finite training loss at iteration 2, stage Transition"
+        "non-finite m1 precompute loss at iteration 1, stage M1"
+    assert ei.value.params is not None
+    assert [(r.iteration, r.metric) for r in ei.value.curves] == \
+        [(0, "m1.loss")]
 
 
 # ---------------------------------------------------------------------------
