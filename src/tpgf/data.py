@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -374,9 +375,13 @@ def _scan_series_csv(path):
                 return None
             del body
             fh.seek(start)
-            rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",",
-                              comments=None, ndmin=1)
-    except ValueError:  # UnicodeDecodeError included
+            # some numpy releases parse '1.0' as an integer field with
+            # only a DeprecationWarning; any warning means the loop decides
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",",
+                                  comments=None, ndmin=1)
+    except (ValueError, Warning):  # UnicodeDecodeError included
         return None
     t, n, f, v = rows["t"], rows["n"], rows["f"], rows["v"]
     if not np.isfinite(v).all() or min(t.min(), n.min(), f.min()) < 0:
@@ -428,15 +433,19 @@ def _parse_series_csv(path) -> np.ndarray:
     total = max(k[0] for k in entries) + 1
     nodes = max(k[1] for k in entries) + 1
     channels = max(k[2] for k in entries) + 1
+    if len(entries) != total * nodes * channels:
+        # the keys are distinct and in range, so one of the first
+        # len(entries) + 1 in (t, n, f) order is missing; finding it
+        # allocates nothing, however large an index claims the shape is
+        for t in range(total):
+            for n in range(nodes):
+                for f in range(channels):
+                    if (t, n, f) not in entries:
+                        raise DataFormatError(
+                            f"missing entry for time={t}, node={n}, channel={f}")
     series = np.empty((total, nodes, channels))
-    for t in range(total):
-        for n in range(nodes):
-            for f in range(channels):
-                key = (t, n, f)
-                if key not in entries:
-                    raise DataFormatError(
-                        f"missing entry for time={t}, node={n}, channel={f}")
-                series[t, n, f] = entries[key]
+    for (t, n, f), v in entries.items():
+        series[t, n, f] = v
     return series
 
 

@@ -343,9 +343,11 @@ def _closed_loop_loss(p: Seq2SeqParams, ctx: np.ndarray, tgt: np.ndarray,
 
 def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
                   schedule: ScheduleConfig, state: TrainState, curves: list,
-                  start_iter: int, end_iter: int, prefix: str = "") -> None:
+                  start_iter: int, end_iter: int, prefix: str = ""):
     """Minibatch loop over global iterations start_iter..end_iter-1. Trains
-    p in place and leaves it at its best validation loss.
+    p in place and leaves it at its best validation loss. Returns the
+    checkpoint a DivergenceError carries: the best-validation copy, or
+    the starting parameters when there is no val split.
 
     groups: (ctx [num, T, f_in], tgt [num, K, f_out], preferred [num, K,
     f_out], (N, Ft)) tuples, cycled per iteration. Where tau=1, the input
@@ -422,6 +424,7 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
             params=best, curves=curves) from exc
     if has_val and np.isfinite(best_loss):
         copy_into(p, best)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +574,9 @@ def train_tpg(splits, cfg: TrainConfig):
     state1 = make_train_state(m1, RngState(cfg.seed).split(_STREAM_STAGE1),
                               stage="M1")
     ss = ScheduleConfig(strategy=Strategy.SCHEDULED_SAMPLING, lam=cfg.schedule.lam)
-    _run_training(m1, [odd, even],
-                  {name: _half_timescale_groups(ds) for name, ds in evals},
-                  cfg, ss, state1, curves, 0, stage1, prefix="m1.")
+    best1 = _run_training(m1, [odd, even],
+                          {name: _half_timescale_groups(ds) for name, ds in evals},
+                          cfg, ss, state1, curves, 0, stage1, prefix="m1.")
 
     # stage 2: frozen m1 feeds the full-timescale model
     m2 = (copy.deepcopy(m1) if cfg.warm_start_m2 else
@@ -583,20 +586,18 @@ def train_tpg(splits, cfg: TrainConfig):
 
     # m1's closed-loop estimates, interleaved back to full order [num, K, f_out].
     # An overflowed m1 can return finite estimates behind saturated gates,
-    # so the guard checks their squared error, as the loop checks its loss.
+    # so the guard checks their loss, as the loop checks its own.
     ctx, tgt, shape = flatten_dataset(train)
     with np.errstate(over="ignore", invalid="ignore"):
         m1_odd = rollout_batch(m1, odd[0], (k + 1) // 2)
         m1_even = rollout_batch(m1, even[0], k // 2)
         m1_full = interleave_odd_even(m1_odd.swapaxes(0, 1),
                                       m1_even.swapaxes(0, 1)).swapaxes(0, 1)
-        residual = (m1_full - tgt).ravel()
-        m1_sse = np.dot(residual, residual)
-    del residual
-    if not np.isfinite(m1_sse):
+        m1_loss, _ = composite_loss(m1_full, tgt)
+    if not np.isfinite(m1_loss):
         raise DivergenceError(
             f"non-finite m1 precompute loss at iteration {stage1}, "
-            f"stage {state1.stage}", params=m1, curves=curves)
+            f"stage {state1.stage}", params=best1, curves=curves)
 
     state2 = make_train_state(m2, RngState(cfg.seed).split(_STREAM_STAGE2),
                               stage="Transition")

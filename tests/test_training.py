@@ -424,11 +424,15 @@ def test_train_divergence_keeps_checkpoint():
     cfg = tpg_cfg(total=20, stage1=1)
     cfg.learning_rate = 1e200
     cfg.warm_start_m2 = False
+    train = make_splits(seed=5, k=4)[0]
     with pytest.raises(DivergenceError) as ei:
-        tr.train_tpg((make_splits(seed=5, k=4)[0], None, None), cfg)
+        tr.train_tpg((train, None, None), cfg)
     assert str(ei.value) == \
         "non-finite m1 precompute loss at iteration 1, stage M1"
-    assert ei.value.params is not None
+    # with no val split the kept checkpoint is m1's start, as in the loop
+    for a, b in zip(ei.value.params.tensors(),
+                    tr.init_model(train, cfg).tensors()):
+        npt.assert_array_equal(a, b)
     assert [(r.iteration, r.metric) for r in ei.value.curves] == \
         [(0, "m1.loss")]
 
