@@ -20,7 +20,8 @@ import dataclasses
 import os
 import sys
 
-from .errors import ConfigError, DataFormatError, DimensionError, DivergenceError
+from .errors import (RANGES, ConfigError, DataFormatError, DimensionError,
+                     DivergenceError, check_ranges)
 
 _U64_MAX = 2 ** 64 - 1
 
@@ -64,9 +65,6 @@ _SCHEMA = [
     ("sprite_size", "sprite_size", "int", 5),
     ("checkpoint", "checkpoint", "str", ""),
 ]
-
-_KEY_TO_ATTR = {key: attr for key, attr, _, _ in _SCHEMA}
-
 
 _KIND_TYPES = {"u64": int, "int": int, "float": float, "bool": bool,
                "ints": tuple}
@@ -144,40 +142,27 @@ def parse_config(path: str) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig, lines: dict, path: str) -> None:
-    def fail(key, msg):
+    def where(key):
         loc = f" (line {lines[key]})" if key in lines else ""
-        raise ConfigError(f"{path}: key '{key}'{loc}: {msg}")
+        return f"{path}: key '{key}'{loc}:"
 
-    if cfg.lam <= 0:
-        fail("lambda", f"must be > 0, got {cfg.lam}")
-    if cfg.learning_rate <= 0:
-        fail("learning_rate", f"must be > 0, got {cfg.learning_rate}")
-    if cfg.clip_norm <= 0:
-        fail("clip_norm", f"must be > 0, got {cfg.clip_norm}")
-    if cfg.total_iters < 0:
-        fail("total_iters", f"must be >= 0, got {cfg.total_iters}")
-    if cfg.stage1_iters < 0:
-        fail("stage1_iters", f"must be >= 0, got {cfg.stage1_iters}")
-    if cfg.transition_iters < 0:
-        fail("transition_iters", f"must be >= 0, got {cfg.transition_iters}")
-    for key in ("hidden", "batch_size", "val_every", "t_in", "horizon",
-                "stride", "nodes", "channels", "length", "height", "width",
-                "num_sprites", "seq_length", "seq_count", "sprite_size"):
-        if getattr(cfg, _KEY_TO_ATTR[key]) < 1:
-            fail(key, f"must be >= 1, got {getattr(cfg, _KEY_TO_ATTR[key])}")
-    if cfg.noise < 0:
-        fail("noise", f"must be >= 0, got {cfg.noise}")
-    if not 0.0 <= cfg.coupling <= 1.0:
-        fail("coupling", f"must be in [0, 1], got {cfg.coupling}")
+    def fail(key, msg):
+        raise ConfigError(f"{where(key)} {msg}")
+
+    for key, attr, _, _ in _SCHEMA:
+        if attr in RANGES:
+            check_ranges(where(key), **{attr: getattr(cfg, attr)})
     fracs = (cfg.train_frac, cfg.val_frac, cfg.test_frac)
-    if min(fracs) < 0 or abs(sum(fracs) - 1.0) > 1e-9:
-        fail("train_frac", "train_frac + val_frac + test_frac must be "
-             f"non-negative and sum to 1, got {fracs}")
+    if abs(sum(fracs) - 1.0) > 1e-9:
+        fail("train_frac", "train_frac + val_frac + test_frac must sum to 1, "
+             f"got {fracs}")
     for key, frac in zip(("train_frac", "val_frac", "test_frac"), fracs):
         if frac == 0:
             fail(key, f"must be > 0, got {frac}")
     if not cfg.target_channels:
         fail("target_channels", "must name at least one channel")
+    if len(set(cfg.target_channels)) != len(cfg.target_channels):
+        fail("target_channels", f"must be distinct, got {cfg.target_channels}")
     if cfg.dataset == "multinode":
         for c in cfg.target_channels:
             if not 0 <= c < cfg.channels:
@@ -187,9 +172,13 @@ def _validate(cfg: ExperimentConfig, lines: dict, path: str) -> None:
         if cfg.speed_min < 1 or cfg.speed_min > cfg.speed_max:
             fail("speed_min", f"need 1 <= speed_min <= speed_max, got "
                  f"{cfg.speed_min}..{cfg.speed_max}")
-        if cfg.sprite_size > min(cfg.height, cfg.width):
+        travel = min(cfg.height, cfg.width) - cfg.sprite_size
+        if travel < 0:
             fail("sprite_size", f"must fit the {cfg.height}x{cfg.width} "
                  f"grid, got {cfg.sprite_size}")
+        if cfg.speed_max > travel:
+            fail("speed_max", f"must be <= min(height, width) - sprite_size "
+                 f"= {travel}, got {cfg.speed_max}")
     span = "length" if cfg.dataset == "multinode" else "seq_length"
     if getattr(cfg, span) < cfg.t_in + cfg.horizon:
         fail(span, f"must cover t_in + horizon = {cfg.t_in + cfg.horizon}, "
@@ -235,18 +224,13 @@ def write_echo(cfg: ExperimentConfig, out_dir: str) -> str:
 # ---------------------------------------------------------------------------
 # config -> module objects
 
-def _schedule_for(cfg: ExperimentConfig):
-    from .sampling import ScheduleConfig, Strategy
-    transition = cfg.transition_iters if cfg.strategy == "tpg" else 1
-    return ScheduleConfig(strategy=Strategy(cfg.strategy), lam=cfg.lam,
-                          index_aware=cfg.index_aware,
-                          stage1_iters=cfg.stage1_iters,
-                          transition_iters=transition)
-
-
 def _train_config(cfg: ExperimentConfig):
+    from .sampling import ScheduleConfig, Strategy
     from .training import TrainConfig
-    return TrainConfig(schedule=_schedule_for(cfg), hidden=cfg.hidden,
+    schedule = ScheduleConfig(strategy=Strategy(cfg.strategy), lam=cfg.lam,
+                              index_aware=cfg.index_aware,
+                              stage1_iters=cfg.stage1_iters)
+    return TrainConfig(schedule=schedule, hidden=cfg.hidden,
                        learning_rate=cfg.learning_rate,
                        batch_size=cfg.batch_size,
                        total_iters=cfg.total_iters, clip_norm=cfg.clip_norm,

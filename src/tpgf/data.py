@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, check_ranges
 from .rng import RngState
 
 
@@ -71,13 +71,8 @@ def gen_multinode_series(nodes: int, channels: int, length: int,
     decay 0.7 whose innovations are one rng.normal(T*N*F) draw reshaped
     [T, N, F] in row-major order.
     """
-    if nodes < 1 or channels < 1 or length < 1:
-        raise ConfigError(
-            f"nodes, channels, length must be >= 1, got {nodes}, {channels}, {length}")
-    if noise < 0:
-        raise ConfigError(f"noise level must be non-negative, got {noise}")
-    if not 0.0 <= coupling <= 1.0:
-        raise ConfigError(f"coupling must lie in [0, 1], got {coupling}")
+    check_ranges(nodes=nodes, channels=channels, length=length,
+                 coupling=coupling, noise=noise)
 
     t = np.arange(length, dtype=np.float64)[:, None, None]
     n = np.arange(nodes, dtype=np.float64)[None, :, None]
@@ -136,14 +131,18 @@ def gen_moving_sprites(h: int, w: int, num_sprites: int, speed_range,
     split(seed, i + 1); per sprite the draw order is row, col,
     |row speed|, |col speed|, row sign, col sign.
     """
+    check_ranges(height=h, width=w, num_sprites=num_sprites, seq_length=length,
+                 seq_count=count, sprite_size=sprite_size)
     lo, hi = int(speed_range[0]), int(speed_range[1])
     if lo < 0 or hi < lo:
         raise ConfigError(f"speed range must satisfy 0 <= lo <= hi, got {lo}, {hi}")
-    if num_sprites < 1 or length < 1 or count < 1:
-        raise ConfigError("num_sprites, length, count must all be >= 1")
     if sprite_size > h or sprite_size > w:
         raise ConfigError(
             f"sprite [{sprite_size}, {sprite_size}] does not fit grid {h}x{w}")
+    # one reflection per step keeps a sprite on the grid only this far
+    if hi > min(h, w) - sprite_size:
+        raise ConfigError(f"speed {hi} exceeds the travel range "
+                          f"{min(h, w) - sprite_size} of the sprite")
     sprites = [np.ones((sprite_size, sprite_size))] * num_sprites
     r_lim = h - sprite_size
     c_lim = w - sprite_size
@@ -180,8 +179,7 @@ def windowize(raw: np.ndarray, t_in: int, k: int, stride: int = 1,
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 3:
         raise ConfigError(f"raw series must be [T, N, F], got shape {list(raw.shape)}")
-    if t_in < 1 or k < 1 or stride < 1:
-        raise ConfigError(f"t_in, k, stride must be >= 1, got {t_in}, {k}, {stride}")
+    check_ranges(t_in=t_in, horizon=k, stride=stride)
     total, nodes, channels = raw.shape
     window = t_in + k
     if total < window:
@@ -193,6 +191,8 @@ def windowize(raw: np.ndarray, t_in: int, k: int, stride: int = 1,
     for c in target_channels:
         if not 0 <= c < channels:
             raise ConfigError(f"target channel {c} out of range for F={channels}")
+    if len(set(target_channels)) != len(target_channels):
+        raise ConfigError(f"target channels must be distinct, got {target_channels}")
     if channel_names is None:
         channel_names = [f"ch{i}" for i in range(channels)]
 
@@ -212,6 +212,7 @@ def windowize_sequences(seqs: np.ndarray, t_in: int, k: int,
                         grid: tuple) -> Dataset:
     """Independent frame sequences [count, T, H, W] -> one sample each,
     frames flattened to [T, H*W, 1]."""
+    check_ranges(t_in=t_in, horizon=k)
     seqs = np.asarray(seqs, dtype=np.float64)
     if seqs.ndim != 4:
         raise ConfigError(
@@ -235,9 +236,9 @@ def split(dataset: Dataset, fractions):
     independent sequences are cut by sample index.
     """
     f1, f2, f3 = (float(x) for x in fractions)
-    if min(f1, f2, f3) < 0 or abs(f1 + f2 + f3 - 1.0) > 1e-9:
-        raise ConfigError(
-            f"split fractions must be non-negative and sum to 1, got {fractions}")
+    check_ranges(train_frac=f1, val_frac=f2, test_frac=f3)
+    if abs(f1 + f2 + f3 - 1.0) > 1e-9:
+        raise ConfigError(f"split fractions must sum to 1, got {fractions}")
     num = len(dataset)
     starts = dataset.meta.window_starts
     if starts is None:
@@ -490,28 +491,3 @@ def load_frame_sequences(path) -> np.ndarray:
         raise DataFormatError(
             f"{path}: non-finite pixel in sequence {seq}, frame {frame}")
     return seqs
-
-
-_IDX_IMAGE_MAGIC = 0x00000803
-
-
-def load_idx_images(path) -> np.ndarray:
-    """Standard IDX unsigned-byte image file -> [count, H, W] in [0, 1]."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16:
-        raise DataFormatError("IDX file shorter than its 16-byte header")
-    magic = int.from_bytes(blob[0:4], "big")
-    if magic != _IDX_IMAGE_MAGIC:
-        raise DataFormatError(
-            f"bad IDX magic 0x{magic:08X}, expected 0x{_IDX_IMAGE_MAGIC:08X}")
-    count = int.from_bytes(blob[4:8], "big")
-    rows = int.from_bytes(blob[8:12], "big")
-    cols = int.from_bytes(blob[12:16], "big")
-    need = 16 + count * rows * cols
-    if len(blob) < need:
-        raise DataFormatError(
-            f"IDX file truncated: {len(blob)} bytes, header implies {need}")
-    pixels = np.frombuffer(blob, dtype=np.uint8, count=count * rows * cols,
-                           offset=16)
-    return pixels.reshape(count, rows, cols).astype(np.float64) / 255.0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, check_ranges
 from . import nn
 from .rng import RngState
 
@@ -53,9 +53,9 @@ def make_target_slots(nodes: int, channels: int, target_channels) -> np.ndarray:
 def init_seq2seq(hidden: int, f_in: int, f_out: int, rng: RngState,
                  target_slots=None, scale: float = 0.1) -> Seq2SeqParams:
     """Draw order: encoder, decoder, projection."""
-    if hidden < 1 or f_in < 1 or f_out < 1:
-        raise ConfigError(
-            f"hidden, f_in, f_out must be >= 1, got {hidden}, {f_in}, {f_out}")
+    check_ranges(hidden=hidden)
+    if f_in < 1 or f_out < 1:
+        raise ConfigError(f"f_in, f_out must be >= 1, got {f_in}, {f_out}")
     if target_slots is None:
         if f_out != f_in:
             raise ConfigError("target_slots required when f_out != f_in")

@@ -11,8 +11,8 @@ standard one without peepholes:
     c' = f * c + i * g
     h' = o * tanh(c')
 
-All step functions accept activations of shape [F] or [B, F]; states
-and gradients keep the rank of their inputs.
+Every step function works on a batch: activations, states and their
+gradients are [B, F] arrays, one row per sample.
 """
 
 from __future__ import annotations
@@ -86,16 +86,14 @@ def init_linear(f_out: int, hidden: int, rng: RngState, scale: float = 0.1) -> L
     return LinearParams(w=randn((f_out, hidden), scale, rng), b=np.zeros(f_out))
 
 
-def zero_state(hidden: int, batch: int | None = None) -> LstmState:
-    shape = (hidden,) if batch is None else (batch, hidden)
-    return LstmState(h=np.zeros(shape), c=np.zeros(shape))
+def zero_state(hidden: int, batch: int) -> LstmState:
+    return LstmState(h=np.zeros((batch, hidden)), c=np.zeros((batch, hidden)))
 
 
 def _check_vec(x: np.ndarray, width: int, what: str):
-    if x.ndim not in (1, 2) or x.shape[-1] != width:
+    if x.ndim != 2 or x.shape[1] != width:
         raise DimensionError(
-            f"{what} must have trailing extent {width}, got shape {list(x.shape)}"
-        )
+            f"{what} must be [B, {width}], got shape {list(x.shape)}")
 
 
 def lstm_step(x: np.ndarray, state: LstmState, p: LstmParams):
@@ -107,10 +105,10 @@ def lstm_step(x: np.ndarray, state: LstmState, p: LstmParams):
         raise DimensionError(
             f"state shapes differ: h {list(state.h.shape)} vs c {list(state.c.shape)}"
         )
-    if x.shape[:-1] != state.h.shape[:-1]:
+    if x.shape[0] != state.h.shape[0]:
         raise DimensionError(
-            f"lstm input batch {list(x.shape[:-1])} differs from state batch "
-            f"{list(state.h.shape[:-1])}")
+            f"lstm input batch {x.shape[0]} differs from state batch "
+            f"{state.h.shape[0]}")
     # in place, in the order of x @ w_x.T + h @ w_h.T + b, so same bits
     pre = x @ p.w_x.T
     pre += state.h @ p.w_h.T
@@ -135,7 +133,7 @@ def lstm_step_backward(grad_h: np.ndarray, grad_c: np.ndarray,
     """Exact gradients of one step.
 
     Returns (grad_pre, grad_state, grad_params). grad_pre is the
-    gradient of the stacked [.., 4C] gate pre-activations; the input
+    gradient of the stacked [B, 4C] gate pre-activations; the input
     gradient is grad_pre @ p.w_x, left to callers that need it.
     grad_state is the gradient flowing into the previous step's (h, c).
     """
@@ -162,12 +160,8 @@ def lstm_step_backward(grad_h: np.ndarray, grad_c: np.ndarray,
     da[..., 2 * hidden:3 * hidden] = d_g
 
     dh_prev = da @ p.w_h
-    da2 = da.reshape(-1, 4 * hidden)
-    grad_params = LstmParams(
-        w_x=da2.T @ cache.x.reshape(-1, p.f_in),
-        w_h=da2.T @ cache.h_prev.reshape(-1, hidden),
-        b=da2.sum(axis=0),
-    )
+    grad_params = LstmParams(w_x=da.T @ cache.x, w_h=da.T @ cache.h_prev,
+                             b=da.sum(axis=0))
     return da, LstmState(h=dh_prev, c=dc_prev), grad_params
 
 
@@ -181,7 +175,5 @@ def linear_backward(grad_y: np.ndarray, cache: np.ndarray, p: LinearParams):
     x = cache
     _check_vec(grad_y, p.w.shape[0], "linear upstream gradient")
     grad_x = grad_y @ p.w
-    gy2 = grad_y.reshape(-1, p.w.shape[0])
-    grad_params = LinearParams(w=gy2.T @ x.reshape(-1, p.w.shape[1]),
-                               b=gy2.sum(axis=0))
+    grad_params = LinearParams(w=grad_y.T @ x, b=grad_y.sum(axis=0))
     return grad_x, grad_params

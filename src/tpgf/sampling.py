@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, check_ranges
 
 # exp() overflows float64 just above 709; past this the epsilon value
 # underflows to 0 anyway
@@ -38,17 +38,9 @@ class ScheduleConfig:
     lam: float = 100.0
     index_aware: bool = True
     stage1_iters: int = 0
-    transition_iters: int = 1
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ConfigError(f"lambda must be positive, got {self.lam}")
-        if self.transition_iters < 1:
-            raise ConfigError(
-                f"transition_iters must be positive, got {self.transition_iters}")
-        if self.stage1_iters < 0:
-            raise ConfigError(
-                f"stage1_iters must be non-negative, got {self.stage1_iters}")
+        check_ranges(lam=self.lam, stage1_iters=self.stage1_iters)
         if self.strategy is Strategy.TPG and self.stage1_iters < 1:
             raise ConfigError("tpg requires stage1_iters >= 1")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DivergenceError
+from .errors import ConfigError, DimensionError, DivergenceError, check_ranges
 from . import metrics as mt
 from . import nn
 from .data import Dataset
@@ -61,18 +61,9 @@ class TrainConfig:
     val_every: int = 50
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.total_iters < 0:
-            raise ConfigError(f"total_iters must be >= 0, got {self.total_iters}")
-        if not self.clip_norm > 0:
-            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
-        if self.hidden < 1:
-            raise ConfigError(f"hidden size must be >= 1, got {self.hidden}")
-        if self.val_every < 1:
-            raise ConfigError(f"val_every must be >= 1, got {self.val_every}")
+        check_ranges(hidden=self.hidden, learning_rate=self.learning_rate,
+                     batch_size=self.batch_size, total_iters=self.total_iters,
+                     clip_norm=self.clip_norm, val_every=self.val_every)
 
 
 @dataclass
@@ -560,11 +551,6 @@ def train_tpg(splits, cfg: TrainConfig):
     if stage1 >= cfg.total_iters:
         raise ConfigError(
             f"stage1_iters {stage1} must be < total_iters {cfg.total_iters}")
-    if stage1 + cfg.schedule.transition_iters != cfg.total_iters:
-        raise ConfigError(
-            f"stage1_iters {stage1} + transition_iters "
-            f"{cfg.schedule.transition_iters} must equal total_iters "
-            f"{cfg.total_iters}")
 
     curves: list = []
 

@@ -258,8 +258,7 @@ def _desk_cfg(strategy, seed):
                                lam=DESK["lam_ss"])
     else:
         sched = ScheduleConfig(strategy=Strategy.TPG, lam=DESK["lam_tpg"],
-                               stage1_iters=DESK["stage1"],
-                               transition_iters=DESK["total"] - DESK["stage1"])
+                               stage1_iters=DESK["stage1"])
     return tr.TrainConfig(schedule=sched, hidden=DESK["hidden"],
                           total_iters=DESK["total"], seed=seed)
 

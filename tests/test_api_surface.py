@@ -23,7 +23,6 @@ ALLOWED = {
     "metrics.mse_per_frame": "acceptance criterion 5's metric oracle",
     "data.denormalize":
         "documented reader: maps predictions back to raw units",
-    "data.load_idx_images": "documented reader for IDX image files",
 }
 
 

@@ -1,16 +1,21 @@
+import contextlib
+import io
+import math
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from test_acceptance import CLI_CFG
 from tpgf import cli
 from tpgf import data as dt
-from tpgf.errors import ConfigError
+from tpgf.errors import RANGES, ConfigError, check_ranges
 
 
 def write_cfg(path, text):
@@ -79,7 +84,12 @@ def test_bad_lambda_names_key_and_line(tmp_path):
      "key 'val_frac' (line 1): must be > 0, got 0.0"),
     ("val_frac = 0.2\ntest_frac = 0\n",
      "key 'test_frac' (line 2): must be > 0, got 0.0"),
-], ids=["length", "sprite_size", "train_frac", "val_frac", "test_frac"])
+    ("dataset = sprites\nheight = 8\nwidth = 6\nsprite_size = 3\n"
+     "speed_max = 4\n",
+     "key 'speed_max' (line 5): must be <= min(height, width) - sprite_size "
+     "= 3, got 4"),
+], ids=["length", "sprite_size", "train_frac", "val_frac", "test_frac",
+        "speed_max"])
 def test_data_shape_errors_name_key_and_line(tmp_path, text, want):
     cfg_path = write_cfg(tmp_path / "shape.cfg", text)
     with pytest.raises(ConfigError) as ei:
@@ -97,6 +107,40 @@ def test_generate_rejects_empty_split(tmp_path, capsys, val_frac, want):
     assert cli.main(["generate", "--config", cfg_path]) == 2
     assert want in capsys.readouterr().err
     assert not (out / "data" / "val.csv").exists()
+
+
+def test_every_range_rule_rejects_nan_and_inf():
+    for name in RANGES:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=f"^{name} must be"):
+                check_ranges(**{name: bad})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("noise", "nan"), ("noise", "inf"), ("train_frac", "nan"),
+    ("lambda", "inf"), ("lambda", "nan"),
+])
+def test_non_finite_value_names_key_and_line(tmp_path, capsys, key, value):
+    # nan passes every comparison-based bound, and inf passes a lower one
+    out = tmp_path / "nonfinite"
+    base = "".join(line + "\n" for line in BASE.splitlines()
+                   if line.split(" = ")[0] != key)
+    cfg_path = write_cfg(tmp_path / "nonfinite.cfg",
+                         f"{key} = {value}\nout_dir = {out}\n{base}")
+    assert cli.main(["generate", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg_path}: key '{key}' (line 1): must be finite" in err
+    assert not (out / "data").exists()
+
+
+def test_repeated_target_channel_names_key_and_line(tmp_path, capsys):
+    # a repeated channel gave two different rmse.ch0 rows in metrics.csv
+    out = tmp_path / "dup"
+    text = BASE.replace("target_channels = 0,1", "target_channels = 0,0")
+    cfg_path = write_cfg(tmp_path / "dup.cfg", text + f"out_dir = {out}\n")
+    assert cli.main(["generate", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg_path}: key 'target_channels' (line 8): must be distinct" in err
 
 
 def test_tpg_cross_field_error(tmp_path):
@@ -576,3 +620,65 @@ def test_single_command_rejects_multiple_configs(tmp_path):
 def test_bad_seed_override(tmp_path):
     cfg_path, _ = make_run(tmp_path, "sd")
     assert cli.main(["generate", "--config", cfg_path, "--seed", "-1"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzz: whatever the config, every command exits 0, 2 or 3
+
+# a valid tiny run; the drawn keys override it, and no drawn size exceeds 8
+_FUZZ_BASE = {"nodes": "2", "channels": "2", "length": "80",
+              "target_channels": "0,1", "t_in": "4", "horizon": "2",
+              "hidden": "3", "batch_size": "4", "total_iters": "3",
+              "stage1_iters": "1", "val_every": "1", "height": "6",
+              "width": "6", "sprite_size": "2", "seq_length": "8",
+              "seq_count": "10"}
+_FUZZ_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-12, 0.5, 1.0,
+                1e308)
+
+
+def _fuzz_value(key, kind):
+    if key == "total_iters":
+        return st.integers(-2, 3).map(str)
+    if kind in ("int", "u64"):
+        return st.integers(-2, 8).map(str)
+    if kind == "float":
+        return st.sampled_from(_FUZZ_FLOATS).map(repr)
+    if kind == "bool":
+        return st.sampled_from(["true", "false", "yes"])
+    if kind == "ints":
+        return st.lists(st.integers(-1, 3), max_size=3).map(
+            lambda cs: ",".join(map(str, cs)))
+    return st.sampled_from(kind.split(":", 1)[1].split(","))
+
+
+_FUZZ_ENTRY = st.one_of([st.tuples(st.just(key), _fuzz_value(key, kind))
+                         for key, _, kind, _ in cli._SCHEMA
+                         if kind != "str"])
+_FUZZ_JUNK = st.one_of(
+    st.sampled_from(["no equals sign", "= 1", "hidden == 2", "wat = 1",
+                     "hidden = 1.5", "seed = 18446744073709551616",
+                     "target_channels = 0,,x", "lambda = 1e999"]),
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=20))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(overrides=st.lists(_FUZZ_ENTRY, max_size=4).map(dict),
+       junk=st.one_of(st.just([]), st.lists(_FUZZ_JUNK, min_size=1,
+                                            max_size=2)),
+       tail=st.one_of(st.just(b""), st.binary(min_size=1, max_size=16)))
+def test_cli_fuzz_exits_0_2_or_3(tmp_path, overrides, junk, tail):
+    run = tempfile.mkdtemp(dir=tmp_path)
+    lines = [f"out_dir = {run}", "checkpoint = "]
+    lines += [f"{k} = {v}" for k, v in dict(_FUZZ_BASE, **overrides).items()]
+    path = os.path.join(run, "fuzz.cfg")
+    with open(path, "wb") as fh:
+        fh.write("".join(line + "\n" for line in lines + junk).encode())
+        fh.write(tail)
+    for command in ("generate", "train", "evaluate"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, "--config", path])
+        assert code in (0, 2, 3), (command, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -102,6 +102,15 @@ def test_sprites_validation():
         dt.gen_moving_sprites(16, 16, 1, (2, 1), 5, seed=1)
 
 
+def test_sprites_speed_beyond_travel_range_rejected():
+    # a 2-pixel sprite on a 6-wide grid travels 4 pixels; speed 5 used to
+    # leave the grid and fail in render_frame with a broadcast error
+    dt.gen_moving_sprites(8, 6, 1, (4, 4), 12, seed=1, sprite_size=2)
+    with pytest.raises(ConfigError) as ei:
+        dt.gen_moving_sprites(8, 6, 1, (4, 5), 12, seed=1, sprite_size=2)
+    assert "travel range 4" in str(ei.value)
+
+
 def test_windowize_counts():
     raw = np.zeros((10, 2, 3))
     ds = dt.windowize(raw, t_in=6, k=4)
@@ -110,6 +119,13 @@ def test_windowize_counts():
     assert len(ds2) == 2
     with pytest.raises(ConfigError):
         dt.windowize(np.zeros((9, 2, 3)), t_in=6, k=4)
+
+
+def test_windowize_rejects_repeated_target_channel():
+    # a repeated channel would give two different rmse.ch0 rows
+    with pytest.raises(ConfigError) as ei:
+        dt.windowize(np.zeros((10, 2, 3)), t_in=6, k=4, target_channels=[0, 0])
+    assert "distinct" in str(ei.value)
 
 
 def test_windowize_shapes_and_target_subset():
@@ -184,6 +200,14 @@ def test_split_validation():
     with pytest.raises(ConfigError):
         # 4 windows cannot fill a 1% partition
         dt.split(ds, (0.98, 0.01, 0.01))
+
+
+def test_split_rejects_nan_fraction():
+    # nan passes every comparison-based bound, then fails in int()
+    ds = dt.windowize(np.zeros((40, 1, 1)), 6, 4, stride=10)
+    with pytest.raises(ConfigError) as ei:
+        dt.split(ds, (np.nan, 0.5, 0.5))
+    assert "train_frac" in str(ei.value)
 
 
 def test_split_independent_sequences_by_index():
@@ -326,36 +350,3 @@ def test_frames_reject_non_finite_pixel(tmp_path):
             dt.load_frame_sequences(path)
         assert "sequence 1, frame 2" in str(ei.value)
         assert str(path) in str(ei.value)
-
-
-def _idx_blob(count, rows, cols, value=255):
-    header = (0x00000803).to_bytes(4, "big") + count.to_bytes(4, "big") \
-        + rows.to_bytes(4, "big") + cols.to_bytes(4, "big")
-    return header + bytes([value]) * (count * rows * cols)
-
-
-def test_idx_single_image(tmp_path):
-    path = tmp_path / "imgs.idx"
-    path.write_bytes(_idx_blob(1, 4, 4))
-    imgs = dt.load_idx_images(path)
-    assert imgs.shape == (1, 4, 4)
-    npt.assert_array_equal(imgs[0], np.ones((4, 4)))
-
-
-def test_idx_count_honored(tmp_path):
-    path = tmp_path / "imgs.idx"
-    path.write_bytes(_idx_blob(5, 3, 2, value=128))
-    imgs = dt.load_idx_images(path)
-    assert imgs.shape == (5, 3, 2)
-    npt.assert_allclose(imgs, 128.0 / 255.0)
-
-
-def test_idx_errors(tmp_path):
-    bad = tmp_path / "bad.idx"
-    bad.write_bytes((0x00000801).to_bytes(4, "big") + b"\x00" * 12)
-    with pytest.raises(DataFormatError):
-        dt.load_idx_images(bad)
-    short = tmp_path / "short.idx"
-    short.write_bytes(_idx_blob(2, 4, 4)[:-5])
-    with pytest.raises(DataFormatError):
-        dt.load_idx_images(short)

@@ -63,15 +63,15 @@ def test_decode_step_zero_params_gives_bias():
     for arr in p.tensors():
         arr[:] = 0.0
     p.projection.b[:] = np.array([1.0, -2.0, 0.5, 3.0])
-    pred, _, _ = md.decode_step(np.zeros(4), nn.zero_state(3), p)
-    npt.assert_array_equal(pred, p.projection.b)
+    pred, _, _ = md.decode_step(np.zeros((1, 4)), nn.zero_state(3, 1), p)
+    npt.assert_array_equal(pred[0], p.projection.b)
 
 
 def test_decode_step_is_lstm_then_linear():
     p = small_params(seed=33)
-    x = randn((4,), 1.0, RngState(1))
-    state = nn.LstmState(h=randn((3,), 1.0, RngState(2)),
-                         c=randn((3,), 1.0, RngState(3)))
+    x = randn((1, 4), 1.0, RngState(1))
+    state = nn.LstmState(h=randn((1, 3), 1.0, RngState(2)),
+                         c=randn((1, 3), 1.0, RngState(3)))
     pred, new_state, _ = md.decode_step(x, state, p)
     want_state, _ = nn.lstm_step(x, state, p.decoder)
     want_pred, _ = nn.linear_forward(want_state.h, p.projection)

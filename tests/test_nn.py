@@ -47,9 +47,9 @@ def test_zero_params_halve_cell():
     C = 3
     p = nn.LstmParams(w_x=np.zeros((4 * C, 2)), w_h=np.zeros((4 * C, C)),
                       b=np.zeros(4 * C))
-    c0 = np.array([0.4, -1.2, 2.0])
-    state, _ = nn.lstm_step(np.array([5.0, -3.0]),
-                            nn.LstmState(h=np.zeros(C), c=c0.copy()), p)
+    c0 = np.array([[0.4, -1.2, 2.0]])
+    state, _ = nn.lstm_step(np.array([[5.0, -3.0]]),
+                            nn.LstmState(h=np.zeros((1, C)), c=c0.copy()), p)
     npt.assert_allclose(state.c, 0.5 * c0, rtol=0, atol=1e-15)
     npt.assert_allclose(state.h, 0.5 * np.tanh(0.5 * c0), rtol=0, atol=1e-15)
 
@@ -58,30 +58,30 @@ def test_all_zero_inputs():
     C = 2
     p = nn.LstmParams(w_x=np.zeros((4 * C, 3)), w_h=np.zeros((4 * C, C)),
                       b=np.zeros(4 * C))
-    state, _ = nn.lstm_step(np.zeros(3), nn.zero_state(C), p)
-    npt.assert_array_equal(state.h, np.zeros(C))
-    npt.assert_array_equal(state.c, np.zeros(C))
+    state, _ = nn.lstm_step(np.zeros((1, 3)), nn.zero_state(C, 1), p)
+    npt.assert_array_equal(state.h, np.zeros((1, C)))
+    npt.assert_array_equal(state.c, np.zeros((1, C)))
 
 
 def test_forward_matches_scalar_oracle():
     C, F = 3, 4
     p, rng = make_params(C, F, 11)
-    x = randn((F,), 1.0, rng)
-    h = randn((C,), 1.0, rng)
-    c = randn((C,), 1.0, rng)
+    x = randn((1, F), 1.0, rng)
+    h = randn((1, C), 1.0, rng)
+    c = randn((1, C), 1.0, rng)
     state, _ = nn.lstm_step(x, nn.LstmState(h=h, c=c), p)
-    oh, oc = oracle_lstm_step(x.tolist(), h.tolist(), c.tolist(),
+    oh, oc = oracle_lstm_step(x[0].tolist(), h[0].tolist(), c[0].tolist(),
                               p.w_x.tolist(), p.w_h.tolist(), p.b.tolist())
-    npt.assert_allclose(state.h, oh, rtol=0, atol=1e-12)
-    npt.assert_allclose(state.c, oc, rtol=0, atol=1e-12)
+    npt.assert_allclose(state.h[0], oh, rtol=0, atol=1e-12)
+    npt.assert_allclose(state.c[0], oc, rtol=0, atol=1e-12)
 
 
 def test_gate_ranges():
     C, F = 4, 3
     p, rng = make_params(C, F, 5)
-    _, cache = nn.lstm_step(randn((F,), 2.0, rng),
-                            nn.LstmState(h=randn((C,), 1.0, rng),
-                                         c=randn((C,), 1.0, rng)), p)
+    _, cache = nn.lstm_step(randn((1, F), 2.0, rng),
+                            nn.LstmState(h=randn((1, C), 1.0, rng),
+                                         c=randn((1, C), 1.0, rng)), p)
     for gate in (cache.i, cache.f, cache.o):
         assert ((gate > 0) & (gate < 1)).all()
     assert ((cache.g > -1) & (cache.g < 1)).all()
@@ -139,18 +139,20 @@ def test_batched_step_matches_per_sample():
     cb = randn((B, C), 1.0, rng)
     sb, _ = nn.lstm_step(xb, nn.LstmState(h=hb, c=cb), p)
     for k in range(B):
-        sk, _ = nn.lstm_step(xb[k], nn.LstmState(h=hb[k], c=cb[k]), p)
-        npt.assert_allclose(sb.h[k], sk.h, rtol=0, atol=1e-15)
-        npt.assert_allclose(sb.c[k], sk.c, rtol=0, atol=1e-15)
+        one = slice(k, k + 1)
+        sk, _ = nn.lstm_step(xb[one], nn.LstmState(h=hb[one], c=cb[one]), p)
+        npt.assert_allclose(sb.h[one], sk.h, rtol=0, atol=1e-15)
+        npt.assert_allclose(sb.c[one], sk.c, rtol=0, atol=1e-15)
 
 
 def test_backward_zero_upstream():
     C, F = 2, 3
     p, rng = make_params(C, F, 3)
-    _, cache = nn.lstm_step(randn((F,), 1.0, rng),
-                            nn.LstmState(h=randn((C,), 1.0, rng),
-                                         c=randn((C,), 1.0, rng)), p)
-    da, gs, gp = nn.lstm_step_backward(np.zeros(C), np.zeros(C), cache, p)
+    _, cache = nn.lstm_step(randn((1, F), 1.0, rng),
+                            nn.LstmState(h=randn((1, C), 1.0, rng),
+                                         c=randn((1, C), 1.0, rng)), p)
+    da, gs, gp = nn.lstm_step_backward(np.zeros((1, C)), np.zeros((1, C)),
+                                       cache, p)
     assert not da.any() and not gs.h.any() and not gs.c.any()
     assert not gp.w_x.any() and not gp.w_h.any() and not gp.b.any()
 
@@ -162,11 +164,11 @@ def _lstm_loss(x, h, c, p, gh, gc):
 
 def _fd_check_lstm(C, F, seed, coords=None, tol=1e-6):
     p, rng = make_params(C, F, seed)
-    x = randn((F,), 1.0, rng)
-    h = randn((C,), 1.0, rng)
-    c = randn((C,), 1.0, rng)
-    gh = randn((C,), 1.0, rng)
-    gc = randn((C,), 1.0, rng)
+    x = randn((1, F), 1.0, rng)
+    h = randn((1, C), 1.0, rng)
+    c = randn((1, C), 1.0, rng)
+    gh = randn((1, C), 1.0, rng)
+    gc = randn((1, C), 1.0, rng)
 
     _, cache = nn.lstm_step(x, nn.LstmState(h=h, c=c), p)
     da, gs, gp = nn.lstm_step_backward(gh, gc, cache, p)
@@ -224,11 +226,12 @@ def test_backward_batched_is_sum_of_samples():
     acc = nn.LstmParams(w_x=np.zeros_like(p.w_x), w_h=np.zeros_like(p.w_h),
                         b=np.zeros_like(p.b))
     for k in range(B):
-        _, ck = nn.lstm_step(xb[k], nn.LstmState(h=hb[k], c=cb[k]), p)
-        da, gs, gp = nn.lstm_step_backward(ghb[k], gcb[k], ck, p)
+        one = slice(k, k + 1)
+        _, ck = nn.lstm_step(xb[one], nn.LstmState(h=hb[one], c=cb[one]), p)
+        da, gs, gp = nn.lstm_step_backward(ghb[one], gcb[one], ck, p)
         gx = da @ p.w_x
-        npt.assert_allclose(gxb[k], gx, atol=1e-14)
-        npt.assert_allclose(gsb.h[k], gs.h, atol=1e-14)
+        npt.assert_allclose(gxb[one], gx, atol=1e-14)
+        npt.assert_allclose(gsb.h[one], gs.h, atol=1e-14)
         acc.w_x += gp.w_x
         acc.w_h += gp.w_h
         acc.b += gp.b
@@ -265,10 +268,10 @@ def test_backward_bit_exact_against_per_gate_form():
 def test_step_shape_errors():
     p, _ = make_params(2, 3, 1)
     with pytest.raises(DimensionError):
-        nn.lstm_step(np.zeros(4), nn.zero_state(2), p)
+        nn.lstm_step(np.zeros((1, 4)), nn.zero_state(2, 1), p)
     with pytest.raises(DimensionError):
-        nn.lstm_step(np.zeros(3), nn.zero_state(5), p)
-    # input and state must carry the same batch shape
+        nn.lstm_step(np.zeros((1, 3)), nn.zero_state(5, 1), p)
+    # input and state must carry the same batch; a rank-1 input has none
     for x in (np.zeros(3), np.zeros((5, 3))):
         with pytest.raises(DimensionError):
             nn.lstm_step(x, nn.zero_state(2, 4), p)
@@ -276,47 +279,47 @@ def test_step_shape_errors():
 
 def test_backward_cache_params_mismatch():
     p, rng = make_params(2, 3, 1)
-    _, cache = nn.lstm_step(randn((3,), 1.0, rng), nn.zero_state(2), p)
+    _, cache = nn.lstm_step(randn((1, 3), 1.0, rng), nn.zero_state(2, 1), p)
     other, _ = make_params(4, 3, 2)
     with pytest.raises(DimensionError):
-        nn.lstm_step_backward(np.zeros(4), np.zeros(4), cache, other)
+        nn.lstm_step_backward(np.zeros((1, 4)), np.zeros((1, 4)), cache, other)
 
 
 def test_linear_identity_and_bias():
     p = nn.LinearParams(w=np.eye(3), b=np.zeros(3))
-    x = np.array([1.0, -2.0, 0.5])
+    x = np.array([[1.0, -2.0, 0.5]])
     y, _ = nn.linear_forward(x, p)
     npt.assert_array_equal(y, x)
     p2 = nn.LinearParams(w=np.zeros((2, 3)), b=np.array([7.0, -1.0]))
-    y2, _ = nn.linear_forward(np.zeros(3), p2)
-    npt.assert_array_equal(y2, p2.b)
+    y2, _ = nn.linear_forward(np.zeros((1, 3)), p2)
+    npt.assert_array_equal(y2[0], p2.b)
 
 
 def test_linear_hand_case():
     p = nn.LinearParams(w=np.array([[1.0, 2.0], [3.0, 4.0]]),
                         b=np.array([1.0, 1.0]))
-    y, _ = nn.linear_forward(np.array([1.0, 1.0]), p)
-    npt.assert_array_equal(y, np.array([4.0, 8.0]))
+    y, _ = nn.linear_forward(np.array([[1.0, 1.0]]), p)
+    npt.assert_array_equal(y, np.array([[4.0, 8.0]]))
 
 
 def test_linear_backward_zero_and_bias_identity():
     rng = RngState(77)
     p = nn.init_linear(2, 3, rng)
-    x = randn((3,), 1.0, rng)
+    x = randn((1, 3), 1.0, rng)
     _, cache = nn.linear_forward(x, p)
-    gx, gp = nn.linear_backward(np.zeros(2), cache, p)
+    gx, gp = nn.linear_backward(np.zeros((1, 2)), cache, p)
     assert not gx.any() and not gp.w.any() and not gp.b.any()
 
-    gy = randn((2,), 1.0, rng)
+    gy = randn((1, 2), 1.0, rng)
     _, gp = nn.linear_backward(gy, cache, p)
-    npt.assert_array_equal(gp.b, gy)
+    npt.assert_array_equal(gp.b, gy[0])
 
 
 def test_linear_backward_fd():
     rng = RngState(88)
     p = nn.init_linear(2, 3, rng)
-    x = randn((3,), 1.0, rng)
-    gy = randn((2,), 1.0, rng)
+    x = randn((1, 3), 1.0, rng)
+    gy = randn((1, 2), 1.0, rng)
     y, cache = nn.linear_forward(x, p)
     gx, gp = nn.linear_backward(gy, cache, p)
 

@@ -89,15 +89,14 @@ def test_epsilon_for_dispatch():
     assert sp.epsilon_for(ss, 100, 2) == sp.inverse_sigmoid_epsilon(100, 200.0)
 
     tpg = sp.ScheduleConfig(strategy=sp.Strategy.TPG, lam=100.0,
-                            stage1_iters=50, transition_iters=100)
+                            stage1_iters=50)
     assert sp.epsilon_for(tpg, 0, 2) == 1.0
     assert sp.epsilon_for(tpg, 49, 9) == 1.0
     assert sp.epsilon_for(tpg, 50, 3) == sp.index_aware_epsilon(0, 3, 100.0)
     assert sp.epsilon_for(tpg, 80, 3) == sp.index_aware_epsilon(30, 3, 100.0)
 
     flat = sp.ScheduleConfig(strategy=sp.Strategy.TPG, lam=100.0,
-                             index_aware=False, stage1_iters=50,
-                             transition_iters=100)
+                             index_aware=False, stage1_iters=50)
     assert sp.epsilon_for(flat, 80, 9) == sp.inverse_sigmoid_epsilon(30, 100.0)
 
 
@@ -106,9 +105,6 @@ def test_schedule_config_validation():
         sp.ScheduleConfig(strategy=sp.Strategy.SCHEDULED_SAMPLING, lam=0.0)
     with pytest.raises(ConfigError):
         sp.ScheduleConfig(strategy=sp.Strategy.TPG, stage1_iters=0)
-    with pytest.raises(ConfigError):
-        sp.ScheduleConfig(strategy=sp.Strategy.SCHEDULED_SAMPLING,
-                          transition_iters=0)
 
 
 def test_subsample_basic():

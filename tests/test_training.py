@@ -443,8 +443,7 @@ def test_train_divergence_keeps_checkpoint():
 def tpg_cfg(total=80, stage1=40, lam=20.0, seed=31, hidden=4, batch=8):
     return tr.TrainConfig(
         schedule=ScheduleConfig(strategy=Strategy.TPG, lam=lam,
-                                stage1_iters=stage1,
-                                transition_iters=total - stage1),
+                                stage1_iters=stage1),
         hidden=hidden, total_iters=total, batch_size=batch, seed=seed)
 
 
@@ -493,17 +492,10 @@ def test_tpg_stage_validation():
     with pytest.raises(ConfigError):
         ScheduleConfig(strategy=Strategy.TPG, stage1_iters=0)
     cfg = tr.TrainConfig(
-        schedule=ScheduleConfig(strategy=Strategy.TPG, stage1_iters=90,
-                                transition_iters=10),
+        schedule=ScheduleConfig(strategy=Strategy.TPG, stage1_iters=90),
         hidden=4, total_iters=80, seed=1)
     with pytest.raises(ConfigError):
         tr.train_tpg(splits, cfg)
-    bad_sum = tr.TrainConfig(
-        schedule=ScheduleConfig(strategy=Strategy.TPG, stage1_iters=40,
-                                transition_iters=20),
-        hidden=4, total_iters=80, seed=1)
-    with pytest.raises(ConfigError):
-        tr.train_tpg(splits, bad_sum)
 
 
 def test_tpg_horizon_too_short():
