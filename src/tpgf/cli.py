@@ -251,26 +251,33 @@ def _dataset_paths(cfg: ExperimentConfig):
             for name in _SPLIT_NAMES]
 
 
-def _load_splits(cfg: ExperimentConfig):
-    """Load generated files and rebuild the (train, val, test) datasets."""
+def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
+    """Load generated files and rebuild the named datasets, in order.
+
+    A multinode dataset is normalized with the training split's
+    statistics, so its training file is read whatever the names.
+    """
     from . import data as dt
 
-    paths = _dataset_paths(cfg)
-    missing = [p for p in paths if not os.path.exists(p)]
+    paths = dict(zip(_SPLIT_NAMES, _dataset_paths(cfg)))
+    wanted = tuple(names)
+    if cfg.dataset == "multinode" and "train" not in wanted:
+        wanted = ("train",) + wanted
+    missing = [paths[n] for n in wanted if not os.path.exists(paths[n])]
     if missing:
         raise FileNotFoundError(
             f"dataset file {missing[0]} not found; run `tpgf generate` "
             f"with this config first")
     if cfg.dataset == "multinode":
         parts = []
-        for path in paths:
-            raw = dt.load_series_csv(path)
+        for name in wanted:
+            raw = dt.load_series_csv(paths[name])
             parts.append(dt.windowize(raw, cfg.t_in, cfg.horizon, cfg.stride,
                                       target_channels=list(cfg.target_channels)))
-        return dt.normalize(*parts)
+        return dt.normalize(*parts)[len(wanted) - len(names):]
     parts = []
-    for path in paths:
-        seqs = dt.load_frame_sequences(path)
+    for name in wanted:
+        seqs = dt.load_frame_sequences(paths[name])
         parts.append(dt.windowize_sequences(seqs, cfg.t_in, cfg.horizon,
                                             grid=(cfg.height, cfg.width)))
     return tuple(parts)
@@ -418,7 +425,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> int:
         raise FileNotFoundError(f"checkpoint {path} not found; run "
                                 f"`tpgf train` with this config first")
     p = md.load_checkpoint(path)
-    test = _load_splits(cfg)[2]
+    test, = _load_splits(cfg, ("test",))
     f_in = test.contexts.shape[2] * test.contexts.shape[3]
     if p.f_in != f_in:
         raise DimensionError(

@@ -94,10 +94,15 @@ def gen_multinode_series(nodes: int, channels: int, length: int,
         rng = RngState(seed)
         xi = rng.normal(length * nodes * channels).reshape(length, nodes, channels)
         ar = np.empty_like(xi)
-        ar[0] = noise * xi[0]
-        for k in range(1, length):
-            ar[k] = 0.7 * ar[k - 1] + noise * xi[k]
-        series = series + ar
+        # a huge finite noise overflows to inf; the check below names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            ar[0] = noise * xi[0]
+            for k in range(1, length):
+                ar[k] = 0.7 * ar[k - 1] + noise * xi[k]
+            series = series + ar
+        if not np.isfinite(series).all():
+            raise ConfigError(
+                f"noise {noise!r} overflows the generated series to non-finite values")
     return series
 
 
@@ -218,6 +223,9 @@ def windowize_sequences(seqs: np.ndarray, t_in: int, k: int,
         raise ConfigError(
             f"expected [count, T, H, W] frames, got shape {list(seqs.shape)}")
     count, total, h, w = seqs.shape
+    if tuple(grid) != (h, w):
+        raise ConfigError(
+            f"grid {tuple(grid)} does not match the frames' (h, w) = {(h, w)}")
     if total < t_in + k:
         raise ConfigError(
             f"sequence length {total} shorter than window {t_in}+{k}")

@@ -1,15 +1,15 @@
 """Evaluation measures: MSE, RMSE, MAE, per-frame SSIM.
 
 SSIM uses the conventional defaults: 11x11 Gaussian window with sigma
-1.5, C1 = (0.01 L)^2, C2 = (0.03 L)^2, dynamic range L fixed at 1.0 for
-normalized frames, reflected-edge padding. Frames smaller than the
-window fall back to a single global window over the whole frame.
+1.5 (applied as two 1-d passes, since it is separable), C1 = (0.01 L)^2,
+C2 = (0.03 L)^2, dynamic range L fixed at 1.0 for normalized frames,
+reflected-edge padding. Frames smaller than the window fall back to a
+single global window over the whole frame.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError
 
@@ -53,15 +53,24 @@ def mse_per_frame(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.mean(d * d, axis=1)
 
 
-def _gaussian_window():
+def _gaussian_taps():
     half = _WIN // 2
     coords = np.arange(-half, half + 1, dtype=np.float64)
     g = np.exp(-(coords ** 2) / (2.0 * _SIGMA ** 2))
-    w = np.outer(g, g)
-    return w / w.sum()
+    return g / g.sum()
 
 
-_WINDOW = _gaussian_window()
+# the 11x11 window is outer(_TAPS, _TAPS): separable into two 1-d passes
+_TAPS = _gaussian_taps()
+
+
+def _band(n: int) -> np.ndarray:
+    """[n + WIN - 1, n] matrix whose column j holds the taps at rows
+    j..j + WIN - 1: a padded row times it is the row filtered."""
+    band = np.zeros((n + _WIN - 1, n))
+    for j in range(n):
+        band[j:j + _WIN, j] = _TAPS
+    return band
 
 
 def _ssim_global(x: np.ndarray, y: np.ndarray) -> float:
@@ -94,17 +103,27 @@ def ssim_per_frame(pred: np.ndarray, target: np.ndarray):
 
 
 def _ssim_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SSIM of each frame of two [N, H, W] stacks.
+
+    Each of the five maps x, y, x*x, y*y and x*y is filtered with the
+    separable window as two batched matmuls against banded matrices,
+    every map with the same call shapes. So ssim(x, x) is exactly 1, the
+    measure is exactly symmetric, and every frame of a stack has the
+    bits it has on its own (matmul forms each frame's product alone).
+    """
     if x.shape[1] < _WIN or x.shape[2] < _WIN:
         return np.array([_ssim_global(a, b) for a, b in zip(x, y)])
 
+    n, h, w = x.shape
     half = _WIN // 2
     pad = ((0, 0), (half, half), (half, half))
     xp = np.pad(x, pad, mode="reflect")
     yp = np.pad(y, pad, mode="reflect")
+    rows = _band(w)  # [W + 10, W]
+    cols = _band(h).T  # [H, H + 10]
 
     def filt(img):
-        views = sliding_window_view(img, (_WIN, _WIN), axis=(1, 2))
-        return np.einsum("nijkl,kl->nij", views, _WINDOW)
+        return cols @ (img @ rows)
 
     mx = filt(xp)
     my = filt(yp)
@@ -117,5 +136,4 @@ def _ssim_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     num = (2 * mx * my + _C1) * (2 * cov + _C2)
     den = (mx * mx + my * my + _C1) * (vx + vy + _C2)
-    # one mean per [H, W] frame keeps the bits of the per-frame sum order
-    return np.array([np.mean(r) for r in num / den])
+    return (num / den).reshape(n, h * w).mean(axis=1)

@@ -25,6 +25,12 @@ from .errors import ConfigError, DataFormatError, check_ranges
 from . import nn
 from .rng import RngState
 
+# The most rows the encoder's input projection forms in one GEMM. A
+# batch of B rows projects max(1, _PROJECTION_ROWS // B) steps at once, so
+# training batches project their whole context while a rollout over a
+# whole split (thousands of rows) keeps its transient memory bounded.
+_PROJECTION_ROWS = 2048
+
 
 @dataclass
 class Seq2SeqParams:
@@ -73,23 +79,72 @@ def init_seq2seq(hidden: int, f_in: int, f_out: int, rng: RngState,
         hidden=hidden, f_in=f_in, f_out=f_out, target_slots=target_slots)
 
 
-def encode_full(context: np.ndarray, p: Seq2SeqParams, caches=None):
+def encode_full(context: np.ndarray, p: Seq2SeqParams,
+                caches: nn.LstmCaches | None = None) -> nn.LstmState:
     """Run the encoder over every step of a [B, T_in, F_in] batch and
-    return its final state. Appends each step's cache to `caches` when
-    given a list; keeps none otherwise."""
-    state = nn.zero_state(p.hidden, context.shape[0])
-    for t in range(context.shape[1]):
-        state, cache = nn.lstm_step(context[:, t], state, p.encoder)
-        if caches is not None:
-            caches.append(cache)
+    return its final state. Fills `caches` (T_in steps from the zero
+    state) when given; keeps nothing otherwise.
+
+    The input projection is formed time-major for as many steps at once
+    as fit in _PROJECTION_ROWS rows (at least one step), so a large batch
+    never holds the projection of its whole context. With caches it is
+    formed in their activation slots, which each step then overwrites.
+    """
+    b, t_in, _ = context.shape
+    state = nn.zero_state(p.hidden, b)
+    chunk = max(1, _PROJECTION_ROWS // b)
+    for t0 in range(0, t_in, chunk):
+        steps = slice(t0, t0 + chunk)
+        xw = nn.input_projection(context[:, steps].swapaxes(0, 1), p.encoder,
+                                 None if caches is None else caches.act[steps])
+        for t, xw_t in enumerate(xw, start=t0):
+            state = nn.lstm_step(xw_t, state, p.encoder, caches, t)
     return state
 
 
-def decode_step(prev_input: np.ndarray, state: nn.LstmState, p: Seq2SeqParams):
-    """One decoder LSTM step plus the output projection."""
-    new_state, step_cache = nn.lstm_step(prev_input, state, p.decoder)
-    pred, lin_cache = nn.linear_forward(new_state.h, p.projection)
-    return pred, new_state, (step_cache, lin_cache)
+@dataclass
+class DecoderInput:
+    """The decoder's input projection split around the fed-back slots.
+
+    A decoder input is the carrier (the last context frame) with the
+    values `fed` at the target slots, so its projection x @ w_x.T is
+    fed @ w_fed + base: `base` is formed once per rollout, and each step
+    adds only the product over the target slots.
+    """
+
+    carrier: np.ndarray  # [B, F_in], zero at the target slots
+    base: np.ndarray  # [B, 4C]: carrier @ w_x.T
+    w_fed: np.ndarray  # [F_out, 4C]: w_x[:, target_slots].T
+
+
+def decoder_input(carrier: np.ndarray, p: Seq2SeqParams) -> DecoderInput:
+    slots = p.target_slots
+    lo = int(slots[0])
+    if (slots == np.arange(lo, lo + slots.size)).all():
+        # a run of consecutive slots (every pixel of a frame) is a view
+        slots = slice(lo, lo + slots.size)
+    elif len(set(slots.tolist())) != slots.size:
+        # two predictions cannot both be fed into one input slot
+        raise ConfigError(
+            f"target_slots must be distinct to feed predictions back, "
+            f"got {slots.tolist()}")
+    zeroed = carrier.copy()
+    zeroed[:, slots] = 0.0
+    return DecoderInput(carrier=zeroed,
+                        base=nn.input_projection(zeroed, p.decoder),
+                        w_fed=p.decoder.w_x[:, slots].T)
+
+
+def decode_step(fed: np.ndarray, state: nn.LstmState, p: Seq2SeqParams,
+                dec_in: DecoderInput, caches: nn.LstmCaches | None = None,
+                t: int = 0):
+    """One decoder LSTM step plus the output projection; `fed` [B, F_out]
+    holds the input's values at the target slots. Returns (pred,
+    state)."""
+    xw = fed @ dec_in.w_fed
+    xw += dec_in.base
+    state = nn.lstm_step(xw, state, p.decoder, caches, t)
+    return nn.linear_forward(state.h, p.projection), state
 
 
 # ---------------------------------------------------------------------------

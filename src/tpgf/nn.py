@@ -13,6 +13,13 @@ standard one without peepholes:
 
 Every step function works on a batch: activations, states and their
 gradients are [B, F] arrays, one row per sample.
+
+Products that do not depend on the recurrence are stacked over time
+(the cuDNN recipe, Appleyard et al. 2016, arXiv:1604.01946): the input
+projection x @ w_x.T of many steps is one GEMM (input_projection),
+each step adds only h @ w_h.T and b, and the weight gradients of a whole
+unroll are single GEMMs over the stacked gate gradients. The caches
+that make this possible are preallocated [T, B, .] arrays.
 """
 
 from __future__ import annotations
@@ -54,23 +61,19 @@ class LinearParams:
 
 
 @dataclass
-class StepCache:
-    """Everything the matching backward call needs, nothing recomputed.
+class LstmCaches:
+    """The forward activations of T steps, preallocated time-major.
 
-    `act` holds the four gate activations stacked like the weight rows;
-    i, f, g and o are views into it.
+    Step t reads the state (h[t], c[t]) and writes act[t], h[t + 1] and
+    c[t + 1]; h[0] and c[0] hold the initial state. `act` holds the four
+    gate activations of a step stacked like the weight rows, until the
+    backward pass turns it into their gradients. The backward pass
+    recomputes tanh(c[t + 1]) rather than keep it.
     """
 
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    act: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c_new: np.ndarray
-    tanh_c_new: np.ndarray
+    act: np.ndarray  # [T, B, 4C]
+    h: np.ndarray  # [T + 1, B, C]
+    c: np.ndarray  # [T + 1, B, C]
 
 
 def init_lstm(hidden: int, f_in: int, rng: RngState, scale: float = 0.1) -> LstmParams:
@@ -90,90 +93,146 @@ def zero_state(hidden: int, batch: int) -> LstmState:
     return LstmState(h=np.zeros((batch, hidden)), c=np.zeros((batch, hidden)))
 
 
+def lstm_caches(steps: int, state: LstmState) -> LstmCaches:
+    """Room for `steps` steps from `state`, which is copied into slot 0."""
+    batch, hidden = state.h.shape
+    caches = LstmCaches(act=np.empty((steps, batch, 4 * hidden)),
+                        h=np.empty((steps + 1, batch, hidden)),
+                        c=np.empty((steps + 1, batch, hidden)))
+    caches.h[0] = state.h
+    caches.c[0] = state.c
+    return caches
+
+
 def _check_vec(x: np.ndarray, width: int, what: str):
     if x.ndim != 2 or x.shape[1] != width:
         raise DimensionError(
             f"{what} must be [B, {width}], got shape {list(x.shape)}")
 
 
-def lstm_step(x: np.ndarray, state: LstmState, p: LstmParams):
-    """One forward step; returns (next_state, cache)."""
+def input_projection(x: np.ndarray, p: LstmParams,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """x @ w_x.T over the last axis of x, as one GEMM whatever the
+    leading axes: a time-major [T, B, F_in] stack gives [T, B, 4C]. The
+    result goes into `out`, a contiguous array of its shape, when given.
+    The bias is left to lstm_step."""
+    if x.ndim < 2 or x.shape[-1] != p.f_in:
+        raise DimensionError(
+            f"lstm input must be [..., B, {p.f_in}], got shape {list(x.shape)}")
+    rows = None if out is None else out.reshape(-1, p.w_x.shape[0])
+    xw = np.matmul(x.reshape(-1, p.f_in), p.w_x.T, out=rows)
+    return xw.reshape(x.shape[:-1] + (xw.shape[-1],))
+
+
+def lstm_step(xw: np.ndarray, state: LstmState, p: LstmParams,
+              caches: LstmCaches | None = None, t: int = 0) -> LstmState:
+    """One forward step from the projected input xw = x @ w_x.T.
+
+    The pre-activation is (xw + h @ w_h.T) + b, associated as in the
+    per-step form x @ w_x.T + h @ w_h.T + b. With `caches`, the step's
+    activations go into its slot t and the returned state is a view of
+    slot t + 1; without, nothing is kept. xw may be the slot
+    caches.act[t] itself: it is read before the activations overwrite
+    it.
+    """
     hidden = p.hidden
-    _check_vec(x, p.f_in, "lstm input")
+    _check_vec(xw, 4 * hidden, "projected lstm input")
     _check_vec(state.h, hidden, "hidden state")
     if state.h.shape != state.c.shape:
         raise DimensionError(
             f"state shapes differ: h {list(state.h.shape)} vs c {list(state.c.shape)}"
         )
-    if x.shape[0] != state.h.shape[0]:
+    batch = state.h.shape[0]
+    if xw.shape[0] != batch:
         raise DimensionError(
-            f"lstm input batch {x.shape[0]} differs from state batch "
-            f"{state.h.shape[0]}")
-    # in place, in the order of x @ w_x.T + h @ w_h.T + b, so same bits
-    pre = x @ p.w_x.T
-    pre += state.h @ p.w_h.T
+            f"lstm input batch {xw.shape[0]} differs from state batch {batch}")
+    if caches is None:
+        act = np.empty((batch, 4 * hidden))
+        h, c = np.empty((batch, hidden)), np.empty((batch, hidden))
+    else:
+        act, h, c = caches.act[t], caches.h[t + 1], caches.c[t + 1]
+    pre = state.h @ p.w_h.T
+    pre += xw
     pre += p.b
     # one sigmoid over all four gate blocks, then tanh over the g rows
-    act = sigmoid(pre)
-    act[..., 2 * hidden:3 * hidden] = tanh(pre[..., 2 * hidden:3 * hidden])
-    i = act[..., 0 * hidden:1 * hidden]
-    f = act[..., 1 * hidden:2 * hidden]
-    g = act[..., 2 * hidden:3 * hidden]
-    o = act[..., 3 * hidden:4 * hidden]
-    c_new = f * state.c
-    c_new += i * g
-    t = np.tanh(c_new)
-    cache = StepCache(x=x, h_prev=state.h, c_prev=state.c, act=act,
-                      i=i, f=f, g=g, o=o, c_new=c_new, tanh_c_new=t)
-    return LstmState(h=o * t, c=c_new), cache
+    sigmoid(pre, out=act)
+    act[:, 2 * hidden:3 * hidden] = tanh(pre[:, 2 * hidden:3 * hidden])
+    i = act[:, 0 * hidden:1 * hidden]
+    f = act[:, 1 * hidden:2 * hidden]
+    g = act[:, 2 * hidden:3 * hidden]
+    o = act[:, 3 * hidden:4 * hidden]
+    np.multiply(f, state.c, out=c)
+    c += i * g
+    np.multiply(o, np.tanh(c), out=h)
+    return LstmState(h=h, c=c)
 
 
 def lstm_step_backward(grad_h: np.ndarray, grad_c: np.ndarray,
-                       cache: StepCache, p: LstmParams):
-    """Exact gradients of one step.
+                       caches: LstmCaches, t: int, p: LstmParams) -> LstmState:
+    """Exact gradients of step t of a cached unroll.
 
-    Returns (grad_pre, grad_state, grad_params). grad_pre is the
-    gradient of the stacked [B, 4C] gate pre-activations; the input
-    gradient is grad_pre @ p.w_x, left to callers that need it.
-    grad_state is the gradient flowing into the previous step's (h, c).
+    Overwrites caches.act[t] with da, the gradient of the step's stacked
+    [B, 4C] gate pre-activations: backward runs once per unroll, and no
+    later step reads slot t's activations. Returns the gradient flowing
+    into the step's input state (h[t], c[t]). The input gradient
+    da @ w_x and the weight gradients are left to callers: those of all
+    steps are single GEMMs over the stacked da (see recurrent_grads).
     """
     hidden = p.hidden
-    if cache.i.shape[-1] != hidden or cache.x.shape[-1] != p.f_in:
+    if caches.act.shape[-1] != 4 * hidden:
         raise DimensionError(
-            f"cache built for hidden={cache.i.shape[-1]}, f_in={cache.x.shape[-1]}; "
-            f"params expect hidden={hidden}, f_in={p.f_in}"
-        )
-    t = cache.tanh_c_new
-    dc = grad_c + grad_h * cache.o * (1.0 - t * t)
-    dc_prev = dc * cache.f
+            f"caches built for hidden={caches.act.shape[-1] // 4}; "
+            f"params expect hidden={hidden}")
+    act = caches.act[t]
+    i = act[:, 0 * hidden:1 * hidden]
+    f = act[:, 1 * hidden:2 * hidden]
+    g = act[:, 2 * hidden:3 * hidden]
+    o = act[:, 3 * hidden:4 * hidden]
+    tc = np.tanh(caches.c[t + 1])
+    dc = grad_c + grad_h * o * (1.0 - tc * tc)
+    dc_prev = dc * f
 
-    # gradients of the activations i, f, g, o, stacked like cache.act
-    da = np.empty_like(cache.act)
-    np.multiply(dc, cache.g, out=da[..., 0 * hidden:1 * hidden])
-    np.multiply(dc, cache.c_prev, out=da[..., 1 * hidden:2 * hidden])
-    np.multiply(dc, cache.i, out=da[..., 2 * hidden:3 * hidden])
-    np.multiply(grad_h, t, out=da[..., 3 * hidden:4 * hidden])
-    # through the activations: sigmoid' = a(1-a), tanh' = 1-g^2
-    d_g = da[..., 2 * hidden:3 * hidden] * (1.0 - cache.g * cache.g)
-    da *= cache.act
-    da *= 1.0 - cache.act
-    da[..., 2 * hidden:3 * hidden] = d_g
-
-    dh_prev = da @ p.w_h
-    grad_params = LstmParams(w_x=da.T @ cache.x, w_h=da.T @ cache.h_prev,
-                             b=da.sum(axis=0))
-    return da, LstmState(h=dh_prev, c=dc_prev), grad_params
+    # gradients of the activations i, f, g, o, stacked like act
+    dact = np.empty_like(act)
+    np.multiply(dc, g, out=dact[:, 0 * hidden:1 * hidden])
+    np.multiply(dc, caches.c[t], out=dact[:, 1 * hidden:2 * hidden])
+    np.multiply(dc, i, out=dact[:, 2 * hidden:3 * hidden])
+    np.multiply(grad_h, tc, out=dact[:, 3 * hidden:4 * hidden])
+    # through the activations: sigmoid' = a(1-a), tanh' = 1-g^2; the
+    # last product lands in act, which becomes da
+    d_g = dact[:, 2 * hidden:3 * hidden] * (1.0 - g * g)
+    dact *= act
+    np.subtract(1.0, act, out=act)
+    da = np.multiply(dact, act, out=act)
+    da[:, 2 * hidden:3 * hidden] = d_g
+    return LstmState(h=da @ p.w_h, c=dc_prev)
 
 
-def linear_forward(x: np.ndarray, p: LinearParams):
-    """y = W x + b; returns (y, cache)."""
+def recurrent_grads(da: np.ndarray, caches: LstmCaches):
+    """(w_h, b) gradients of all cached steps from their stacked [T, B,
+    4C] gate gradients, one GEMM and one sum. The w_x gradient depends
+    on how the caller formed the inputs, so it is left to the caller."""
+    rows = da.reshape(-1, da.shape[-1])
+    h_prev = caches.h[:-1].reshape(-1, caches.h.shape[-1])
+    return rows.T @ h_prev, rows.sum(axis=0)
+
+
+def linear_forward(x: np.ndarray, p: LinearParams) -> np.ndarray:
+    """y = x @ W.T + b for a [B, C] batch."""
     _check_vec(x, p.w.shape[1], "linear input")
-    return x @ p.w.T + p.b, x
+    return x @ p.w.T + p.b
 
 
-def linear_backward(grad_y: np.ndarray, cache: np.ndarray, p: LinearParams):
-    x = cache
-    _check_vec(grad_y, p.w.shape[0], "linear upstream gradient")
-    grad_x = grad_y @ p.w
-    grad_params = LinearParams(w=grad_y.T @ x, b=grad_y.sum(axis=0))
-    return grad_x, grad_params
+def linear_backward(grad_y: np.ndarray, x: np.ndarray,
+                    p: LinearParams) -> LinearParams:
+    """Parameter gradients over every leading axis of the [..., F_out]
+    upstream gradients and their [..., C] inputs, one GEMM and one sum.
+    The input gradient grad_y @ W is left to callers."""
+    if grad_y.shape[-1] != p.w.shape[0] or x.shape[-1] != p.w.shape[1]:
+        raise DimensionError(
+            f"linear gradients need [..., {p.w.shape[0]}] and inputs "
+            f"[..., {p.w.shape[1]}], got {list(grad_y.shape)} and "
+            f"{list(x.shape)}")
+    rows = grad_y.reshape(-1, grad_y.shape[-1])
+    return LinearParams(w=rows.T @ x.reshape(-1, x.shape[-1]),
+                        b=rows.sum(axis=0))

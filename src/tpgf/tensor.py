@@ -13,17 +13,17 @@ from .errors import ConfigError
 from .rng import RngState
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function, stable for large |x|, without a select.
 
     Per element this is 1/(1 + exp(-x)) for x >= 0 and
     exp(x)/(1 + exp(x)) otherwise, so exp never overflows. The
     numerator exp(min(x, 0)) is exactly 1 where x >= 0; the denominator
     uses min(x, -x), which is -|x| except that it keeps the sign of a
-    nan.
+    nan. The result goes into `out` when given.
     """
     x = np.asarray(x, dtype=np.float64)
-    num = np.minimum(x, 0.0)
+    num = np.minimum(x, 0.0, out=out)
     np.exp(num, out=num)
     den = np.minimum(x, -x)
     np.exp(den, out=den)

@@ -25,8 +25,8 @@ from .errors import ConfigError, DimensionError, DivergenceError, check_ranges
 from . import metrics as mt
 from . import nn
 from .data import Dataset
-from .model import (Seq2SeqParams, decode_step, encode_full, init_seq2seq,
-                    make_target_slots)
+from .model import (DecoderInput, Seq2SeqParams, decode_step, decoder_input,
+                    encode_full, init_seq2seq, make_target_slots)
 from .rng import RngState
 from .sampling import (ScheduleConfig, Strategy, epsilon_for,
                        interleave_odd_even, subsample_odd_even)
@@ -167,8 +167,11 @@ def adam_step(params: Seq2SeqParams, grads: list, state: TrainState,
 
 @dataclass
 class RolloutCaches:
-    enc_caches: list
-    dec_caches: list  # [(lstm StepCache, linear cache), ...] per step
+    x_enc: np.ndarray  # [T_in, B, F_in] encoder inputs, time-major
+    enc: nn.LstmCaches  # T_in steps
+    dec: nn.LstmCaches  # K steps
+    dec_in: DecoderInput
+    fed: np.ndarray  # [K, B, F_out] values fed at the target slots
     taus: np.ndarray  # [B, K-1] decisions for inputs to steps 2..K
 
 
@@ -188,108 +191,109 @@ def forward_train(p: Seq2SeqParams, contexts: np.ndarray,
         have = None if preferred is None else list(preferred.shape)
         raise DimensionError(
             f"preferred values must be [{b}, {k - 1}, {p.f_out}], got {have}")
-    caches = RolloutCaches(enc_caches=[], dec_caches=[], taus=taus)
-    preds = _unroll(p, contexts, k, preferred, taus, caches)
-    return preds, caches
+    return _unroll(p, contexts, k, preferred, taus, keep=True)
 
 
 def rollout_batch(p: Seq2SeqParams, contexts: np.ndarray, horizon: int) -> np.ndarray:
     """Closed-loop batched inference: every feedback is the model's own
     prediction, and no backward cache is kept. Returns [B, K, F_out]."""
-    return _unroll(p, contexts, horizon, None, None, None)
+    return _unroll(p, contexts, horizon, None, None, keep=False)[0]
 
 
 def _unroll(p: Seq2SeqParams, contexts: np.ndarray, k: int,
             preferred: np.ndarray | None, taus: np.ndarray | None,
-            caches: RolloutCaches | None) -> np.ndarray:
-    """The step loop of forward_train and rollout_batch.
+            keep: bool):
+    """The step loop of forward_train and rollout_batch; returns (preds,
+    caches), caches None unless `keep`.
 
-    The input to step s+1 is the last context frame with prediction s
-    at the target slots, or preferred[:, s-1] where taus[:, s-1] is 1
-    (nowhere when taus is None). Step caches go into `caches` unless it
-    is None.
+    Step 1 is fed the carrier's own values at the target slots; step s+1
+    is fed prediction s, or preferred[:, s-1] where taus[:, s-1] is 1
+    (nowhere when taus is None).
     """
-    b, _, f_in = contexts.shape
+    b, t_in, f_in = contexts.shape
     if f_in != p.f_in:
         raise DimensionError(
             f"contexts have width {f_in}, model expects {p.f_in}")
-    state = encode_full(contexts, p,
-                        None if caches is None else caches.enc_caches)
+    if keep:
+        # time-major once: the encoder projects it without a copy, and
+        # bptt forms the encoder's w_x gradient from it
+        x_enc = np.ascontiguousarray(contexts.swapaxes(0, 1))
+        contexts = x_enc.swapaxes(0, 1)
+    enc = nn.lstm_caches(t_in, nn.zero_state(p.hidden, b)) if keep else None
+    state = encode_full(contexts, p, enc)
     carrier = contexts[:, -1]
-    x = carrier
+    dec_in = decoder_input(carrier, p)
+    dec = nn.lstm_caches(k, state) if keep else None
+    fed_all = np.empty((k, b, p.f_out)) if keep else None
+    fed = carrier[:, p.target_slots]
     preds = np.empty((b, k, p.f_out))
     for s in range(1, k + 1):
-        pred, state, step_caches = decode_step(x, state, p)
+        if keep:
+            fed_all[s - 1] = fed
+        pred, state = decode_step(fed, state, p, dec_in, dec, s - 1)
         preds[:, s - 1] = pred
-        if caches is not None:
-            caches.dec_caches.append(step_caches)
-        if s < k:
-            if taus is not None:
-                col = taus[:, s - 1][:, None]
-                pred = np.where(col == 1, preferred[:, s - 1], pred)
-            x = carrier.copy()
-            x[:, p.target_slots] = pred
-    return preds
+        fed = pred
+        if taus is not None and s < k:
+            col = taus[:, s - 1]
+            if col.all():
+                fed = preferred[:, s - 1]
+            elif col.any():
+                fed = np.where(col[:, None] == 1, preferred[:, s - 1], pred)
+    caches = (RolloutCaches(x_enc=x_enc, enc=enc, dec=dec, dec_in=dec_in,
+                            fed=fed_all, taus=taus) if keep else None)
+    return preds, caches
 
 
 def bptt(p: Seq2SeqParams, caches: RolloutCaches, dpreds: np.ndarray) -> list:
-    """Reverse-time gradients of a forward_train rollout.
+    """Reverse-time gradients of a forward_train rollout, which they
+    consume: the gate gradients overwrite the cached activations.
 
     Returns gradients aligned with params.tensors(). Inputs that were
     sampled from the preferred source (tau=1) are constants; only
     own-prediction feedback (tau=0) passes gradient from step s+1's
-    input back to prediction s.
+    input back to prediction s, as da @ w_x[:, slots], formed only at
+    steps where some row fed its own prediction. Only the recurrent
+    products run per step; every weight gradient is formed after the
+    loop as one GEMM or sum over the stacked per-step gradients.
     """
-    k = len(caches.dec_caches)
-    if k == 0:
-        raise DimensionError("no decoder caches to backpropagate through")
-    if dpreds.shape[1] != k:
+    k, b, four_h = caches.dec.act.shape
+    if dpreds.shape != (b, k, p.f_out):
         raise DimensionError(
-            f"loss grads cover {dpreds.shape[1]} steps, rollout had {k}")
-    slots = p.target_slots
-    g_enc = nn.LstmParams(w_x=np.zeros_like(p.encoder.w_x),
-                          w_h=np.zeros_like(p.encoder.w_h),
-                          b=np.zeros_like(p.encoder.b))
-    g_dec = nn.LstmParams(w_x=np.zeros_like(p.decoder.w_x),
-                          w_h=np.zeros_like(p.decoder.w_h),
-                          b=np.zeros_like(p.decoder.b))
-    g_proj = nn.LinearParams(w=np.zeros_like(p.projection.w),
-                             b=np.zeros_like(p.projection.b))
-
-    dh = np.zeros_like(caches.dec_caches[-1][0].h_prev)
+            f"loss grads must be [{b}, {k}, {p.f_out}] for this rollout, "
+            f"got {list(dpreds.shape)}")
+    w_fed = caches.dec_in.w_fed
+    dpred_all = dpreds.swapaxes(0, 1).copy()  # [K, B, F_out], feedback added
+    da_dec = caches.dec.act  # each step's backward turns its slot into da
+    dh = np.zeros((b, p.hidden))
     dc = np.zeros_like(dh)
-    pending_dx = None  # gradient w.r.t. the input of step s+1
     for s in range(k, 0, -1):
-        dpred = dpreds[:, s - 1].copy()
-        if pending_dx is not None:
-            # feedback path: only samples that consumed their own
-            # prediction (tau=0) let gradient through
-            own = (caches.taus[:, s - 1] == 0).astype(np.float64)[:, None]
-            dpred += pending_dx[:, slots] * own
-        step_cache, lin_cache = caches.dec_caches[s - 1]
-        dh_lin, gp = nn.linear_backward(dpred, lin_cache, p.projection)
-        g_proj.w += gp.w
-        g_proj.b += gp.b
-        da, dstate, gd = nn.lstm_step_backward(dh + dh_lin, dc, step_cache,
-                                               p.decoder)
-        g_dec.w_x += gd.w_x
-        g_dec.w_h += gd.w_h
-        g_dec.b += gd.b
+        dh += dpred_all[s - 1] @ p.projection.w
+        dstate = nn.lstm_step_backward(dh, dc, caches.dec, s - 1, p.decoder)
         dh, dc = dstate.h, dstate.c
         if s > 1:
-            # the input of step s was built from prediction s-1
-            pending_dx = da @ p.decoder.w_x
+            # the input of step s was fed prediction s-1 where tau is 0
+            own = caches.taus[:, s - 2] == 0
+            if own.all():
+                dpred_all[s - 2] += da_dec[s - 1] @ w_fed.T
+            elif own.any():
+                dpred_all[s - 2] += (da_dec[s - 1] @ w_fed.T) * own[:, None]
+
+    # decoder inputs are the zero-slotted carrier plus the fed values
+    g_dec_w_x = da_dec.sum(axis=0).T @ caches.dec_in.carrier
+    g_dec_w_x[:, p.target_slots] += (da_dec.reshape(-1, four_h).T
+                                     @ caches.fed.reshape(-1, p.f_out))
+    g_dec = [g_dec_w_x, *nn.recurrent_grads(da_dec, caches.dec)]
+    g_proj = nn.linear_backward(dpred_all, caches.dec.h[1:], p.projection)
+    del dpred_all  # not needed by the encoder's backward
 
     # decoder initial state is the encoder final state
-    for cache in reversed(caches.enc_caches):
-        _, dstate, ge = nn.lstm_step_backward(dh, dc, cache, p.encoder)
-        g_enc.w_x += ge.w_x
-        g_enc.w_h += ge.w_h
-        g_enc.b += ge.b
+    da_enc = caches.enc.act
+    for t in range(da_enc.shape[0] - 1, -1, -1):
+        dstate = nn.lstm_step_backward(dh, dc, caches.enc, t, p.encoder)
         dh, dc = dstate.h, dstate.c
-    return [g_enc.w_x, g_enc.w_h, g_enc.b,
-            g_dec.w_x, g_dec.w_h, g_dec.b,
-            g_proj.w, g_proj.b]
+    g_enc_w_x = da_enc.reshape(-1, four_h).T @ caches.x_enc.reshape(-1, p.f_in)
+    return [g_enc_w_x, *nn.recurrent_grads(da_enc, caches.enc),
+            *g_dec, g_proj.w, g_proj.b]
 
 
 # ---------------------------------------------------------------------------

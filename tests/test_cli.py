@@ -232,6 +232,16 @@ def test_generate_same_seed_byte_identical(tmp_path):
         assert pa == pb
 
 
+def test_generate_huge_noise_exits_2_without_csv(tmp_path, capsys):
+    out = tmp_path / "noisy"
+    cfg_path = write_cfg(tmp_path / "noisy.cfg",
+                         BASE.replace("noise = 0.05", "noise = 1e308")
+                         + f"out_dir = {out}\n")
+    assert cli.main(["generate", "--config", cfg_path]) == 2
+    assert "noise 1e+308" in capsys.readouterr().err
+    assert not list((out / "data").glob("*.csv"))
+
+
 def test_generate_sprites_header(tmp_path):
     out = tmp_path / "spr"
     cfg_path = write_cfg(tmp_path / "spr.cfg", f"""
@@ -388,6 +398,16 @@ def test_evaluate_matches_final_training_rows(tmp_path):
     got = {r.metric: r.value for r in metrics}
     for name in ("loss", "rmse", "mae", "rmse.ch0", "mae.ch1"):
         assert got[name] == final[name]
+
+
+def test_evaluate_reads_only_train_and_test(tmp_path):
+    # the validation file plays no part in the test metrics
+    cfg_path, out = trained_run(tmp_path)
+    assert cli.main(["evaluate", "--config", cfg_path]) == 0
+    want = (out / "metrics.csv").read_bytes()
+    (out / "data" / "val.csv").unlink()
+    assert cli.main(["evaluate", "--config", cfg_path]) == 0
+    assert (out / "metrics.csv").read_bytes() == want
 
 
 def test_evaluate_horizon_resolved_rows(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -47,6 +49,14 @@ def test_multinode_validation():
         dt.gen_multinode_series(2, 3, 10, 0.0, -0.1, 1)
     with pytest.raises(ConfigError):
         dt.gen_multinode_series(2, 3, 10, 1.5, 0.1, 1)
+
+
+def test_multinode_huge_noise_names_noise():
+    # finite, but the AR(1) noise overflows; no RuntimeWarning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"noise 1e\+308"):
+            dt.gen_multinode_series(2, 3, 80, 0.5, 1e308, 1)
 
 
 def test_sprites_speed_zero_frozen():
@@ -159,6 +169,9 @@ def test_windowize_sequences():
     npt.assert_array_equal(ds.contexts[1, 2, :, 0], seqs[1, 2].reshape(-1))
     with pytest.raises(ConfigError):
         dt.windowize_sequences(seqs, t_in=5, k=3, grid=(8, 9))
+    # the grid must be the frames' (h, w); both shapes are named
+    with pytest.raises(ConfigError, match=r"\(9, 8\).*\(8, 9\)"):
+        dt.windowize_sequences(seqs, t_in=4, k=3, grid=(9, 8))
 
 
 def test_split_all_train():

@@ -19,7 +19,8 @@ def test_encode_single_step_equals_lstm_step():
     p = small_params()
     x = randn((1, 1, 4), 1.0, RngState(2))
     got = md.encode_full(x, p)
-    want, _ = nn.lstm_step(x[:, 0], nn.zero_state(3, 1), p.encoder)
+    want = nn.lstm_step(nn.input_projection(x[:, 0], p.encoder),
+                        nn.zero_state(3, 1), p.encoder)
     npt.assert_array_equal(got.h, want.h)
     npt.assert_array_equal(got.c, want.c)
 
@@ -36,15 +37,19 @@ def test_encode_zero_params_zero_state():
 
 
 def test_encode_matches_manual_unroll():
+    # reference: the documented recipe, the input projection of all
+    # steps as one time-major GEMM, then one cell step per frame
     p = small_params(seed=21)
     ctx = randn((1, 3, 4), 1.0, RngState(5))
-    caches = []
+    caches = nn.lstm_caches(3, nn.zero_state(3, 1))
     got = md.encode_full(ctx, p, caches)
+    xw = (ctx.swapaxes(0, 1).reshape(-1, 4) @ p.encoder.w_x.T).reshape(3, 1, 12)
     state = nn.zero_state(3, 1)
     for t in range(3):
-        state, cache = nn.lstm_step(ctx[:, t], state, p.encoder)
-        npt.assert_array_equal(caches[t].act, cache.act)
-    assert len(caches) == 3
+        state = nn.lstm_step(xw[t], state, p.encoder)
+        npt.assert_array_equal(caches.h[t + 1], state.h)
+        npt.assert_array_equal(caches.c[t + 1], state.c)
+    assert caches.act.shape == (3, 1, 12)
     npt.assert_allclose(got.h, state.h, atol=1e-12)
     npt.assert_allclose(got.c, state.c, atol=1e-12)
 
@@ -63,22 +68,36 @@ def test_decode_step_zero_params_gives_bias():
     for arr in p.tensors():
         arr[:] = 0.0
     p.projection.b[:] = np.array([1.0, -2.0, 0.5, 3.0])
-    pred, _, _ = md.decode_step(np.zeros((1, 4)), nn.zero_state(3, 1), p)
+    dec_in = md.decoder_input(np.zeros((1, 4)), p)
+    pred, _ = md.decode_step(np.zeros((1, 4)), nn.zero_state(3, 1), p, dec_in)
     npt.assert_array_equal(pred[0], p.projection.b)
 
 
 def test_decode_step_is_lstm_then_linear():
-    p = small_params(seed=33)
-    x = randn((1, 4), 1.0, RngState(1))
+    slots = md.make_target_slots(2, 2, [1])
+    p = small_params(f_out=2, seed=33, slots=slots)
+    carrier = randn((1, 4), 1.0, RngState(1))
+    fed = randn((1, 2), 1.0, RngState(4))
     state = nn.LstmState(h=randn((1, 3), 1.0, RngState(2)),
                          c=randn((1, 3), 1.0, RngState(3)))
-    pred, new_state, _ = md.decode_step(x, state, p)
-    want_state, _ = nn.lstm_step(x, state, p.decoder)
-    want_pred, _ = nn.linear_forward(want_state.h, p.projection)
+    dec_in = md.decoder_input(carrier, p)
+    pred, new_state = md.decode_step(fed, state, p, dec_in)
+    # the documented split: fed @ w_x[:, slots].T + zero-slotted carrier
+    # @ w_x.T
+    zeroed = carrier.copy()
+    zeroed[:, slots] = 0.0
+    xw = fed @ p.decoder.w_x[:, slots].T + zeroed @ p.decoder.w_x.T
+    want_state = nn.lstm_step(xw, state, p.decoder)
+    want_pred = nn.linear_forward(want_state.h, p.projection)
     npt.assert_array_equal(pred, want_pred)
     npt.assert_array_equal(new_state.h, want_state.h)
+    # which is the projection of the carrier with `fed` at the slots
+    x = carrier.copy()
+    x[:, slots] = fed
+    npt.assert_allclose(xw, nn.input_projection(x, p.decoder), rtol=0,
+                        atol=1e-15)
     # deterministic under repetition
-    pred2, _, _ = md.decode_step(x, state, p)
+    pred2, _ = md.decode_step(fed, state, p, dec_in)
     npt.assert_array_equal(pred, pred2)
 
 
@@ -89,13 +108,13 @@ def test_rollout_closed_loop_matches_manual_iteration():
 
     state = md.encode_full(ctx, p)
     carrier = ctx[:, -1]
-    x = carrier
+    dec_in = md.decoder_input(carrier, p)
+    fed = carrier[:, p.target_slots]
     want = []
     for s in range(4):
-        pred, state, _ = md.decode_step(x, state, p)
+        pred, state = md.decode_step(fed, state, p, dec_in)
         want.append(pred)
-        x = carrier.copy()
-        x[:, p.target_slots] = pred
+        fed = pred
     npt.assert_allclose(got, np.stack(want, axis=1), atol=1e-14)
 
 
@@ -109,15 +128,22 @@ def test_rollout_teacher_forced_matches_stepwise():
 
     state = md.encode_full(ctx, p)
     carrier = ctx[:, -1]
-    x = carrier
+    dec_in = md.decoder_input(carrier, p)
+    fed = carrier[:, slots]
     want = []
     for s in range(4):
-        pred, state, _ = md.decode_step(x, state, p)
+        pred, state = md.decode_step(fed, state, p, dec_in)
         want.append(pred)
         if s < 3:
-            x = carrier.copy()
-            x[:, slots] = truth[:, s]
+            fed = truth[:, s]
     npt.assert_allclose(got, np.stack(want, axis=1), atol=1e-14)
+
+
+def test_rollout_rejects_repeated_slots():
+    # the split input projection feeds each prediction into its own slot
+    p = small_params(f_out=2, slots=np.array([1, 1]))
+    with pytest.raises(ConfigError, match="distinct"):
+        tr.rollout_batch(p, randn((1, 3, 4), 1.0, RngState(6)), 2)
 
 
 def test_make_target_slots_layout():

@@ -5,6 +5,7 @@ import pytest
 from tpgf.errors import ConfigError, DimensionError, DivergenceError
 from tpgf import data as dt
 from tpgf import model as md
+from tpgf import nn
 from tpgf import training as tr
 from tpgf.rng import RngState
 from tpgf.sampling import ScheduleConfig, Strategy
@@ -231,7 +232,7 @@ def test_rollout_batch_equals_forward_train_zero_taus(b, k):
     taus = np.zeros((b, k - 1), dtype=np.int64)
     preferred = randn((b, k - 1, 3), 1.0, RngState(63)) if k > 1 else None
     want, caches = tr.forward_train(p, ctx, preferred, taus)
-    assert len(caches.enc_caches) == 4 and len(caches.dec_caches) == k
+    assert caches.enc.act.shape[0] == 4 and caches.dec.act.shape[0] == k
     got = tr.rollout_batch(p, ctx, k)
     assert got.shape == (b, k, 3)
     npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -312,6 +313,74 @@ def test_gradient_boundary_preferred_is_constant():
             dn = loss()
             flat[idx] = orig
             assert rel_err(gflat[idx], (up - dn) / (2 * eps)) < 1e-5
+
+
+def _masked_bptt(p, caches, dpreds):
+    """bptt with the feedback gradient formed at every step and masked
+    by tau, the form bptt skips where no row fed its own prediction;
+    the weight gradients are stacked the same way."""
+    k, b, four_h = caches.dec.act.shape
+    w_fed = caches.dec_in.w_fed
+    dpred_all = dpreds.swapaxes(0, 1).copy()
+    da_dec = caches.dec.act
+    dh = np.zeros((b, p.hidden))
+    dc = np.zeros_like(dh)
+    for s in range(k, 0, -1):
+        dh += dpred_all[s - 1] @ p.projection.w
+        st = nn.lstm_step_backward(dh, dc, caches.dec, s - 1, p.decoder)
+        dh, dc = st.h, st.c
+        if s > 1:
+            own = (caches.taus[:, s - 2] == 0).astype(np.float64)[:, None]
+            dpred_all[s - 2] += (da_dec[s - 1] @ w_fed.T) * own
+    da_enc = caches.enc.act
+    for t in range(da_enc.shape[0] - 1, -1, -1):
+        st = nn.lstm_step_backward(dh, dc, caches.enc, t, p.encoder)
+        dh, dc = st.h, st.c
+    x_enc = caches.x_enc.reshape(-1, p.f_in)
+    g_dec_w_x = da_dec.sum(axis=0).T @ caches.dec_in.carrier
+    g_dec_w_x[:, p.target_slots] += (da_dec.reshape(-1, four_h).T
+                                     @ caches.fed.reshape(-1, p.f_out))
+    g_proj = nn.linear_backward(dpred_all, caches.dec.h[1:], p.projection)
+    return [da_enc.reshape(-1, four_h).T @ x_enc,
+            *nn.recurrent_grads(da_enc, caches.enc),
+            g_dec_w_x, *nn.recurrent_grads(da_dec, caches.dec),
+            g_proj.w, g_proj.b]
+
+
+@pytest.mark.parametrize("taus_value", ["ones", "zeros", "mixed"])
+def test_bptt_skipped_feedback_equals_masked_form(taus_value):
+    # with every tau 1 bptt skips the feedback GEMM, with every tau 0 it
+    # adds it unmasked; both give the masked form's bits
+    slots = md.make_target_slots(3, 2, [1])
+    rng = RngState(81)
+    p = md.init_seq2seq(4, 6, 3, rng, target_slots=slots)
+    b, k = 5, 4
+    ctx = randn((b, 3, 6), 1.0, rng)
+    preferred = randn((b, k - 1, 3), 1.0, rng)
+    taus = {"ones": np.ones((b, k - 1), dtype=np.int64),
+            "zeros": np.zeros((b, k - 1), dtype=np.int64),
+            "mixed": rng.bernoulli(0.5, b * (k - 1)).astype(np.int64)
+            .reshape(b, k - 1)}[taus_value]
+    dpreds = randn((b, k, 3), 1.0, rng)
+    # each backward pass consumes the caches of its own forward pass
+    got = tr.bptt(p, tr.forward_train(p, ctx, preferred, taus)[1], dpreds)
+    want = _masked_bptt(p, tr.forward_train(p, ctx, preferred, taus)[1], dpreds)
+    for name, g, w in zip(tr._TENSOR_NAMES, got, want):
+        npt.assert_array_equal(g.view(np.int64), w.view(np.int64), err_msg=name)
+
+
+@pytest.mark.parametrize("b", [7, 600, md._PROJECTION_ROWS + 52])
+def test_rollout_rows_match_single_rows_across_projection_bound(b):
+    # 7 rows project all 5 context steps in one GEMM, 600 three steps at
+    # a time, and a batch above the bound one step at a time
+    slots = md.make_target_slots(2, 2, [0])
+    p = md.init_seq2seq(3, 4, 2, RngState(91), target_slots=slots)
+    ctx = randn((b, 5, 4), 1.0, RngState(92))
+    got = tr.rollout_batch(p, ctx, 3)
+    rows = sorted({0, 1, b // 2, b - 2, b - 1})
+    for r in rows:
+        one = tr.rollout_batch(p, ctx[r:r + 1], 3)
+        npt.assert_allclose(got[r:r + 1], one, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
