@@ -17,6 +17,7 @@ set before the process starts heavy work, so `main` applies it first.
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -321,6 +322,9 @@ def _read_metric_csv(path):
                                    float(parts[3])))
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        if not math.isfinite(rows[-1].value):
+            raise DataFormatError(
+                f"{path}:{lineno}: non-finite value {parts[3]!r}")
     return rows
 
 

@@ -27,8 +27,6 @@ from .rng import RngState
 class DataMeta:
     channel_names: list
     target_channels: list
-    mean: np.ndarray | None = None  # per input channel, train split only
-    std: np.ndarray | None = None
     grid: tuple | None = None  # (H, W) when samples are flattened frames
     window_starts: np.ndarray | None = None  # raw start per window; None = independent sequences
     dropped_windows: int = 0
@@ -178,9 +176,9 @@ def gen_moving_sprites(h: int, w: int, num_sprites: int, speed_range,
 # windowing and splits
 
 def windowize(raw: np.ndarray, t_in: int, k: int, stride: int = 1,
-              target_channels=None, channel_names=None) -> Dataset:
+              target_channels=None) -> Dataset:
     """Sliding windows over a raw [T, N, F] series; the context/target
-    boundary sits at t_in."""
+    boundary sits at t_in. Channel f is named ch<f>."""
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 3:
         raise ConfigError(f"raw series must be [T, N, F], got shape {list(raw.shape)}")
@@ -198,8 +196,6 @@ def windowize(raw: np.ndarray, t_in: int, k: int, stride: int = 1,
             raise ConfigError(f"target channel {c} out of range for F={channels}")
     if len(set(target_channels)) != len(target_channels):
         raise ConfigError(f"target channels must be distinct, got {target_channels}")
-    if channel_names is None:
-        channel_names = [f"ch{i}" for i in range(channels)]
 
     starts = np.arange(0, total - window + 1, stride, dtype=np.int64)
     contexts = np.stack([raw[s:s + t_in] for s in starts])
@@ -207,7 +203,7 @@ def windowize(raw: np.ndarray, t_in: int, k: int, stride: int = 1,
     # targets are C-contiguous too and flatten to views
     picked = raw.take(target_channels, axis=2)
     targets = np.stack([picked[s + t_in:s + window] for s in starts])
-    meta = DataMeta(channel_names=list(channel_names),
+    meta = DataMeta(channel_names=[f"ch{i}" for i in range(channels)],
                     target_channels=target_channels,
                     window_starts=starts)
     return Dataset(contexts=contexts, targets=targets, meta=meta)
@@ -239,9 +235,10 @@ def windowize_sequences(seqs: np.ndarray, t_in: int, k: int,
 def split(dataset: Dataset, fractions):
     """Chronological (train, val, test) partition.
 
-    Windowed series are cut at raw-time boundaries and windows that
-    straddle a boundary are dropped (count recorded in meta); banks of
-    independent sequences are cut by sample index.
+    Windows are cut at raw-time boundaries and windows that straddle a
+    boundary are dropped (count recorded in meta). A bank of independent
+    sequences is cut the same way as unit windows at 0, 1, 2, ..., that
+    is by sample index, and drops none.
     """
     f1, f2, f3 = (float(x) for x in fractions)
     check_ranges(train_frac=f1, val_frac=f2, test_frac=f3)
@@ -250,23 +247,14 @@ def split(dataset: Dataset, fractions):
     num = len(dataset)
     starts = dataset.meta.window_starts
     if starts is None:
-        b1 = int(f1 * num)
-        b2 = int((f1 + f2) * num)
-        masks = [np.zeros(num, dtype=bool) for _ in range(3)]
-        masks[0][:b1] = True
-        masks[1][b1:b2] = True
-        masks[2][b2:] = True
+        cuts, window = np.arange(num), 1
     else:
-        window = dataset.contexts.shape[1] + dataset.targets.shape[1]
-        horizon = int(starts[-1]) + window
-        b1 = int(f1 * horizon)
-        b2 = int((f1 + f2) * horizon)
-        ends = starts + window
-        masks = [
-            ends <= b1,
-            (starts >= b1) & (ends <= b2),
-            starts >= b2,
-        ]
+        cuts, window = starts, dataset.contexts.shape[1] + dataset.targets.shape[1]
+    horizon = int(cuts[-1]) + window if num else 0
+    b1 = int(f1 * horizon)
+    b2 = int((f1 + f2) * horizon)
+    ends = cuts + window
+    masks = [ends <= b1, (cuts >= b1) & (ends <= b2), cuts >= b2]
     dropped = num - int(sum(m.sum() for m in masks))
     parts = []
     for frac, mask in zip((f1, f2, f3), masks):
@@ -306,20 +294,12 @@ def normalize(train: Dataset, *others: Dataset):
         if ds.meta.normalized:
             raise ConfigError("dataset is already normalized")
         tc = ds.meta.target_channels
-        meta = dataclasses.replace(ds.meta, mean=mean, std=std, normalized=True)
+        meta = dataclasses.replace(ds.meta, normalized=True)
         out.append(Dataset(
             contexts=(ds.contexts - mean) / std,
             targets=(ds.targets - mean[tc]) / std[tc],
             meta=meta))
     return tuple(out)
-
-
-def denormalize(predictions: np.ndarray, meta: DataMeta) -> np.ndarray:
-    """Map normalized target-channel predictions back to raw units."""
-    if meta.mean is None or meta.std is None:
-        raise ConfigError("meta carries no normalization statistics")
-    tc = meta.target_channels
-    return predictions * meta.std[tc] + meta.mean[tc]
 
 
 # ---------------------------------------------------------------------------

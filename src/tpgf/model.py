@@ -16,6 +16,7 @@ persisted in checkpoints.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -42,6 +43,11 @@ class Seq2SeqParams:
     f_out: int
     target_slots: np.ndarray  # f_out indices into the f_in input layout
 
+    # names of the tensors() entries, for error messages
+    TENSOR_NAMES = ("encoder.w_x", "encoder.w_h", "encoder.b",
+                    "decoder.w_x", "decoder.w_h", "decoder.b",
+                    "projection.w", "projection.b")
+
     def tensors(self):
         """Parameter arrays in declared (checkpoint) order."""
         return [self.encoder.w_x, self.encoder.w_h, self.encoder.b,
@@ -57,7 +63,7 @@ def make_target_slots(nodes: int, channels: int, target_channels) -> np.ndarray:
 
 
 def init_seq2seq(hidden: int, f_in: int, f_out: int, rng: RngState,
-                 target_slots=None, scale: float = 0.1) -> Seq2SeqParams:
+                 target_slots=None) -> Seq2SeqParams:
     """Draw order: encoder, decoder, projection."""
     check_ranges(hidden=hidden)
     if f_in < 1 or f_out < 1:
@@ -73,9 +79,9 @@ def init_seq2seq(hidden: int, f_in: int, f_out: int, rng: RngState,
     if target_slots.size and (target_slots.min() < 0 or target_slots.max() >= f_in):
         raise ConfigError("target_slots entries must index into [0, f_in)")
     return Seq2SeqParams(
-        encoder=nn.init_lstm(hidden, f_in, rng, scale),
-        decoder=nn.init_lstm(hidden, f_in, rng, scale),
-        projection=nn.init_linear(f_out, hidden, rng, scale),
+        encoder=nn.init_lstm(hidden, f_in, rng),
+        decoder=nn.init_lstm(hidden, f_in, rng),
+        projection=nn.init_linear(f_out, hidden, rng),
         hidden=hidden, f_in=f_in, f_out=f_out, target_slots=target_slots)
 
 
@@ -177,6 +183,9 @@ def load_checkpoint(path) -> Seq2SeqParams:
     version, hidden, f_in, f_out, n_slots = struct.unpack_from("<5I", blob, 4)
     if version != _CKPT_VERSION:
         raise DataFormatError(f"unsupported checkpoint version {version}")
+    for name, size in (("hidden", hidden), ("f_in", f_in), ("f_out", f_out)):
+        if size < 1:
+            raise DataFormatError(f"checkpoint header {name} must be >= 1, got {size}")
     if f_out != n_slots:
         raise DataFormatError(
             f"slot table length {n_slots} does not match f_out {f_out}")
@@ -195,7 +204,7 @@ def load_checkpoint(path) -> Seq2SeqParams:
               (f_out, hidden), (f_out,)]
     arrays = []
     for shape in shapes:
-        n = int(np.prod(shape))
+        n = math.prod(shape)  # exact: np.prod wraps on huge header sizes
         if len(blob) < offset + 8 * n:
             raise DataFormatError("checkpoint truncated inside parameter data")
         arrays.append(np.frombuffer(blob, dtype="<f8", count=n,
@@ -204,6 +213,9 @@ def load_checkpoint(path) -> Seq2SeqParams:
     if offset != len(blob):
         raise DataFormatError(
             f"checkpoint has {len(blob) - offset} trailing bytes")
+    for name, a in zip(Seq2SeqParams.TENSOR_NAMES, arrays):
+        if not np.isfinite(a).all():
+            raise DataFormatError(f"{path}: non-finite value in {name}")
     return Seq2SeqParams(
         encoder=nn.LstmParams(w_x=arrays[0], w_h=arrays[1], b=arrays[2]),
         decoder=nn.LstmParams(w_x=arrays[3], w_h=arrays[4], b=arrays[5]),

@@ -32,6 +32,9 @@ from .errors import DimensionError
 from .rng import RngState
 from .tensor import randn, sigmoid, tanh
 
+# standard deviation of every initial weight; biases start at zero
+_INIT_SCALE = 0.1
+
 
 @dataclass
 class LstmParams:
@@ -76,17 +79,18 @@ class LstmCaches:
     c: np.ndarray  # [T + 1, B, C]
 
 
-def init_lstm(hidden: int, f_in: int, rng: RngState, scale: float = 0.1) -> LstmParams:
-    """Weights ~ scale * N(0,1), biases zero."""
+def init_lstm(hidden: int, f_in: int, rng: RngState) -> LstmParams:
+    """Weights ~ _INIT_SCALE * N(0,1), biases zero."""
     return LstmParams(
-        w_x=randn((4 * hidden, f_in), scale, rng),
-        w_h=randn((4 * hidden, hidden), scale, rng),
+        w_x=randn((4 * hidden, f_in), _INIT_SCALE, rng),
+        w_h=randn((4 * hidden, hidden), _INIT_SCALE, rng),
         b=np.zeros(4 * hidden),
     )
 
 
-def init_linear(f_out: int, hidden: int, rng: RngState, scale: float = 0.1) -> LinearParams:
-    return LinearParams(w=randn((f_out, hidden), scale, rng), b=np.zeros(f_out))
+def init_linear(f_out: int, hidden: int, rng: RngState) -> LinearParams:
+    return LinearParams(w=randn((f_out, hidden), _INIT_SCALE, rng),
+                        b=np.zeros(f_out))
 
 
 def zero_state(hidden: int, batch: int) -> LstmState:

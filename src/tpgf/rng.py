@@ -36,11 +36,11 @@ class RngState:
     consumer with :meth:`split`.
     """
 
-    def __init__(self, seed: int, counter: int = 0):
+    def __init__(self, seed: int):
         if not 0 <= int(seed) <= _MASK64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
         self.seed = int(seed)
-        self.counter = int(counter)
+        self.counter = 0
 
     def split(self, stream_id: int) -> "RngState":
         """Independent stream for a parallel consumer (seed XOR stream id)."""

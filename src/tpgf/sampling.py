@@ -47,8 +47,7 @@ class ScheduleConfig:
 
 def inverse_sigmoid_epsilon(i: int, lam: float) -> float:
     """lam / (lam + exp(i / lam)), clipped to 0 when exp would overflow."""
-    if not lam > 0:
-        raise ConfigError(f"lambda must be positive, got {lam}")
+    check_ranges(lam=lam)
     if i < 0:
         raise ConfigError(f"batch index must be non-negative, got {i}")
     e = i / lam
@@ -60,8 +59,7 @@ def inverse_sigmoid_epsilon(i: int, lam: float) -> float:
 def index_aware_epsilon(i: int, v: int, lam: float) -> float:
     """lam / (lam + exp(i * log(v) / lam)); faster decay the deeper into
     the horizon the step sits."""
-    if not lam > 0:
-        raise ConfigError(f"lambda must be positive, got {lam}")
+    check_ranges(lam=lam)
     if i < 0:
         raise ConfigError(f"batch index must be non-negative, got {i}")
     if v < 2:

@@ -31,10 +31,6 @@ from .rng import RngState
 from .sampling import (ScheduleConfig, Strategy, epsilon_for,
                        interleave_odd_even, subsample_odd_even)
 
-_TENSOR_NAMES = ["encoder.w_x", "encoder.w_h", "encoder.b",
-                 "decoder.w_x", "decoder.w_h", "decoder.b",
-                 "projection.w", "projection.b"]
-
 # rng stream ids, xor-ed into the run seed
 _STREAM_SCHEDULED = 0x5C
 _STREAM_M1_INIT = 0x11
@@ -102,8 +98,8 @@ def copy_into(dst: Seq2SeqParams, src: Seq2SeqParams):
 def composite_loss(pred: np.ndarray, target: np.ndarray):
     """Sum over channels of per-channel MSE; channels are the last axis.
 
-    Returns (total, per_channel). The mean inside each channel runs over
-    every other axis (batch, time, node).
+    Returns the total as a float. The mean inside each channel runs
+    over every other axis (batch, time, node).
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -114,7 +110,7 @@ def composite_loss(pred: np.ndarray, target: np.ndarray):
         raise DimensionError("loss expects channels along a trailing axis")
     d = pred - target
     per_channel = np.mean(d * d, axis=tuple(range(pred.ndim - 1)))
-    return float(per_channel.sum()), per_channel
+    return float(per_channel.sum())
 
 
 def composite_loss_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -129,8 +125,7 @@ def composite_loss_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 def clip_gradients(grads: list, clip_norm: float) -> list:
     """Scale all gradients by clip_norm/norm when the global L2 norm
     exceeds clip_norm; otherwise return them bit-identical."""
-    if not clip_norm > 0:
-        raise ConfigError(f"clip_norm must be positive, got {clip_norm}")
+    check_ranges(clip_norm=clip_norm)
     sq = sum(float(np.sum(g * g)) for g in grads)
     norm = np.sqrt(sq)
     if norm <= clip_norm:
@@ -146,7 +141,7 @@ def adam_step(params: Seq2SeqParams, grads: list, state: TrainState,
     if len(grads) != len(tensors):
         raise DimensionError(
             f"expected {len(tensors)} gradient tensors, got {len(grads)}")
-    for name, g in zip(_TENSOR_NAMES, grads):
+    for name, g in zip(params.TENSOR_NAMES, grads):
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient in {name}")
     state.adam_t += 1
@@ -191,25 +186,25 @@ def forward_train(p: Seq2SeqParams, contexts: np.ndarray,
         have = None if preferred is None else list(preferred.shape)
         raise DimensionError(
             f"preferred values must be [{b}, {k - 1}, {p.f_out}], got {have}")
-    return _unroll(p, contexts, k, preferred, taus, keep=True)
+    return _unroll(p, contexts, k, preferred, taus)
 
 
 def rollout_batch(p: Seq2SeqParams, contexts: np.ndarray, horizon: int) -> np.ndarray:
     """Closed-loop batched inference: every feedback is the model's own
     prediction, and no backward cache is kept. Returns [B, K, F_out]."""
-    return _unroll(p, contexts, horizon, None, None, keep=False)[0]
+    return _unroll(p, contexts, horizon, None, None)[0]
 
 
 def _unroll(p: Seq2SeqParams, contexts: np.ndarray, k: int,
-            preferred: np.ndarray | None, taus: np.ndarray | None,
-            keep: bool):
+            preferred: np.ndarray | None, taus: np.ndarray | None):
     """The step loop of forward_train and rollout_batch; returns (preds,
-    caches), caches None unless `keep`.
+    caches), caches None when taus is None.
 
     Step 1 is fed the carrier's own values at the target slots; step s+1
     is fed prediction s, or preferred[:, s-1] where taus[:, s-1] is 1
     (nowhere when taus is None).
     """
+    keep = taus is not None
     b, t_in, f_in = contexts.shape
     if f_in != p.f_in:
         raise DimensionError(
@@ -233,7 +228,7 @@ def _unroll(p: Seq2SeqParams, contexts: np.ndarray, k: int,
         pred, state = decode_step(fed, state, p, dec_in, dec, s - 1)
         preds[:, s - 1] = pred
         fed = pred
-        if taus is not None and s < k:
+        if keep and s < k:
             col = taus[:, s - 1]
             if col.all():
                 fed = preferred[:, s - 1]
@@ -328,9 +323,7 @@ def _closed_loop_loss(p: Seq2SeqParams, ctx: np.ndarray, tgt: np.ndarray,
     n, ft = shape
     preds = rollout_batch(p, ctx, tgt.shape[1])
     b, k = tgt.shape[0], tgt.shape[1]
-    total, _ = composite_loss(preds.reshape(b, k, n, ft),
-                              tgt.reshape(b, k, n, ft))
-    return total
+    return composite_loss(preds.reshape(b, k, n, ft), tgt.reshape(b, k, n, ft))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +392,7 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
                 preds, caches = forward_train(p, ctx_all[idx], preferred, taus)
                 preds = preds.reshape(b, k, n, ft)
                 tgt = tgt_all[idx].reshape(b, k, n, ft)
-                total, _ = composite_loss(preds, tgt)
+                total = composite_loss(preds, tgt)
                 if not np.isfinite(total):
                     raise FloatingPointError("non-finite training loss")
                 if i % cfg.val_every == 0:
@@ -436,7 +429,7 @@ def evaluate(p: Seq2SeqParams, ds: Dataset, split: str = "test",
     num = ctx.shape[0]
     pr = preds.reshape(num, k, n, ft)
     tg = tgt.reshape(num, k, n, ft)
-    total, per_channel = composite_loss(pr, tg)
+    total = composite_loss(pr, tg)
 
     rows = [MetricsRow(iteration, split, "loss", total),
             MetricsRow(iteration, split, "rmse", mt.rmse(pr, tg)),
@@ -583,7 +576,7 @@ def train_tpg(splits, cfg: TrainConfig):
         m1_even = rollout_batch(m1, even[0], k // 2)
         m1_full = interleave_odd_even(m1_odd.swapaxes(0, 1),
                                       m1_even.swapaxes(0, 1)).swapaxes(0, 1)
-        m1_loss, _ = composite_loss(m1_full, tgt)
+        m1_loss = composite_loss(m1_full, tgt)
     if not np.isfinite(m1_loss):
         raise DivergenceError(
             f"non-finite m1 precompute loss at iteration {stage1}, "

@@ -1,5 +1,6 @@
 """Every public module-level function and class of tpgf is used by tpgf,
-and every import of a tpgf module is read by that module.
+every defaulted parameter is passed by some call in tpgf, and every
+import of a tpgf module is read by that module.
 
 A public name that no other code in the package refers to is shadow
 API: its unit tests pass, but no pipeline ever runs it. The scan is
@@ -21,8 +22,6 @@ ALLOWED = {
         "closed form of the generator's clean series, the oracle the data "
         "tests check gen_multinode_series against",
     "metrics.mse_per_frame": "acceptance criterion 5's metric oracle",
-    "data.denormalize":
-        "documented reader: maps predictions back to raw units",
 }
 
 
@@ -61,6 +60,82 @@ def test_every_public_name_is_used_or_allowed():
     # equality, not a subset: a stale allowlist entry would hide a name
     # that later loses its last caller
     assert sorted(unreferenced_public_names()) == sorted(ALLOWED)
+
+
+# module.function(parameter) -> why no package call passes it
+NEVER_PASSED = {
+    "cli.main(argv)": "console entry point: the script passes no argv, so "
+                      "argparse reads sys.argv",
+}
+
+
+def _calls_by_name(modules) -> dict:
+    calls = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call, param: str, pos) -> bool:
+    """Does the call pass `param`, at index `pos` when positional? A
+    starred argument or ** mapping counts as passing everything."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return pos is not None and len(call.args) > pos
+
+
+def defaulted_parameters_never_passed() -> list:
+    """'module.function(parameter)' for each defaulted parameter of a
+    module-level function or a method that no call in the package passes.
+
+    A parameter that every caller leaves at its default is an option no
+    one sets. Like the name scan this is syntactic: a call counts when
+    its callee has the function's name (a class's name for __init__), so
+    the scan can miss such a parameter but never flags a passed one.
+    """
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(SRC.glob("*.py"))}
+    calls = _calls_by_name(modules)
+    defs = []  # (label, callee name, def, leading params a call omits)
+    for mod, tree in modules.items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                defs.append((f"{mod}.{stmt.name}", stmt.name, stmt, 0))
+            elif isinstance(stmt, ast.ClassDef):
+                for fn in stmt.body:
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    if fn.name == "__init__":
+                        defs.append((f"{mod}.{stmt.name}", stmt.name, fn, 1))
+                    else:
+                        defs.append((f"{mod}.{stmt.name}.{fn.name}", fn.name,
+                                     fn, 1))
+    never = []
+    for label, name, fn, skip in defs:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        params = [(a.arg, i - skip)
+                  for i, a in enumerate(positional) if i >= first]
+        params += [(a.arg, None) for a, d in zip(args.kwonlyargs,
+                                                 args.kw_defaults)
+                   if d is not None]
+        for param, pos in params:
+            if not any(_passes(c, param, pos) for c in calls.get(name, [])):
+                never.append(f"{label}({param})")
+    return never
+
+
+def test_every_defaulted_parameter_is_passed_or_allowed():
+    # equality, as for ALLOWED
+    assert sorted(defaulted_parameters_never_passed()) == sorted(NEVER_PASSED)
 
 
 def unused_imports() -> list:

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from test_acceptance import CLI_CFG
 from tpgf import cli
 from tpgf import data as dt
+from tpgf import model as md
 from tpgf.errors import RANGES, ConfigError, check_ranges
 
 
@@ -424,7 +425,8 @@ def test_evaluate_horizon_resolved_rows(tmp_path):
 
 def test_evaluate_tampered_checkpoint(tmp_path, capsys):
     cfg_path, out = trained_run(tmp_path, "tamper")
-    blob = bytearray((out / "model.ckpt").read_bytes())
+    orig = (out / "model.ckpt").read_bytes()
+    blob = bytearray(orig)
     blob[0] ^= 0xFF
     (out / "model.ckpt").write_bytes(bytes(blob))
     assert cli.main(["evaluate", "--config", cfg_path]) == 3
@@ -436,6 +438,21 @@ def test_evaluate_tampered_checkpoint(tmp_path, capsys):
     (out / "model.ckpt").write_bytes(bytes(blob))
     assert cli.main(["evaluate", "--config", cfg_path]) == 3
     assert "slot table entry 1000000" in capsys.readouterr().err
+
+    # a model with no hidden units: header, slot table, f_out zero biases
+    f_out = int.from_bytes(orig[16:20], "little")
+    (out / "model.ckpt").write_bytes(
+        orig[:8] + bytes(4) + orig[12:24 + 4 * f_out] + bytes(8 * f_out))
+    assert cli.main(["evaluate", "--config", cfg_path]) == 3
+    assert "hidden must be >= 1" in capsys.readouterr().err
+
+    # one non-finite weight, named with its tensor
+    (out / "model.ckpt").write_bytes(orig)
+    p = md.load_checkpoint(out / "model.ckpt")
+    p.decoder.w_h[0, 0] = math.nan
+    md.save_checkpoint(p, out / "model.ckpt")
+    assert cli.main(["evaluate", "--config", cfg_path]) == 3
+    assert "non-finite value in decoder.w_h" in capsys.readouterr().err
 
 
 def test_evaluate_dim_mismatch(tmp_path, capsys):
@@ -536,7 +553,9 @@ def test_compare_errors(tmp_path, capsys):
 
 def test_compare_non_numeric_cell_names_line(tmp_path, capsys):
     for bad, line in (("20,test,loss,abc", 2),
-                      ("20,test,loss,1.0\nx,test,mae,1.0", 3)):
+                      ("20,test,loss,1.0\nx,test,mae,1.0", 3),
+                      ("20,test,loss,nan", 2),
+                      ("20,test,loss,1.0\n20,test,rmse,inf", 3)):
         argv = ["compare"]
         for name, rows in (("na", "20,test,loss,0.5"), ("nb", bad)):
             cfg_path, out = make_run(tmp_path, name)

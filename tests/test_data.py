@@ -229,6 +229,26 @@ def test_split_independent_sequences_by_index():
     train, val, test = dt.split(ds, (0.8, 0.1, 0.1))
     assert (len(train), len(val), len(test)) == (8, 1, 1)
 
+    # against the index rule: [:int(f1 n)], [int(f1 n):int((f1 + f2) n)],
+    # then the rest; a positive fraction with no sample is an error
+    triples = [(0.8, 0.1, 0.1), (0.6, 0.2, 0.2), (0.34, 0.33, 0.33),
+               (1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.7, 0.0, 0.3),
+               (0.0, 0.0, 1.0), (0.05, 0.05, 0.9)]
+    for n in range(61):
+        seqs = np.repeat(np.arange(n, dtype=np.float64), 2).reshape(n, 2, 1, 1)
+        ds = dt.windowize_sequences(seqs, 1, 1, grid=(1, 1))
+        for fracs in triples:
+            b1, b2 = int(fracs[0] * n), int((fracs[0] + fracs[1]) * n)
+            want = [np.arange(n)[:b1], np.arange(n)[b1:b2], np.arange(n)[b2:]]
+            if any(f > 0 and not w.size for f, w in zip(fracs, want)):
+                with pytest.raises(ConfigError, match="empty partition"):
+                    dt.split(ds, fracs)
+                continue
+            for part, w in zip(dt.split(ds, fracs), want):
+                npt.assert_array_equal(part.contexts[:, 0, 0, 0], w)
+                assert part.meta.window_starts is None
+                assert part.meta.dropped_windows == 0
+
 
 def test_normalize_train_stats_only():
     rng = np.random.default_rng(7)
@@ -244,7 +264,8 @@ def test_normalize_train_stats_only():
     # val was shifted by +10 raw units, so it must NOT be zero-mean
     assert abs(nval.contexts.mean()) > 1.0
     # and the transform must be exactly (x - train_mean) / train_std
-    expect = (val.contexts - ntrain.meta.mean) / ntrain.meta.std
+    flat = train.contexts.reshape(-1, 3)
+    expect = (val.contexts - flat.mean(axis=0)) / flat.std(axis=0)
     npt.assert_array_equal(nval.contexts, expect)
 
 
@@ -253,17 +274,19 @@ def test_normalize_roundtrip_identity():
     ds = dt.windowize(raw, 6, 4, stride=10, target_channels=[1, 3])
     train, val, test = dt.split(ds, (0.8, 0.1, 0.1))
     ntrain, = dt.normalize(train)
-    back = dt.denormalize(ntrain.targets, ntrain.meta)
-    npt.assert_allclose(back, train.targets, atol=1e-12)
+    # targets use the statistics of their channels in the contexts
+    flat = train.contexts.reshape(-1, 4)
+    mean, std = flat.mean(axis=0)[[1, 3]], flat.std(axis=0)[[1, 3]]
+    npt.assert_allclose(ntrain.targets * std + mean, train.targets, atol=1e-12)
 
 
 def test_normalize_zero_variance_names_channel():
     raw = np.ones((40, 2, 2))
     raw[:, :, 0] = np.linspace(0, 1, 40)[:, None]
-    ds = dt.windowize(raw, 6, 4, stride=10, channel_names=["temp", "flat"])
+    ds = dt.windowize(raw, 6, 4, stride=10)
     with pytest.raises(ConfigError) as ei:
         dt.normalize(ds)
-    assert "flat" in str(ei.value)
+    assert "channel ch1 " in str(ei.value)
 
 
 def test_normalize_double_normalize_rejected():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -204,6 +206,13 @@ def test_checkpoint_truncation_and_trailing(tmp_path):
     with pytest.raises(DataFormatError):
         md.load_checkpoint(long)
 
+    # header sizes whose tensor sizes overflow 64 bits are truncation too
+    huge = tmp_path / "huge.ckpt"
+    huge.write_bytes(b"TPGF" + struct.pack("<6I", 1, 2 ** 31, 2 ** 31, 1, 1, 0)
+                     + bytes(64))
+    with pytest.raises(DataFormatError, match="truncated"):
+        md.load_checkpoint(huge)
+
 
 def test_checkpoint_bad_version(tmp_path):
     p = small_params()
@@ -223,3 +232,34 @@ def test_checkpoint_bad_version(tmp_path):
     with pytest.raises(DataFormatError) as ei:
         md.load_checkpoint(bad)
     assert "1000000" in str(ei.value)
+
+
+@pytest.mark.parametrize("hidden, f_in, f_out, slots, field", [
+    (0, 4, 2, [0, 2], "hidden"),
+    (3, 0, 1, [0], "f_in"),
+    (3, 4, 0, [], "f_out"),
+])
+def test_checkpoint_zero_header_field_named(tmp_path, hidden, f_in, f_out,
+                                            slots, field):
+    # a well-formed file for these sizes: zero-size tensors read cleanly
+    count = 2 * (4 * hidden * (f_in + hidden + 1)) + f_out * (hidden + 1)
+    path = tmp_path / "zero.ckpt"
+    path.write_bytes(b"TPGF" + struct.pack("<5I", 1, hidden, f_in, f_out,
+                                           len(slots))
+                     + np.asarray(slots, dtype="<u4").tobytes()
+                     + np.zeros(count, dtype="<f8").tobytes())
+    with pytest.raises(DataFormatError, match=f"header {field} must be >= 1"):
+        md.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("tensor, value", [
+    ("decoder.w_h", np.nan), ("encoder.b", np.inf),
+    ("projection.b", -np.inf)])
+def test_checkpoint_non_finite_tensor_named(tmp_path, tensor, value):
+    p = small_params()
+    p.tensors()[md.Seq2SeqParams.TENSOR_NAMES.index(tensor)].flat[-1] = value
+    path = tmp_path / "nan.ckpt"
+    md.save_checkpoint(p, path)
+    with pytest.raises(DataFormatError) as ei:
+        md.load_checkpoint(path)
+    assert str(path) in str(ei.value) and tensor in str(ei.value)

@@ -38,8 +38,9 @@ def test_inverse_sigmoid_strictly_decreasing():
 
 
 def test_inverse_sigmoid_validation():
-    with pytest.raises(ConfigError):
-        sp.inverse_sigmoid_epsilon(0, 0.0)
+    for lam in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="lam"):
+            sp.inverse_sigmoid_epsilon(0, lam)
     with pytest.raises(ConfigError):
         sp.inverse_sigmoid_epsilon(-1, 10.0)
 
@@ -75,8 +76,9 @@ def test_index_aware_decreasing_in_i_and_vanishing():
 def test_index_aware_validation():
     with pytest.raises(ConfigError):
         sp.index_aware_epsilon(5, 1, 100.0)
-    with pytest.raises(ConfigError):
-        sp.index_aware_epsilon(5, 2, -1.0)
+    for lam in (-1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="lam"):
+            sp.index_aware_epsilon(5, 2, lam)
 
 
 def test_epsilon_for_dispatch():
