@@ -252,36 +252,94 @@ def _dataset_paths(cfg: ExperimentConfig):
             for name in _SPLIT_NAMES]
 
 
+def _meta_path(cfg: ExperimentConfig) -> str:
+    return os.path.join(_data_dir(cfg), "meta.txt")
+
+
+def _read_train_statistics(cfg: ExperimentConfig):
+    """The (mean, std) that `generate` recorded in meta.txt for a
+    multinode dataset, one value per channel."""
+    import numpy as np
+
+    path = _meta_path(cfg)
+    rerun = "rerun `tpgf generate` with this config"
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path} ({exc.strerror}); "
+                              f"{rerun}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path} is not UTF-8 text ({exc})") from None
+    found = {}
+    for lineno, line in enumerate(lines, 1):
+        key, _, text = line.partition("=")
+        found[key.strip()] = (lineno, text.strip())
+    stats = []
+    for key in ("mean", "std"):
+        if key not in found:
+            raise DataFormatError(
+                f"{path}: no '{key}' line, so the data predates recorded "
+                f"training statistics; {rerun}")
+        lineno, text = found[key]
+        where = f"{path}:{lineno}: key '{key}'"
+        try:
+            values = np.array([float(v) for v in text.split(",")])
+        except ValueError as exc:
+            raise DataFormatError(f"{where}: {exc}") from None
+        if values.size != cfg.channels:
+            raise DataFormatError(f"{where}: {values.size} values, expected "
+                                  f"one per channel (channels = "
+                                  f"{cfg.channels})")
+        if not np.isfinite(values).all():
+            raise DataFormatError(f"{where}: non-finite value in {text!r}")
+        if key == "std" and (values <= 0).any():
+            raise DataFormatError(f"{where}: must be > 0, got {text!r}")
+        stats.append(values)
+    return tuple(stats)
+
+
 def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
     """Load generated files and rebuild the named datasets, in order.
 
-    A multinode dataset is normalized with the training split's
-    statistics, so its training file is read whatever the names.
+    A multinode dataset is normalized with the training statistics that
+    `generate` recorded in meta.txt, so only the named files are read.
+    When the training file is among them, its statistics must equal the
+    recorded ones.
     """
     from . import data as dt
 
     paths = dict(zip(_SPLIT_NAMES, _dataset_paths(cfg)))
-    wanted = tuple(names)
-    if cfg.dataset == "multinode" and "train" not in wanted:
-        wanted = ("train",) + wanted
-    missing = [paths[n] for n in wanted if not os.path.exists(paths[n])]
+    missing = [paths[n] for n in names if not os.path.exists(paths[n])]
     if missing:
         raise FileNotFoundError(
             f"dataset file {missing[0]} not found; run `tpgf generate` "
             f"with this config first")
-    if cfg.dataset == "multinode":
-        parts = []
-        for name in wanted:
-            raw = dt.load_series_csv(paths[name])
-            parts.append(dt.windowize(raw, cfg.t_in, cfg.horizon, cfg.stride,
-                                      target_channels=list(cfg.target_channels)))
-        return dt.normalize(*parts)[len(wanted) - len(names):]
+    if cfg.dataset == "sprites":
+        return tuple(
+            dt.windowize_sequences(dt.load_frame_sequences(paths[name]),
+                                   cfg.t_in, cfg.horizon,
+                                   grid=(cfg.height, cfg.width))
+            for name in names)
+    stats = _read_train_statistics(cfg)
     parts = []
-    for name in wanted:
-        seqs = dt.load_frame_sequences(paths[name])
-        parts.append(dt.windowize_sequences(seqs, cfg.t_in, cfg.horizon,
-                                            grid=(cfg.height, cfg.width)))
-    return tuple(parts)
+    for name in names:
+        raw = dt.load_series_csv(paths[name])
+        if raw.shape[2] != cfg.channels:
+            raise DataFormatError(
+                f"{paths[name]} has {raw.shape[2]} channels, "
+                f"{_meta_path(cfg)} records statistics for {cfg.channels}")
+        parts.append(dt.windowize(raw, cfg.t_in, cfg.horizon, cfg.stride,
+                                  target_channels=list(cfg.target_channels)))
+        if name == "train":
+            for key, want, got in zip(("mean", "std"), stats,
+                                      dt.train_statistics(parts[-1])):
+                if want.tobytes() != got.tobytes():
+                    raise DataFormatError(
+                        f"{_meta_path(cfg)}: key '{key}' differs from the "
+                        f"statistics of {paths[name]}; rerun `tpgf "
+                        f"generate` with this config")
+    return dt.normalize(*parts, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +402,8 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
         ds = dt.windowize(raw, cfg.t_in, cfg.horizon, cfg.stride,
                           target_channels=list(cfg.target_channels))
         parts = dt.split(ds, (cfg.train_frac, cfg.val_frac, cfg.test_frac))
+        # what train.csv windowizes to, so `evaluate` need not read it
+        stats = dt.train_statistics(parts[0])
         window = cfg.t_in + cfg.horizon
         for part, path in zip(parts, paths):
             starts = part.meta.window_starts
@@ -365,14 +425,17 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
             dt.write_frame_sequences(seqs[offset:offset + n], path)
             offset += n
         dropped = 0
+        stats = ()
 
     counts = {name: len(part) for name, part in zip(_SPLIT_NAMES, parts)}
-    meta_path = os.path.join(data_dir, "meta.txt")
-    with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(_meta_path(cfg), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"dataset = {cfg.dataset}\n")
         for name in _SPLIT_NAMES:
             fh.write(f"{name}_windows = {counts[name]}\n")
         fh.write(f"dropped_windows = {dropped}\n")
+        for key, values in zip(("mean", "std"), stats):
+            fh.write(f"{key} = " + ",".join("%.17g" % v for v in values)
+                     + "\n")
     for name in _SPLIT_NAMES:
         print(f"{name}: {counts[name]} samples")
     if dropped:

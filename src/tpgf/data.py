@@ -198,11 +198,14 @@ def windowize(raw: np.ndarray, t_in: int, k: int, stride: int = 1,
         raise ConfigError(f"target channels must be distinct, got {target_channels}")
 
     starts = np.arange(0, total - window + 1, stride, dtype=np.int64)
-    contexts = np.stack([raw[s:s + t_in] for s in starts])
-    # take() yields a C-contiguous [T, N, Ft] series, so the stacked
-    # targets are C-contiguous too and flatten to views
+    # one C-contiguous copy of a strided view of all windows each, so
+    # contexts and targets flatten to views
+    view = np.lib.stride_tricks.sliding_window_view
+    contexts = np.ascontiguousarray(
+        np.moveaxis(view(raw[:total - k], t_in, axis=0)[::stride], -1, 1))
     picked = raw.take(target_channels, axis=2)
-    targets = np.stack([picked[s + t_in:s + window] for s in starts])
+    targets = np.ascontiguousarray(
+        np.moveaxis(view(picked[t_in:], k, axis=0)[::stride], -1, 1))
     meta = DataMeta(channel_names=[f"ch{i}" for i in range(channels)],
                     target_channels=target_channels,
                     window_starts=starts)
@@ -238,7 +241,9 @@ def split(dataset: Dataset, fractions):
     Windows are cut at raw-time boundaries and windows that straddle a
     boundary are dropped (count recorded in meta). A bank of independent
     sequences is cut the same way as unit windows at 0, 1, 2, ..., that
-    is by sample index, and drops none.
+    is by sample index, and drops none. Window starts and ends both
+    ascend, so each part is one run of windows: a view of the dataset's
+    arrays, not a copy.
     """
     f1, f2, f3 = (float(x) for x in fractions)
     check_ranges(train_frac=f1, val_frac=f2, test_frac=f3)
@@ -254,43 +259,57 @@ def split(dataset: Dataset, fractions):
     b1 = int(f1 * horizon)
     b2 = int((f1 + f2) * horizon)
     ends = cuts + window
-    masks = [ends <= b1, (cuts >= b1) & (ends <= b2), cuts >= b2]
-    dropped = num - int(sum(m.sum() for m in masks))
+    # train ends by b1, val starts at b1 and ends by b2, test starts at b2
+    first = [0, int(np.searchsorted(cuts, b1)), int(np.searchsorted(cuts, b2))]
+    last = [int(np.searchsorted(ends, b1, side="right")),
+            int(np.searchsorted(ends, b2, side="right")), num]
+    runs = [slice(lo, max(lo, hi)) for lo, hi in zip(first, last)]
+    dropped = num - sum(run.stop - run.start for run in runs)
     parts = []
-    for frac, mask in zip((f1, f2, f3), masks):
-        if frac > 0 and not mask.any():
+    for frac, run in zip((f1, f2, f3), runs):
+        if frac > 0 and run.start == run.stop:
             raise ConfigError(
                 f"split fraction {frac} produced an empty partition "
                 f"({num} windows total)")
         meta = dataclasses.replace(
             dataset.meta,
-            window_starts=None if starts is None else starts[mask],
+            window_starts=None if starts is None else starts[run],
             dropped_windows=dropped)
-        parts.append(Dataset(contexts=dataset.contexts[mask],
-                             targets=dataset.targets[mask], meta=meta))
+        parts.append(Dataset(contexts=dataset.contexts[run],
+                             targets=dataset.targets[run], meta=meta))
     return tuple(parts)
 
 
 # ---------------------------------------------------------------------------
 # normalization
 
-def normalize(train: Dataset, *others: Dataset):
-    """Z-score every channel using statistics from the TRAIN contexts
-    only; returns (train', *others')."""
+def train_statistics(train: Dataset):
+    """Per-channel (mean, std) of the TRAIN contexts, the statistics
+    every split is z-scored with."""
     if train.meta.normalized:
         raise ConfigError("dataset is already normalized")
     if len(train) == 0:
         raise ConfigError("cannot normalize an empty training split")
     flat = train.contexts.reshape(-1, train.contexts.shape[-1])
-    mean = flat.mean(axis=0)
-    std = flat.std(axis=0)
+    # np.mean and np.std's own arithmetic, with the column sum taken once
+    mean = flat.sum(axis=0) / len(flat)
+    dev = flat - mean
+    np.multiply(dev, dev, out=dev)
+    std = np.sqrt(dev.sum(axis=0) / len(flat))
     for c, s in enumerate(std):
         if s <= 0:
             name = train.meta.channel_names[c]
             raise ConfigError(f"channel {name} has zero variance in the training split")
+    return mean, std
 
+
+def normalize(*datasets: Dataset, stats=None):
+    """Z-score every channel of every dataset with the training
+    statistics `stats` = (mean, std); when they are not given, the first
+    dataset is the training split and they are its train_statistics."""
+    mean, std = train_statistics(datasets[0]) if stats is None else stats
     out = []
-    for ds in (train,) + others:
+    for ds in datasets:
         if ds.meta.normalized:
             raise ConfigError("dataset is already normalized")
         tc = ds.meta.target_channels

@@ -220,6 +220,33 @@ def test_generate_multinode_counts(tmp_path, capsys):
     for name, part in zip(("train", "val", "test"), parts):
         assert f"{name}_windows = {len(part)}" in meta
         assert f"{name}: {len(part)} samples" in printed
+    # the training statistics of that split, one %.17g line each
+    mean, std = dt.train_statistics(parts[0])
+    assert meta.splitlines()[-2:] == [
+        "mean = " + ",".join("%.17g" % v for v in mean),
+        "std = " + ",".join("%.17g" % v for v in std)]
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("fracs", [(0.8, 0.1, 0.1), (0.6, 0.2, 0.2),
+                                   (0.34, 0.33, 0.33)])
+def test_generate_statistics_roundtrip_exactly(tmp_path, stride, fracs):
+    # evaluate trusts meta.txt, train recomputes from train.csv: both
+    # must see the same bits
+    out = tmp_path / "rt"
+    cfg_path = write_cfg(
+        tmp_path / "rt.cfg",
+        BASE.replace("stride = 2", f"stride = {stride}")
+        + f"out_dir = {out}\ntrain_frac = {fracs[0]}\n"
+        f"val_frac = {fracs[1]}\ntest_frac = {fracs[2]}\n")
+    assert cli.main(["generate", "--config", cfg_path]) == 0
+    cfg = cli.parse_config(cfg_path)
+    recorded = cli._read_train_statistics(cfg)
+    raw = dt.load_series_csv(out / "data" / "train.csv")
+    ds = dt.windowize(raw, cfg.t_in, cfg.horizon, stride,
+                      target_channels=list(cfg.target_channels))
+    for want, got in zip(dt.train_statistics(ds), recorded):
+        assert want.tobytes() == got.tobytes()
 
 
 def test_generate_same_seed_byte_identical(tmp_path):
@@ -401,14 +428,92 @@ def test_evaluate_matches_final_training_rows(tmp_path):
         assert got[name] == final[name]
 
 
-def test_evaluate_reads_only_train_and_test(tmp_path):
-    # the validation file plays no part in the test metrics
+def test_evaluate_reads_only_test(tmp_path, monkeypatch):
+    # the test metrics come from test.csv and the statistics in meta.txt
     cfg_path, out = trained_run(tmp_path)
     assert cli.main(["evaluate", "--config", cfg_path]) == 0
     want = (out / "metrics.csv").read_bytes()
+    (out / "data" / "train.csv").unlink()
     (out / "data" / "val.csv").unlink()
+    loaded = []
+    load = dt.load_series_csv
+    monkeypatch.setattr(dt, "load_series_csv",
+                        lambda path: loaded.append(path) or load(path))
     assert cli.main(["evaluate", "--config", cfg_path]) == 0
     assert (out / "metrics.csv").read_bytes() == want
+    assert loaded == [str(out / "data" / "test.csv")]
+
+
+def _edit_meta(out, key, value):
+    path = out / "data" / "meta.txt"
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith(f"{key} =")]
+    if value is not None:
+        lines.append(f"{key} = {value}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("key, value, want", [
+    ("mean", None, "no 'mean' line, so the data predates recorded training "
+                   "statistics; rerun `tpgf generate`"),
+    ("std", None, "no 'std' line, so the data predates recorded training "
+                  "statistics; rerun `tpgf generate`"),
+    ("mean", "0.5,0.25", "key 'mean': 2 values, expected one per channel "
+                         "(channels = 3)"),
+    ("std", "1,nan,1", "key 'std': non-finite value in '1,nan,1'"),
+    ("mean", "1,2,inf", "key 'mean': non-finite value in '1,2,inf'"),
+    ("std", "1,0,1", "key 'std': must be > 0, got '1,0,1'"),
+    ("std", "1,x,1", "key 'std': could not convert string to float: 'x'"),
+], ids=["no_mean", "no_std", "count", "nan_std", "inf_mean", "zero_std",
+        "bad_float"])
+def test_bad_statistics_exit_3_naming_meta(tmp_path, capsys, command, key,
+                                           value, want):
+    cfg_path, out = trained_run(tmp_path, "meta")
+    path = _edit_meta(out, key, value)
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and want in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_missing_meta_exits_3(tmp_path, capsys, command):
+    cfg_path, out = trained_run(tmp_path, "nometa")
+    path = out / "data" / "meta.txt"
+    path.unlink()
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "rerun `tpgf generate`" in err
+
+
+def test_evaluate_rejects_channel_count_unlike_meta(tmp_path, capsys):
+    # the recorded statistics fit the config's channels, not this file's
+    cfg_path, out = trained_run(tmp_path, "chan")
+    path = out / "data" / "test.csv"
+    dt.write_series_csv(dt.load_series_csv(path)[:, :, :2], path)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert f"{path} has 2 channels" in err and "meta.txt" in err
+
+
+def test_train_rejects_statistics_edited_after_generate(tmp_path, capsys):
+    cfg_path, out = make_run(tmp_path, "edited")
+    assert cli.main(["generate", "--config", cfg_path]) == 0
+    meta = (out / "data" / "meta.txt").read_text()
+    std = next(l for l in meta.splitlines() if l.startswith("std = "))
+    values = [float(v) for v in std[len("std = "):].split(",")]
+    values[1] = np.nextafter(values[1], 1.0)  # one ulp off
+    path = _edit_meta(out, "std", ",".join("%.17g" % v for v in values))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "key 'std'" in err
+    assert str(out / "data" / "train.csv") in err
+    assert not (out / "curves.csv").exists()
 
 
 def test_evaluate_horizon_resolved_rows(tmp_path):

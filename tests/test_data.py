@@ -150,11 +150,20 @@ def test_windowize_shapes_and_target_subset():
 
 def test_windowize_targets_c_contiguous_same_values():
     raw = dt.gen_multinode_series(4, 5, 300, 0.2, 0.1, seed=6)
+    for total, stride in ((300, 1), (300, 2), (299, 3), (11, 1), (12, 3)):
+        ds = dt.windowize(raw[:total], t_in=8, k=3, stride=stride,
+                          target_channels=[4, 0, 2])
+        assert ds.contexts.flags.c_contiguous
+        assert ds.targets.flags.c_contiguous
+        npt.assert_array_equal(ds.meta.window_starts,
+                               np.arange(0, total - 10, stride))
+        # against the per-start slices
+        npt.assert_array_equal(ds.contexts, np.stack(
+            [raw[s:s + 8] for s in ds.meta.window_starts]))
+        npt.assert_array_equal(ds.targets, np.stack(
+            [raw[s + 8:s + 11][:, :, [4, 0, 2]]
+             for s in ds.meta.window_starts]))
     ds = dt.windowize(raw, t_in=8, k=3, stride=1, target_channels=[4, 0, 2])
-    assert ds.targets.flags.c_contiguous
-    want = np.stack([raw[s + 8:s + 11][:, :, [4, 0, 2]]
-                     for s in ds.meta.window_starts])
-    npt.assert_array_equal(ds.targets, want)
     for part in dt.normalize(*dt.split(ds, (0.8, 0.1, 0.1))):
         assert part.targets.flags.c_contiguous
 
@@ -250,6 +259,61 @@ def test_split_independent_sequences_by_index():
                 assert part.meta.dropped_windows == 0
 
 
+def _mask_split(ds, fractions):
+    """Reference: the window indices of each part as the boolean masks of
+    the copying split selected them, and the dropped count."""
+    f1, f2, _ = fractions
+    num = len(ds)
+    starts = ds.meta.window_starts
+    if starts is None:
+        cuts, window = np.arange(num), 1
+    else:
+        cuts, window = starts, ds.contexts.shape[1] + ds.targets.shape[1]
+    horizon = int(cuts[-1]) + window if num else 0
+    b1 = int(f1 * horizon)
+    b2 = int((f1 + f2) * horizon)
+    ends = cuts + window
+    masks = [ends <= b1, (cuts >= b1) & (ends <= b2), cuts >= b2]
+    return ([np.flatnonzero(m) for m in masks],
+            num - int(sum(m.sum() for m in masks)))
+
+
+def test_split_parts_are_views_matching_masks():
+    triples = [(0.8, 0.1, 0.1), (0.6, 0.2, 0.2), (0.34, 0.33, 0.33),
+               (1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.7, 0.0, 0.3),
+               (0.0, 0.0, 1.0), (0.05, 0.05, 0.9), (0.98, 0.01, 0.01)]
+    banks = [dt.windowize_sequences(
+        np.arange(n * 2 * 4, dtype=np.float64).reshape(n, 2, 2, 2), 1, 1,
+        grid=(2, 2)) for n in range(61)]
+    rng = np.random.default_rng(5)
+    series = [dt.windowize(rng.normal(size=(total, 2, 2)), t_in, k, stride,
+                           target_channels=[1])
+              for total in (40, 97, 200) for t_in, k in ((6, 4), (3, 2))
+              for stride in (1, 3, 10)]
+    checked = 0
+    for ds in banks + series:
+        for fracs in triples:
+            picks, dropped = _mask_split(ds, fracs)
+            if any(f > 0 and not idx.size for f, idx in zip(fracs, picks)):
+                with pytest.raises(ConfigError, match="empty partition"):
+                    dt.split(ds, fracs)
+                continue
+            for part, idx in zip(dt.split(ds, fracs), picks):
+                npt.assert_array_equal(part.contexts, ds.contexts[idx])
+                npt.assert_array_equal(part.targets, ds.targets[idx])
+                assert part.meta.dropped_windows == dropped
+                if ds.meta.window_starts is None:
+                    assert part.meta.window_starts is None
+                else:
+                    npt.assert_array_equal(part.meta.window_starts,
+                                           ds.meta.window_starts[idx])
+                if idx.size:
+                    assert np.shares_memory(part.contexts, ds.contexts)
+                    assert np.shares_memory(part.targets, ds.targets)
+                    checked += 1
+    assert checked > 500
+
+
 def test_normalize_train_stats_only():
     rng = np.random.default_rng(7)
     raw = rng.normal(loc=5.0, scale=2.0, size=(300, 2, 3))
@@ -267,6 +331,23 @@ def test_normalize_train_stats_only():
     flat = train.contexts.reshape(-1, 3)
     expect = (val.contexts - flat.mean(axis=0)) / flat.std(axis=0)
     npt.assert_array_equal(nval.contexts, expect)
+
+
+def test_train_statistics_keep_numpy_mean_std_bits():
+    # meta.txt and every normalized split depend on these exact bits
+    rng = np.random.default_rng(3)
+    for shape, loc, scale in (((3, 4, 2, 3), 0.0, 1.0),
+                              ((60, 24, 10, 9), 5.0, 1e3),
+                              ((7, 5, 1, 2), -2.0, 1e-3)):
+        contexts = rng.normal(loc, scale, size=shape)
+        ds = dt.Dataset(contexts=contexts, targets=contexts[:, :1],
+                        meta=dt.DataMeta(
+                            channel_names=[f"ch{i}" for i in range(shape[3])],
+                            target_channels=[0]))
+        flat = contexts.reshape(-1, shape[3])
+        mean, std = dt.train_statistics(ds)
+        assert mean.tobytes() == flat.mean(axis=0).tobytes()
+        assert std.tobytes() == flat.std(axis=0).tobytes()
 
 
 def test_normalize_roundtrip_identity():
