@@ -16,6 +16,7 @@ set before the process starts heavy work, so `main` applies it first.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -36,7 +37,6 @@ _SCHEMA = [
     ("lambda", "lam", "float", 200.0),
     ("index_aware", "index_aware", "bool", True),
     ("stage1_iters", "stage1_iters", "int", 0),
-    ("transition_iters", "transition_iters", "int", 0),
     ("hidden", "hidden", "int", 32),
     ("learning_rate", "learning_rate", "float", 0.01),
     ("batch_size", "batch_size", "int", 32),
@@ -103,36 +103,60 @@ def _convert(key: str, kind: str, text: str, where: str):
         raise ConfigError(f"{where}: key '{key}': bad value {text!r} ({exc})")
 
 
-def parse_config(path: str) -> ExperimentConfig:
-    """Read and validate a flat key = value config file."""
+def _read_pairs(path, keys, error, hint: str) -> dict:
+    """The `key = value` lines of a UTF-8 file as {key: (line, text)}.
+
+    `#` starts a comment. A line without `=`, a key not in `keys` and a
+    repeated key raise `error` naming `path:line`; an unreadable file
+    raises it with `hint` appended.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+        raise error(f"cannot read {path} ({exc.strerror}){hint}") from None
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"config {path} is not UTF-8 text ({exc})") from None
-
-    kinds = {key: kind for key, _, kind, _ in _SCHEMA}
-    values = {}
-    lines = {}
+        raise error(f"{path} is not UTF-8 text ({exc})") from None
+    pairs = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', "
-                              f"got {line!r}")
+            raise error(f"{path}:{lineno}: expected 'key = value', "
+                        f"got {line!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        val = val.strip()
-        if key not in kinds:
-            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-        if key in values:
-            raise ConfigError(f"{path}:{lineno}: duplicate key '{key}' "
-                              f"(first set on line {lines[key]})")
-        values[key] = _convert(key, kinds[key], val, f"{path}:{lineno}")
-        lines[key] = lineno
+        if key not in keys:
+            raise error(f"{path}:{lineno}: unknown key '{key}'")
+        if key in pairs:
+            raise error(f"{path}:{lineno}: duplicate key '{key}' "
+                        f"(first set on line {pairs[key][0]})")
+        pairs[key] = (lineno, val.strip())
+    return pairs
+
+
+def _write_pairs(path, pairs) -> None:
+    """Write (key, text) pairs as `key = value` lines through a temp
+    file, so a failed write leaves the previous file intact."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("".join(f"{key} = {text}\n" for key, text in pairs))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def parse_config(path: str) -> ExperimentConfig:
+    """Read and validate a flat key = value config file."""
+    kinds = {key: kind for key, _, kind, _ in _SCHEMA}
+    pairs = _read_pairs(path, kinds, ConfigError, "")
+    values = {key: _convert(key, kinds[key], text, f"{path}:{lineno}")
+              for key, (lineno, text) in pairs.items()}
+    lines = {key: lineno for key, (lineno, _) in pairs.items()}
 
     fields = {}
     for key, attr, _, default in _SCHEMA:
@@ -192,13 +216,6 @@ def _validate(cfg: ExperimentConfig, lines: dict, path: str) -> None:
             fail("stage1_iters", f"must be < total_iters = {cfg.total_iters}")
         if cfg.horizon < 2:
             fail("horizon", "strategy = tpg needs horizon >= 2 to subsample")
-        if cfg.transition_iters == 0:
-            cfg.transition_iters = cfg.total_iters - cfg.stage1_iters
-        elif cfg.stage1_iters + cfg.transition_iters != cfg.total_iters:
-            fail("transition_iters",
-                 f"stage1_iters + transition_iters must equal total_iters "
-                 f"({cfg.stage1_iters} + {cfg.transition_iters} != "
-                 f"{cfg.total_iters})")
 
 
 def _format_value(kind: str, value) -> str:
@@ -214,11 +231,8 @@ def _format_value(kind: str, value) -> str:
 def write_echo(cfg: ExperimentConfig, out_dir: str) -> str:
     """Persist the fully resolved config; the echo re-parses to cfg."""
     path = os.path.join(out_dir, "config.echo")
-    rows = []
-    for key, attr, kind, _ in _SCHEMA:
-        rows.append(f"{key} = {_format_value(kind, getattr(cfg, attr))}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write_pairs(path, [(key, _format_value(kind, getattr(cfg, attr)))
+                        for key, attr, kind, _ in _SCHEMA])
     return path
 
 
@@ -256,33 +270,50 @@ def _meta_path(cfg: ExperimentConfig) -> str:
     return os.path.join(_data_dir(cfg), "meta.txt")
 
 
-def _read_train_statistics(cfg: ExperimentConfig):
-    """The (mean, std) that `generate` recorded in meta.txt for a
-    multinode dataset, one value per channel."""
-    import numpy as np
+_META_KEYS = ("dataset", *(f"{name}_windows" for name in _SPLIT_NAMES),
+              "dropped_windows", "mean", "std")
 
-    path = _meta_path(cfg)
+
+def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
+    """Load generated files and rebuild the named datasets, in order.
+
+    meta.txt must record the config's dataset and the window count of
+    each loaded split. A multinode dataset is normalized with the
+    training statistics recorded there, so only the named files are
+    read. When the training file is among them, its statistics must
+    equal the recorded ones.
+    """
+    import numpy as np
+    from . import data as dt
+
+    paths = dict(zip(_SPLIT_NAMES, _dataset_paths(cfg)))
+    missing = [paths[n] for n in names if not os.path.exists(paths[n])]
+    if missing:
+        raise FileNotFoundError(
+            f"dataset file {missing[0]} not found; run `tpgf generate` "
+            f"with this config first")
+    meta = _meta_path(cfg)
     rerun = "rerun `tpgf generate` with this config"
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path} ({exc.strerror}); "
-                              f"{rerun}") from None
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path} is not UTF-8 text ({exc})") from None
-    found = {}
-    for lineno, line in enumerate(lines, 1):
-        key, _, text = line.partition("=")
-        found[key.strip()] = (lineno, text.strip())
+    pairs = _read_pairs(meta, _META_KEYS, DataFormatError, f"; {rerun}")
+
+    def field(key):
+        if key not in pairs:
+            why = (", so the data predates recorded training statistics"
+                   if key in ("mean", "std") else "")
+            raise DataFormatError(f"{meta}: no '{key}' line{why}; {rerun}")
+        lineno, text = pairs[key]
+        return f"{meta}:{lineno}: key '{key}'", text
+
+    def expect(key, want, source):
+        where, text = field(key)
+        if text != want:
+            raise DataFormatError(f"{where}: {text!r} does not match "
+                                  f"{want!r} from {source}; {rerun}")
+
+    expect("dataset", cfg.dataset, "the config")
     stats = []
-    for key in ("mean", "std"):
-        if key not in found:
-            raise DataFormatError(
-                f"{path}: no '{key}' line, so the data predates recorded "
-                f"training statistics; {rerun}")
-        lineno, text = found[key]
-        where = f"{path}:{lineno}: key '{key}'"
+    for key in ("mean", "std") if cfg.dataset == "multinode" else ():
+        where, text = field(key)
         try:
             values = np.array([float(v) for v in text.split(",")])
         except ValueError as exc:
@@ -296,50 +327,30 @@ def _read_train_statistics(cfg: ExperimentConfig):
         if key == "std" and (values <= 0).any():
             raise DataFormatError(f"{where}: must be > 0, got {text!r}")
         stats.append(values)
-    return tuple(stats)
-
-
-def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
-    """Load generated files and rebuild the named datasets, in order.
-
-    A multinode dataset is normalized with the training statistics that
-    `generate` recorded in meta.txt, so only the named files are read.
-    When the training file is among them, its statistics must equal the
-    recorded ones.
-    """
-    from . import data as dt
-
-    paths = dict(zip(_SPLIT_NAMES, _dataset_paths(cfg)))
-    missing = [paths[n] for n in names if not os.path.exists(paths[n])]
-    if missing:
-        raise FileNotFoundError(
-            f"dataset file {missing[0]} not found; run `tpgf generate` "
-            f"with this config first")
-    if cfg.dataset == "sprites":
-        return tuple(
-            dt.windowize_sequences(dt.load_frame_sequences(paths[name]),
-                                   cfg.t_in, cfg.horizon,
-                                   grid=(cfg.height, cfg.width))
-            for name in names)
-    stats = _read_train_statistics(cfg)
     parts = []
     for name in names:
-        raw = dt.load_series_csv(paths[name])
-        if raw.shape[2] != cfg.channels:
-            raise DataFormatError(
-                f"{paths[name]} has {raw.shape[2]} channels, "
-                f"{_meta_path(cfg)} records statistics for {cfg.channels}")
-        parts.append(dt.windowize(raw, cfg.t_in, cfg.horizon, cfg.stride,
-                                  target_channels=list(cfg.target_channels)))
-        if name == "train":
+        if cfg.dataset == "sprites":
+            part = dt.windowize_sequences(
+                dt.load_frame_sequences(paths[name]), cfg.t_in, cfg.horizon,
+                grid=(cfg.height, cfg.width))
+        else:
+            raw = dt.load_series_csv(paths[name])
+            if raw.shape[2] != cfg.channels:
+                raise DataFormatError(
+                    f"{paths[name]} has {raw.shape[2]} channels, "
+                    f"{meta} records statistics for {cfg.channels}")
+            part = dt.windowize(raw, cfg.t_in, cfg.horizon, cfg.stride,
+                                target_channels=list(cfg.target_channels))
+        expect(f"{name}_windows", str(len(part)), paths[name])
+        if name == "train" and stats:
             for key, want, got in zip(("mean", "std"), stats,
-                                      dt.train_statistics(parts[-1])):
+                                      dt.train_statistics(part)):
                 if want.tobytes() != got.tobytes():
                     raise DataFormatError(
-                        f"{_meta_path(cfg)}: key '{key}' differs from the "
-                        f"statistics of {paths[name]}; rerun `tpgf "
-                        f"generate` with this config")
-    return dt.normalize(*parts, stats=stats)
+                        f"{field(key)[0]} differs from the statistics of "
+                        f"{paths[name]}; {rerun}")
+        parts.append(part)
+    return dt.normalize(*parts, stats=stats) if stats else tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +380,6 @@ def _read_metric_csv(path):
         raise DataFormatError(f"{path}: expected header '{_CURVE_HEADER}'")
     rows = []
     for lineno, line in enumerate(lines[1:], 2):
-        if not line:
-            continue
         parts = line.split(",")
         if len(parts) != 4:
             raise DataFormatError(f"{path}:{lineno}: expected 4 fields, "
@@ -428,14 +437,12 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
         stats = ()
 
     counts = {name: len(part) for name, part in zip(_SPLIT_NAMES, parts)}
-    with open(_meta_path(cfg), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"dataset = {cfg.dataset}\n")
-        for name in _SPLIT_NAMES:
-            fh.write(f"{name}_windows = {counts[name]}\n")
-        fh.write(f"dropped_windows = {dropped}\n")
-        for key, values in zip(("mean", "std"), stats):
-            fh.write(f"{key} = " + ",".join("%.17g" % v for v in values)
-                     + "\n")
+    _write_pairs(_meta_path(cfg), [
+        ("dataset", cfg.dataset),
+        *((f"{name}_windows", counts[name]) for name in _SPLIT_NAMES),
+        ("dropped_windows", dropped),
+        *((key, ",".join("%.17g" % v for v in values))
+          for key, values in zip(("mean", "std"), stats))])
     for name in _SPLIT_NAMES:
         print(f"{name}: {counts[name]} samples")
     if dropped:
@@ -532,18 +539,17 @@ def cmd_compare(cfgs, labels, out_dir: str) -> int:
         if not os.path.exists(path):
             raise FileNotFoundError(
                 f"run '{label}': {path} not found; run `tpgf evaluate` first")
-        rows = _read_metric_csv(path)
         metrics = {}
-        order = []
-        for r in rows:
+        for lineno, r in enumerate(_read_metric_csv(path), 2):
             if r.split == "test" and not _is_horizon_metric(r.metric):
-                if r.metric not in metrics:
-                    order.append(r.metric)
+                if r.metric in metrics:
+                    raise DataFormatError(f"{path}:{lineno}: repeated row "
+                                          f"for test metric '{r.metric}'")
                 metrics[r.metric] = r.value
-        runs.append((cfg.strategy, metrics, order))
+        runs.append((cfg.strategy, metrics))
 
-    columns = runs[0][2]
-    for label, (_, metrics, _) in zip(labels, runs):
+    columns = list(runs[0][1])
+    for label, (_, metrics) in zip(labels, runs):
         if set(metrics) != set(runs[0][1]):
             raise ConfigError(
                 f"run '{label}' reports a different metric set; re-evaluate "
@@ -551,19 +557,19 @@ def cmd_compare(cfgs, labels, out_dir: str) -> int:
 
     best = {}
     for m in columns:
-        values = [metrics[m] for _, metrics, _ in runs]
+        values = [metrics[m] for _, metrics in runs]
         best[m] = max(values) if m in _HIGHER_BETTER else min(values)
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "comparison.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("strategy," + ",".join(columns) + "\n")
-        for strategy, metrics, _ in runs:
+        for strategy, metrics in runs:
             cells = [f"{metrics[m]:.17g}" for m in columns]
             fh.write(",".join([strategy] + cells) + "\n")
 
     cells = [["strategy"] + columns]
-    for strategy, metrics, _ in runs:
+    for strategy, metrics in runs:
         row = [strategy]
         for m in columns:
             flag = "*" if metrics[m] == best[m] else ""

@@ -45,7 +45,7 @@ RANGES = {
     **dict.fromkeys(("lam", "learning_rate", "clip_norm"), _POSITIVE),
     "noise": _NON_NEGATIVE,
     **dict.fromkeys(("coupling", "train_frac", "val_frac", "test_frac"), _UNIT),
-    **dict.fromkeys(("total_iters", "stage1_iters", "transition_iters"), _COUNT),
+    **dict.fromkeys(("total_iters", "stage1_iters"), _COUNT),
     **dict.fromkeys(("hidden", "batch_size", "val_every", "t_in", "horizon",
                      "stride", "nodes", "channels", "length", "height",
                      "width", "num_sprites", "seq_length", "seq_count",

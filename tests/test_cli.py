@@ -152,18 +152,19 @@ def test_tpg_cross_field_error(tmp_path):
     assert "stage1_iters" in str(ei.value)
 
 
-def test_tpg_transition_autofill_and_mismatch(tmp_path):
-    good = write_cfg(tmp_path / "g.cfg",
-                     "strategy = tpg\nstage1_iters = 30\ntotal_iters = 80\n")
-    cfg = cli.parse_config(good)
-    assert cfg.transition_iters == 50
-
-    bad = write_cfg(tmp_path / "b.cfg",
-                    "strategy = tpg\nstage1_iters = 30\ntotal_iters = 80\n"
-                    "transition_iters = 10\n")
+def test_transition_iters_is_an_unknown_key(tmp_path):
+    # stage 2 always runs total_iters - stage1_iters, so no key sets it
+    cfg_path = write_cfg(tmp_path / "t.cfg",
+                         "strategy = tpg\nstage1_iters = 30\n"
+                         "total_iters = 80\ntransition_iters = 50\n")
     with pytest.raises(ConfigError) as ei:
-        cli.parse_config(bad)
-    assert "transition_iters" in str(ei.value)
+        cli.parse_config(cfg_path)
+    assert str(ei.value) == f"{cfg_path}:4: unknown key 'transition_iters'"
+
+    cfg = cli.parse_config(write_cfg(
+        tmp_path / "g.cfg", "strategy = tpg\nstage1_iters = 30\n"))
+    echo = Path(cli.write_echo(cfg, str(tmp_path))).read_text()
+    assert "stage1_iters = 30\n" in echo and "transition_iters" not in echo
 
 
 def test_unknown_duplicate_and_type_errors(tmp_path):
@@ -241,11 +242,13 @@ def test_generate_statistics_roundtrip_exactly(tmp_path, stride, fracs):
         f"val_frac = {fracs[1]}\ntest_frac = {fracs[2]}\n")
     assert cli.main(["generate", "--config", cfg_path]) == 0
     cfg = cli.parse_config(cfg_path)
-    recorded = cli._read_train_statistics(cfg)
+    pairs = cli._read_pairs(out / "data" / "meta.txt", cli._META_KEYS,
+                            ValueError, "")
     raw = dt.load_series_csv(out / "data" / "train.csv")
     ds = dt.windowize(raw, cfg.t_in, cfg.horizon, stride,
                       target_channels=list(cfg.target_channels))
-    for want, got in zip(dt.train_statistics(ds), recorded):
+    for key, want in zip(("mean", "std"), dt.train_statistics(ds)):
+        got = np.array([float(v) for v in pairs[key][1].split(",")])
         assert want.tobytes() == got.tobytes()
 
 
@@ -298,6 +301,35 @@ def test_seed_override_reaches_echo_and_files(tmp_path):
     assert cli.main(["generate", "--config", cfg_path, "--seed", "99"]) == 0
     echo = (out / "config.echo").read_text()
     assert "seed = 99" in echo
+
+
+@pytest.mark.parametrize("name", ["config.echo", "meta.txt"])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name):
+    cfg_path, out = make_run(tmp_path, "atomic")
+    assert cli.main(["generate", "--config", cfg_path]) == 0
+    path = out / name if name == "config.echo" else out / "data" / name
+    before = path.read_bytes()
+
+    def crash(src, dst):
+        # the temp file is complete here; the crash comes before it lands
+        if str(dst) == str(path):
+            raise OSError("simulated crash")
+        os.rename(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", crash)
+    assert cli.main(["generate", "--config", cfg_path, "--seed", "99"]) == 3
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert not list(out.rglob("*.tmp"))
+
+    def pairs():
+        yield "seed", "99"
+        raise OSError("disk full")  # midway through the temp file
+
+    with pytest.raises(OSError, match="disk full"):
+        cli._write_pairs(path, pairs())
+    assert path.read_bytes() == before
+    assert not list(out.rglob("*.tmp"))
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +498,13 @@ def _edit_meta(out, key, value):
     ("mean", "1,2,inf", "key 'mean': non-finite value in '1,2,inf'"),
     ("std", "1,0,1", "key 'std': must be > 0, got '1,0,1'"),
     ("std", "1,x,1", "key 'std': could not convert string to float: 'x'"),
+    ("wat", "1", "meta.txt:8: unknown key 'wat'"),
+    ("dataset", "sprites", "meta.txt:7: key 'dataset': 'sprites' does not "
+                           "match 'multinode' from the config"),
+    ("test_windows", "999", "meta.txt:7: key 'test_windows': '999' does not "
+                            "match '8' from "),
 ], ids=["no_mean", "no_std", "count", "nan_std", "inf_mean", "zero_std",
-        "bad_float"])
+        "bad_float", "unknown_key", "dataset", "test_windows"])
 def test_bad_statistics_exit_3_naming_meta(tmp_path, capsys, command, key,
                                            value, want):
     cfg_path, out = trained_run(tmp_path, "meta")
@@ -476,6 +513,34 @@ def test_bad_statistics_exit_3_naming_meta(tmp_path, capsys, command, key,
     assert cli.main([command, "--config", cfg_path]) == 3
     err = capsys.readouterr().err
     assert str(path) in err and want in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("line, want", [
+    ("mean = 0,0,0", "meta.txt:8: duplicate key 'mean' (first set on line 6)"),
+    ("no equals sign", "meta.txt:8: expected 'key = value', got "
+                       "'no equals sign'"),
+], ids=["duplicate_mean", "no_equals"])
+def test_malformed_meta_line_exits_3(tmp_path, capsys, command, line, want):
+    cfg_path, out = trained_run(tmp_path, "metaline")
+    path = out / "data" / "meta.txt"
+    path.write_text(path.read_text() + line + "\n")
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg_path]) == 3
+    assert want in capsys.readouterr().err
+
+
+def test_sprites_evaluate_checks_recorded_window_count(tmp_path, capsys):
+    out = tmp_path / "sprmeta"
+    cfg_path = write_cfg(tmp_path / "sprmeta.cfg",
+                         SPRITES + f"out_dir = {out}\n")
+    for command in ("generate", "train", "evaluate"):
+        assert cli.main([command, "--config", cfg_path]) == 0
+    path = _edit_meta(out, "test_windows", "99")
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}:5: key 'test_windows': '99' does not match '2'" in err
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
@@ -660,7 +725,8 @@ def test_compare_non_numeric_cell_names_line(tmp_path, capsys):
     for bad, line in (("20,test,loss,abc", 2),
                       ("20,test,loss,1.0\nx,test,mae,1.0", 3),
                       ("20,test,loss,nan", 2),
-                      ("20,test,loss,1.0\n20,test,rmse,inf", 3)):
+                      ("20,test,loss,1.0\n20,test,rmse,inf", 3),
+                      ("20,test,loss,1.0\n20,test,loss,2.0", 3)):
         argv = ["compare"]
         for name, rows in (("na", "20,test,loss,0.5"), ("nb", bad)):
             cfg_path, out = make_run(tmp_path, name)
@@ -805,13 +871,32 @@ _FUZZ_JUNK = st.one_of(
     st.text(st.characters(exclude_categories=("Cs",)), max_size=20))
 
 
+def _mutate_meta(path, number, junk):
+    """Keep meta.txt, drop, duplicate or replace one of its lines, or flip
+    bits of one byte. `number` picks the edit and its place; as a plain
+    integer it spreads evenly over the few drawn configs that generate."""
+    kind, where = number % 5, number // 5
+    blob = bytearray(Path(path).read_bytes())
+    if kind == 4:
+        blob[where % len(blob)] ^= 1 + number % 255
+    else:
+        lines = bytes(blob).splitlines(keepends=True)
+        i = where % len(lines)
+        lines[i:i + 1] = ([lines[i]], [], [lines[i]] * 2,
+                          [junk.encode() + b"\n"])[kind]
+        blob = b"".join(lines)
+    Path(path).write_bytes(blob)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(overrides=st.lists(_FUZZ_ENTRY, max_size=4).map(dict),
        junk=st.one_of(st.just([]), st.lists(_FUZZ_JUNK, min_size=1,
                                             max_size=2)),
-       tail=st.one_of(st.just(b""), st.binary(min_size=1, max_size=16)))
-def test_cli_fuzz_exits_0_2_or_3(tmp_path, overrides, junk, tail):
+       tail=st.one_of(st.just(b""), st.binary(min_size=1, max_size=16)),
+       meta_edit=st.integers(0, 2 ** 16), meta_junk=_FUZZ_JUNK)
+def test_cli_fuzz_exits_0_2_or_3(tmp_path, overrides, junk, tail, meta_edit,
+                                meta_junk):
     run = tempfile.mkdtemp(dir=tmp_path)
     lines = [f"out_dir = {run}", "checkpoint = "]
     lines += [f"{k} = {v}" for k, v in dict(_FUZZ_BASE, **overrides).items()]
@@ -819,7 +904,10 @@ def test_cli_fuzz_exits_0_2_or_3(tmp_path, overrides, junk, tail):
     with open(path, "wb") as fh:
         fh.write("".join(line + "\n" for line in lines + junk).encode())
         fh.write(tail)
+    meta = os.path.join(run, "data", "meta.txt")
     for command in ("generate", "train", "evaluate"):
+        if command == "train" and os.path.exists(meta):
+            _mutate_meta(meta, meta_edit, meta_junk)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
