@@ -350,6 +350,17 @@ def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
                         f"{field(key)[0]} differs from the statistics of "
                         f"{paths[name]}; {rerun}")
         parts.append(part)
+    total = (len(range(0, cfg.length - cfg.t_in - cfg.horizon + 1, cfg.stride))
+             if cfg.dataset == "multinode" else cfg.seq_count)
+    kept = 0
+    for name in _SPLIT_NAMES:
+        where, text = field(f"{name}_windows")
+        try:
+            kept += int(text)
+        except ValueError as exc:
+            raise DataFormatError(f"{where}: {exc}; {rerun}") from None
+    expect("dropped_windows", str(total - kept),
+           f"the config's {total} windows less the recorded split counts")
     return dt.normalize(*parts, stats=stats) if stats else tuple(parts)
 
 

@@ -346,11 +346,12 @@ def write_series_csv(series: np.ndarray, path):
 
 
 def load_series_csv(path) -> np.ndarray:
-    series = _scan_series_csv(path)
-    if series is not None:
-        return series
+    """Read the layout write_series_csv writes: the header, then one row
+    per cell in (time, node, channel) order. One np.loadtxt pass parses
+    the rows. A line scan runs only to name a line numpy refuses, skips
+    (blank) or may misread (non-ASCII), or a non-finite value."""
     try:
-        return _parse_series_csv(path)
+        return _read_series_csv(path)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
     except DataFormatError as exc:
@@ -358,103 +359,79 @@ def load_series_csv(path) -> np.ndarray:
 
 
 _CSV_ROW = np.dtype([("t", "i8"), ("n", "i8"), ("f", "i8"), ("v", "f8")])
-# numpy's number parser skips these as whitespace around a field, where
-# int() and float() refuse them
-_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
-def _scan_series_csv(path):
-    """One structured loadtxt pass over a well-formed series CSV.
-
-    Returns None wherever the line loop of _parse_series_csv must
-    decide: a bad header or body, a non-finite value, a negative index,
-    a duplicate or missing cell, or no rows at all. On what is left,
-    numpy's parser is never looser than int()/float(); it only refuses
-    some spellings they take (1_0, non-ASCII digits), which the loop
-    accepts. comments=None keeps '#' an error, as it is in the loop.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            if fh.readline().rstrip("\n") != _CSV_HEADER:
-                return None
-            start = fh.tell()
-            body = fh.read()
-            if not body.strip() or any(c in body for c in _NUMPY_ONLY_SPACE):
-                return None
-            del body
-            fh.seek(start)
-            # some numpy releases parse '1.0' as an integer field with
-            # only a DeprecationWarning; any warning means the loop decides
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",",
-                                  comments=None, ndmin=1)
-    except (ValueError, Warning):  # UnicodeDecodeError included
-        return None
-    t, n, f, v = rows["t"], rows["n"], rows["f"], rows["v"]
-    if not np.isfinite(v).all() or min(t.min(), n.min(), f.min()) < 0:
-        return None
-    shape = (int(t.max()) + 1, int(n.max()) + 1, int(f.max()) + 1)
-    if math.prod(shape) != rows.size:
-        return None
-    flat = np.ravel_multi_index((t, n, f), shape)
-    if np.bincount(flat, minlength=rows.size).max() != 1:
-        return None
-    series = np.empty(rows.size)
-    series[flat] = v
-    return series.reshape(shape)
-
-
-def _parse_series_csv(path) -> np.ndarray:
+def _read_series_csv(path) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != _CSV_HEADER:
             raise DataFormatError(
                 f"expected header {_CSV_HEADER!r}, got {header!r}")
-        entries = {}
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise DataFormatError(
-                    f"line {lineno}: expected 4 fields, got {len(parts)}")
+        start = fh.tell()
+        body = fh.read()
+        if not body:
+            raise DataFormatError("CSV contains no data rows")
+        line_count = body.count("\n") + (body[-1] != "\n")
+        ascii_text = body.isascii()
+        del body
+        fh.seek(start)
+        try:
+            # a warning (no data; an older numpy's float-as-int
+            # deprecation) is a refusal too; comments=None keeps '#' an error
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",",
+                                  comments=None, ndmin=1)
+        except (ValueError, Warning) as exc:
+            fh.seek(start)
+            raise DataFormatError(_first_bad_line(fh) or str(exc)) from None
+        if (rows.size != line_count or not ascii_text
+                or not np.isfinite(rows["v"]).all()):
+            fh.seek(start)
+            fault = _first_bad_line(fh)
+            if fault:
+                raise DataFormatError(fault)
+    # row i is line i + 2; time 0 spans the nodes and channels
+    t, n, f = rows["t"], rows["n"], rows["f"]
+    size = rows.size
+    nodes = min(int(n[t == 0].max(initial=0)) + 1, size)
+    channels = min(int(f[t == 0].max(initial=0)) + 1, size)
+    want = np.unravel_index(np.arange(size + 1),
+                            (size // (nodes * channels) + 1, nodes, channels))
+    bad = (t != want[0][:-1]) | (n != want[1][:-1]) | (f != want[2][:-1])
+    i = int(bad.argmax()) if bad.any() else size
+    cell = "time={}, node={}, channel={}".format(*(w[i] for w in want))
+    if i < size:
+        raise DataFormatError(f"line {i + 2}: expected {cell}, got "
+                              f"time={t[i]}, node={n[i]}, channel={f[i]}")
+    if size % (nodes * channels):
+        raise DataFormatError(f"missing entry for {cell}")
+    # a copy, so the 32-byte rows are freed
+    return rows["v"].copy().reshape(-1, nodes, channels)
+
+
+def _first_bad_line(lines):
+    """Name the first body line that numpy's parser refuses or whose
+    value is not finite; None when there is none. Unicode space around
+    a field is skipped, as numpy skips it; a number is ASCII, has no
+    '_' and, in an int64 field, fits."""
+    for lineno, line in enumerate(lines, start=2):
+        parts = line.strip().split(",")
+        if len(parts) != 4:
+            return f"line {lineno}: expected 4 fields, got {len(parts)}"
+        for part, kind in zip(parts, (int, int, int, float)):
+            field = part.strip()
             try:
-                t, n, f = int(parts[0]), int(parts[1]), int(parts[2])
-                v = float(parts[3])
+                value = kind(field)
             except ValueError as exc:
-                raise DataFormatError(f"line {lineno}: {exc}") from None
-            if not math.isfinite(v):
-                raise DataFormatError(
-                    f"line {lineno}: non-finite value {parts[3]!r}")
-            if t < 0 or n < 0 or f < 0:
-                raise DataFormatError(
-                    f"line {lineno}: negative index in time={t}, node={n}, "
-                    f"channel={f}")
-            if (t, n, f) in entries:
-                raise DataFormatError(
-                    f"line {lineno}: duplicate entry for time={t}, node={n}, channel={f}")
-            entries[(t, n, f)] = v
-    if not entries:
-        raise DataFormatError("CSV contains no data rows")
-    total = max(k[0] for k in entries) + 1
-    nodes = max(k[1] for k in entries) + 1
-    channels = max(k[2] for k in entries) + 1
-    if len(entries) != total * nodes * channels:
-        # the keys are distinct and in range, so one of the first
-        # len(entries) + 1 in (t, n, f) order is missing; finding it
-        # allocates nothing, however large an index claims the shape is
-        for t in range(total):
-            for n in range(nodes):
-                for f in range(channels):
-                    if (t, n, f) not in entries:
-                        raise DataFormatError(
-                            f"missing entry for time={t}, node={n}, channel={f}")
-    series = np.empty((total, nodes, channels))
-    for (t, n, f), v in entries.items():
-        series[t, n, f] = v
-    return series
+                return f"line {lineno}: {exc}"
+            if (not field.isascii() or "_" in field
+                    or kind is int and not -2 ** 63 <= value < 2 ** 63):
+                return (f"line {lineno}: could not convert {field!r} "
+                        f"to {kind.__name__}64")
+        if not math.isfinite(value):
+            return f"line {lineno}: non-finite value {parts[3]!r}"
+    return None
 
 
 _FRAME_MAGIC = b"TPGFRAME"

@@ -45,29 +45,29 @@ class ScheduleConfig:
             raise ConfigError("tpg requires stage1_iters >= 1")
 
 
-def inverse_sigmoid_epsilon(i: int, lam: float) -> float:
-    """lam / (lam + exp(i / lam)), clipped to 0 when exp would overflow."""
+def _decayed(i: int, lam: float, rate: float) -> float:
+    """lam / (lam + exp(i * rate / lam)), clipped to 0 when exp would
+    overflow."""
     check_ranges(lam=lam)
     if i < 0:
         raise ConfigError(f"batch index must be non-negative, got {i}")
-    e = i / lam
+    e = i * rate / lam
     if e > _MAX_EXPONENT:
         return 0.0
     return lam / (lam + math.exp(e))
+
+
+def inverse_sigmoid_epsilon(i: int, lam: float) -> float:
+    """lam / (lam + exp(i / lam)), clipped to 0 when exp would overflow."""
+    return _decayed(i, lam, 1)
 
 
 def index_aware_epsilon(i: int, v: int, lam: float) -> float:
     """lam / (lam + exp(i * log(v) / lam)); faster decay the deeper into
     the horizon the step sits."""
-    check_ranges(lam=lam)
-    if i < 0:
-        raise ConfigError(f"batch index must be non-negative, got {i}")
     if v < 2:
         raise ConfigError(f"sequence index must be >= 2, got {v}")
-    e = i * math.log(v) / lam
-    if e > _MAX_EXPONENT:
-        return 0.0
-    return lam / (lam + math.exp(e))
+    return _decayed(i, lam, math.log(v))
 
 
 def epsilon_for(config: ScheduleConfig, i: int, v: int) -> float:

@@ -89,8 +89,26 @@ def test_bad_lambda_names_key_and_line(tmp_path):
      "speed_max = 4\n",
      "key 'speed_max' (line 5): must be <= min(height, width) - sprite_size "
      "= 3, got 4"),
+    ("train_frac = 0.5\nval_frac = 0.2\ntest_frac = 0.2\n",
+     "key 'train_frac' (line 1): train_frac + val_frac + test_frac must sum "
+     "to 1, got (0.5, 0.2, 0.2)"),
+    ("target_channels =\n",
+     "key 'target_channels' (line 1): must name at least one channel"),
+    ("channels = 2\ntarget_channels = 0,2\n",
+     "key 'target_channels' (line 2): channel 2 out of range for "
+     "channels = 2"),
+    ("dataset = sprites\nspeed_min = 3\nspeed_max = 2\n",
+     "key 'speed_min' (line 2): need 1 <= speed_min <= speed_max, got 3..2"),
+    ("dataset = sprites\nspeed_min = 0\n",
+     "key 'speed_min' (line 2): need 1 <= speed_min <= speed_max, got 0..2"),
+    ("strategy = tpg\nstage1_iters = 50\ntotal_iters = 50\n",
+     "key 'stage1_iters' (line 2): must be < total_iters = 50"),
+    ("strategy = tpg\nstage1_iters = 5\nhorizon = 1\n",
+     "key 'horizon' (line 3): strategy = tpg needs horizon >= 2 to "
+     "subsample"),
 ], ids=["length", "sprite_size", "train_frac", "val_frac", "test_frac",
-        "speed_max"])
+        "speed_max", "fraction_sum", "no_target_channel", "target_channel",
+        "speed_order", "speed_zero", "stage1_iters", "tpg_horizon"])
 def test_data_shape_errors_name_key_and_line(tmp_path, text, want):
     cfg_path = write_cfg(tmp_path / "shape.cfg", text)
     with pytest.raises(ConfigError) as ei:
@@ -378,6 +396,20 @@ def test_train_rerun_identical_artifacts(tmp_path):
     assert (out / "model.ckpt").read_bytes() == first_ckpt
 
 
+def test_diverging_train_keeps_curves_and_best_checkpoint(tmp_path, capsys):
+    cfg_path, out = make_run(tmp_path, "div", "learning_rate = 1e300\n")
+    assert cli.main(["generate", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite training loss at iteration 1, stage main" in err
+    rows = cli._read_metric_csv(str(out / "curves.csv"))
+    assert rows and {r.iteration for r in rows} == {0}
+    params = md.load_checkpoint(out / "best.ckpt")
+    assert all(np.isfinite(t).all() for t in params.tensors())
+    assert not (out / "model.ckpt").exists()
+
+
 def test_train_rejects_non_finite_data_cell(tmp_path, capsys):
     cfg_path, out = make_run(tmp_path, "nan")
     assert cli.main(["generate", "--config", cfg_path]) == 0
@@ -503,8 +535,15 @@ def _edit_meta(out, key, value):
                            "match 'multinode' from the config"),
     ("test_windows", "999", "meta.txt:7: key 'test_windows': '999' does not "
                             "match '8' from "),
+    ("val_windows", "x", "meta.txt:7: key 'val_windows': "),
+    ("dropped_windows", "x", "meta.txt:7: key 'dropped_windows': 'x' does "
+                             "not match '10' from the config's 125 windows "
+                             "less the recorded split counts"),
+    ("dropped_windows", "11", "meta.txt:7: key 'dropped_windows': '11' does "
+                              "not match '10' from "),
 ], ids=["no_mean", "no_std", "count", "nan_std", "inf_mean", "zero_std",
-        "bad_float", "unknown_key", "dataset", "test_windows"])
+        "bad_float", "unknown_key", "dataset", "test_windows", "val_windows",
+        "dropped_windows", "dropped_off_by_one"])
 def test_bad_statistics_exit_3_naming_meta(tmp_path, capsys, command, key,
                                            value, want):
     cfg_path, out = trained_run(tmp_path, "meta")
@@ -871,6 +910,19 @@ _FUZZ_JUNK = st.one_of(
     st.text(st.characters(exclude_categories=("Cs",)), max_size=20))
 
 
+_FUZZ_KINDS = {key: (attr, kind) for key, attr, kind, _ in cli._SCHEMA}
+
+
+def _in_range(key, text):
+    """Whether a drawn override parses and keeps its RANGES rule."""
+    attr, kind = _FUZZ_KINDS[key]
+    try:
+        value = cli._convert(key, kind, text, "fuzz")
+    except ConfigError:
+        return False
+    return attr not in RANGES or RANGES[attr][0](value)
+
+
 def _mutate_meta(path, number, junk):
     """Keep meta.txt, drop, duplicate or replace one of its lines, or flip
     bits of one byte. `number` picks the edit and its place; as a plain
@@ -894,9 +946,17 @@ def _mutate_meta(path, number, junk):
        junk=st.one_of(st.just([]), st.lists(_FUZZ_JUNK, min_size=1,
                                             max_size=2)),
        tail=st.one_of(st.just(b""), st.binary(min_size=1, max_size=16)),
-       meta_edit=st.integers(0, 2 ** 16), meta_junk=_FUZZ_JUNK)
+       meta_edit=st.integers(0, 2 ** 16), meta_junk=_FUZZ_JUNK,
+       rough=st.integers(0, 3))
 def test_cli_fuzz_exits_0_2_or_3(tmp_path, overrides, junk, tail, meta_edit,
-                                meta_junk):
+                                meta_junk, rough):
+    # only rough == 3 keeps the junk lines, the binary tail and the
+    # range-breaking overrides (hypothesis draws 0 most often); the other
+    # configs mostly generate, so train, evaluate and the meta.txt edits
+    # get most of the examples
+    if rough != 3:
+        overrides = {k: v for k, v in overrides.items() if _in_range(k, v)}
+        junk, tail = [], b""
     run = tempfile.mkdtemp(dir=tmp_path)
     lines = [f"out_dir = {run}", "checkpoint = "]
     lines += [f"{k} = {v}" for k, v in dict(_FUZZ_BASE, **overrides).items()]

@@ -430,6 +430,19 @@ def test_csv_rejects_non_finite_values(tmp_path):
         assert "line 3" in str(ei.value) and "non-finite" in str(ei.value)
 
 
+def test_csv_rejects_index_numpy_misreads(tmp_path):
+    # numpy's int64 parser reads some non-ASCII letters as digits: 'Ǿ'
+    # as 462, which is the index this row needs
+    path = tmp_path / "misread.csv"
+    dt.write_series_csv(np.zeros((463, 1, 1)), path)
+    text = path.read_text(encoding="utf-8").replace("\n462,0,0,", "\nǾ,0,0,")
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataFormatError) as ei:
+        dt.load_series_csv(path)
+    assert str(ei.value) == (f"{path}: line 464: invalid literal for int() "
+                             f"with base 10: 'Ǿ'")
+
+
 def test_frames_roundtrip_bit_exact(tmp_path):
     seqs = dt.gen_moving_sprites(9, 7, 1, (1, 2), length=5, seed=8, count=3,
                                  sprite_size=3)
