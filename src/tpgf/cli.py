@@ -25,12 +25,10 @@ import sys
 from .errors import (RANGES, ConfigError, DataFormatError, DimensionError,
                      DivergenceError, check_ranges)
 
-_U64_MAX = 2 ** 64 - 1
-
 # key, attribute, kind, default. Order fixes the echo layout.
 _SCHEMA = [
     ("out_dir", "out_dir", "str", "out"),
-    ("seed", "seed", "u64", 0),
+    ("seed", "seed", "int", 0),
     ("dataset", "dataset", "choice:multinode,sprites", "multinode"),
     ("strategy", "strategy",
      "choice:teacher_forcing,scheduled_sampling,tpg", "scheduled_sampling"),
@@ -67,7 +65,7 @@ _SCHEMA = [
     ("checkpoint", "checkpoint", "str", ""),
 ]
 
-_KIND_TYPES = {"u64": int, "int": int, "float": float, "bool": bool,
+_KIND_TYPES = {"int": int, "float": float, "bool": bool,
                "ints": tuple}
 
 # one field per schema row, in schema order; "str" and "choice:" are str
@@ -78,11 +76,8 @@ ExperimentConfig = dataclasses.make_dataclass(
 
 def _convert(key: str, kind: str, text: str, where: str):
     try:
-        if kind == "int" or kind == "u64":
-            value = int(text)
-            if kind == "u64" and not 0 <= value <= _U64_MAX:
-                raise ValueError("outside the unsigned 64-bit range")
-            return value
+        if kind == "int":
+            return int(text)
         if kind == "float":
             return float(text)
         if kind == "bool":
@@ -417,35 +412,27 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
     paths = _dataset_paths(cfg)
 
     if cfg.dataset == "multinode":
-        raw = dt.gen_multinode_series(cfg.nodes, cfg.channels, cfg.length,
-                                      cfg.coupling, cfg.noise, cfg.seed)
-        ds = dt.windowize(raw, cfg.t_in, cfg.horizon, cfg.stride,
+        source = dt.gen_multinode_series(cfg.nodes, cfg.channels, cfg.length,
+                                         cfg.coupling, cfg.noise, cfg.seed)
+        ds = dt.windowize(source, cfg.t_in, cfg.horizon, cfg.stride,
                           target_channels=list(cfg.target_channels))
-        parts = dt.split(ds, (cfg.train_frac, cfg.val_frac, cfg.test_frac))
-        # what train.csv windowizes to, so `evaluate` need not read it
-        stats = dt.train_statistics(parts[0])
-        window = cfg.t_in + cfg.horizon
-        for part, path in zip(parts, paths):
-            starts = part.meta.window_starts
-            segment = raw[int(starts[0]):int(starts[-1]) + window]
-            dt.write_series_csv(segment, path)
-        dropped = parts[0].meta.dropped_windows
+        write = dt.write_series_csv
     else:
-        seqs = dt.gen_moving_sprites(cfg.height, cfg.width, cfg.num_sprites,
-                                     (cfg.speed_min, cfg.speed_max),
-                                     cfg.seq_length, cfg.seed,
-                                     count=cfg.seq_count,
-                                     sprite_size=cfg.sprite_size)
-        ds = dt.windowize_sequences(seqs, cfg.t_in, cfg.horizon,
+        source = dt.gen_moving_sprites(cfg.height, cfg.width, cfg.num_sprites,
+                                       (cfg.speed_min, cfg.speed_max),
+                                       cfg.seq_length, cfg.seed,
+                                       count=cfg.seq_count,
+                                       sprite_size=cfg.sprite_size)
+        ds = dt.windowize_sequences(source, cfg.t_in, cfg.horizon,
                                     grid=(cfg.height, cfg.width))
-        parts = dt.split(ds, (cfg.train_frac, cfg.val_frac, cfg.test_frac))
-        offset = 0
-        for part, path in zip(parts, paths):
-            n = len(part)
-            dt.write_frame_sequences(seqs[offset:offset + n], path)
-            offset += n
-        dropped = 0
-        stats = ()
+        write = dt.write_frame_sequences
+    parts = dt.split(ds, (cfg.train_frac, cfg.val_frac, cfg.test_frac))
+    # what train.csv windowizes to, so `evaluate` need not read it
+    stats = dt.train_statistics(parts[0]) if cfg.dataset == "multinode" else ()
+    for part, path in zip(parts, paths):
+        starts, span = part.meta.window_starts, part.meta.window_span
+        write(source[int(starts[0]):int(starts[-1]) + span], path)
+    dropped = parts[0].meta.dropped_windows
 
     counts = {name: len(part) for name, part in zip(_SPLIT_NAMES, parts)}
     _write_pairs(_meta_path(cfg), [
@@ -485,10 +472,12 @@ def cmd_train(cfg: ExperimentConfig) -> int:
         raise
 
     _write_metric_csv(curves, curves_path)
-    final = [r for r in curves if r.iteration == cfg.total_iters
-             and r.split == "test" and r.metric in ("loss", "rmse", "mae")]
-    for r in final:
-        print(f"test {r.metric}: {r.value:.6g}")
+    # the last row wins: for tf and ss, the kept parameters' evaluation
+    final = {r.metric: r.value for r in curves
+             if r.iteration == cfg.total_iters and r.split == "test"
+             and r.metric in ("loss", "rmse", "mae")}
+    for metric, value in final.items():
+        print(f"test {metric}: {value:.6g}")
     return 0
 
 
@@ -634,16 +623,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> int:
-    if args.seed is not None and not 0 <= args.seed <= _U64_MAX:
-        raise ConfigError(f"--seed must be in [0, 2^64), got {args.seed}")
+    if args.seed is not None:
+        check_ranges("--seed", seed=args.seed)
 
     if args.command == "compare":
         if len(args.config) < 2:
             raise ConfigError("compare needs at least two --config runs")
         cfgs = [parse_config(path) for path in args.config]
-        for cfg in cfgs:
-            if args.seed is not None:
-                cfg.seed = args.seed
         labels = [os.path.splitext(os.path.basename(p))[0]
                   for p in args.config]
         out_dir = args.out if args.out else cfgs[0].out_dir

@@ -27,8 +27,9 @@ from .rng import RngState
 class DataMeta:
     channel_names: list
     target_channels: list
+    window_starts: np.ndarray  # source index where each window starts
+    window_span: int  # source steps one window covers
     grid: tuple | None = None  # (H, W) when samples are flattened frames
-    window_starts: np.ndarray | None = None  # raw start per window; None = independent sequences
     dropped_windows: int = 0
     normalized: bool = False
 
@@ -208,14 +209,14 @@ def windowize(raw: np.ndarray, t_in: int, k: int, stride: int = 1,
         np.moveaxis(view(picked[t_in:], k, axis=0)[::stride], -1, 1))
     meta = DataMeta(channel_names=[f"ch{i}" for i in range(channels)],
                     target_channels=target_channels,
-                    window_starts=starts)
+                    window_starts=starts, window_span=window)
     return Dataset(contexts=contexts, targets=targets, meta=meta)
 
 
 def windowize_sequences(seqs: np.ndarray, t_in: int, k: int,
                         grid: tuple) -> Dataset:
     """Independent frame sequences [count, T, H, W] -> one sample each,
-    frames flattened to [T, H*W, 1]."""
+    frames flattened to [T, H*W, 1]; sample i spans bank index i."""
     check_ranges(t_in=t_in, horizon=k)
     seqs = np.asarray(seqs, dtype=np.float64)
     if seqs.ndim != 4:
@@ -230,7 +231,7 @@ def windowize_sequences(seqs: np.ndarray, t_in: int, k: int,
             f"sequence length {total} shorter than window {t_in}+{k}")
     flat = seqs.reshape(count, total, h * w, 1)
     meta = DataMeta(channel_names=["intensity"], target_channels=[0],
-                    grid=(h, w), window_starts=None)
+                    window_starts=np.arange(count), window_span=1, grid=(h, w))
     return Dataset(contexts=flat[:, :t_in].copy(),
                    targets=flat[:, t_in:t_in + k].copy(), meta=meta)
 
@@ -238,29 +239,25 @@ def windowize_sequences(seqs: np.ndarray, t_in: int, k: int,
 def split(dataset: Dataset, fractions):
     """Chronological (train, val, test) partition.
 
-    Windows are cut at raw-time boundaries and windows that straddle a
+    Windows are cut at source boundaries and windows that straddle a
     boundary are dropped (count recorded in meta). A bank of independent
-    sequences is cut the same way as unit windows at 0, 1, 2, ..., that
-    is by sample index, and drops none. Window starts and ends both
-    ascend, so each part is one run of windows: a view of the dataset's
-    arrays, not a copy.
+    sequences has unit windows at 0, 1, 2, ..., so it is cut by sample
+    index and drops none. Window starts and ends both ascend, so each
+    part is one run of windows: a view of the dataset's arrays, not a
+    copy.
     """
     f1, f2, f3 = (float(x) for x in fractions)
     check_ranges(train_frac=f1, val_frac=f2, test_frac=f3)
     if abs(f1 + f2 + f3 - 1.0) > 1e-9:
         raise ConfigError(f"split fractions must sum to 1, got {fractions}")
     num = len(dataset)
-    starts = dataset.meta.window_starts
-    if starts is None:
-        cuts, window = np.arange(num), 1
-    else:
-        cuts, window = starts, dataset.contexts.shape[1] + dataset.targets.shape[1]
-    horizon = int(cuts[-1]) + window if num else 0
+    starts, span = dataset.meta.window_starts, dataset.meta.window_span
+    horizon = int(starts[-1]) + span if num else 0
     b1 = int(f1 * horizon)
     b2 = int((f1 + f2) * horizon)
-    ends = cuts + window
+    ends = starts + span
     # train ends by b1, val starts at b1 and ends by b2, test starts at b2
-    first = [0, int(np.searchsorted(cuts, b1)), int(np.searchsorted(cuts, b2))]
+    first = [0, int(np.searchsorted(starts, b1)), int(np.searchsorted(starts, b2))]
     last = [int(np.searchsorted(ends, b1, side="right")),
             int(np.searchsorted(ends, b2, side="right")), num]
     runs = [slice(lo, max(lo, hi)) for lo, hi in zip(first, last)]
@@ -271,10 +268,8 @@ def split(dataset: Dataset, fractions):
             raise ConfigError(
                 f"split fraction {frac} produced an empty partition "
                 f"({num} windows total)")
-        meta = dataclasses.replace(
-            dataset.meta,
-            window_starts=None if starts is None else starts[run],
-            dropped_windows=dropped)
+        meta = dataclasses.replace(dataset.meta, window_starts=starts[run],
+                                   dropped_windows=dropped)
         parts.append(Dataset(contexts=dataset.contexts[run],
                              targets=dataset.targets[run], meta=meta))
     return tuple(parts)

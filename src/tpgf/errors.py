@@ -42,6 +42,8 @@ _SIZE = (lambda v: isinstance(v, numbers.Integral) and v >= 1,
 
 # attribute name -> (predicate, rule text)
 RANGES = {
+    "seed": (lambda v: isinstance(v, numbers.Integral) and 0 <= v < 2 ** 64,
+             "an integer in [0, 2^64)"),
     **dict.fromkeys(("lam", "learning_rate", "clip_norm"), _POSITIVE),
     "noise": _NON_NEGATIVE,
     **dict.fromkeys(("coupling", "train_frac", "val_frac", "test_frac"), _UNIT),

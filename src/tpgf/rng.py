@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_ranges
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -37,8 +37,7 @@ class RngState:
     """
 
     def __init__(self, seed: int):
-        if not 0 <= int(seed) <= _MASK64:
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        check_ranges(seed=seed)
         self.seed = int(seed)
         self.counter = 0
 

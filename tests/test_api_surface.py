@@ -1,6 +1,7 @@
 """Every public module-level function and class of tpgf is used by tpgf,
-every defaulted parameter is passed by some call in tpgf, and every
-import of a tpgf module is read by that module.
+every other module-level name is read by tpgf, every defaulted parameter
+is passed by some call in tpgf, and every import of a tpgf module is
+read by that module.
 
 A public name that no other code in the package refers to is shadow
 API: its unit tests pass, but no pipeline ever runs it. The scan is
@@ -37,7 +38,10 @@ def _referenced(stmt) -> set:
     return names
 
 
-def unreferenced_public_names() -> list:
+def _unreferenced(bound) -> list:
+    """'module.name' for each name in `bound(stmt)`, the names a
+    top-level statement defines, that no other top-level statement of
+    any package module refers to."""
     modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
                for path in sorted(SRC.glob("*.py"))}
     statements = [(mod, stmt) for mod, tree in modules.items()
@@ -45,21 +49,48 @@ def unreferenced_public_names() -> list:
     refs = [(stmt, _referenced(stmt)) for _, stmt in statements]
     unused = []
     for mod, stmt in statements:
-        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-            continue
-        if stmt.name.startswith("_"):
-            continue
-        used = any(stmt.name in names for other, names in refs
-                   if other is not stmt)
-        if not used:
-            unused.append(f"{mod}.{stmt.name}")
+        for name in bound(stmt):
+            used = any(name in names for other, names in refs
+                       if other is not stmt)
+            if not used:
+                unused.append(f"{mod}.{name}")
     return unused
+
+
+def _is_public_def(stmt) -> bool:
+    return (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_"))
+
+
+def unreferenced_public_names() -> list:
+    return _unreferenced(
+        lambda stmt: [stmt.name] if _is_public_def(stmt) else [])
 
 
 def test_every_public_name_is_used_or_allowed():
     # equality, not a subset: a stale allowlist entry would hide a name
     # that later loses its last caller
     assert sorted(unreferenced_public_names()) == sorted(ALLOWED)
+
+
+def _other_bindings(stmt) -> list:
+    """The names a top-level statement binds, except a public function or
+    class (the scan above covers those) and a dunder, which the
+    interpreter and packaging tools read."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [] if _is_public_def(stmt) else [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [node.id for target in targets for node in ast.walk(target)
+                 if isinstance(node, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_every_module_level_name_is_read():
+    # a constant, a table or a private helper that a removal left behind
+    assert _unreferenced(_other_bindings) == []
 
 
 # module.function(parameter) -> why no package call passes it

@@ -314,6 +314,35 @@ out_dir = {out}
     assert count == 9  # 0.8 of 12, index split
 
 
+def test_generate_sprites_split_files_hold_their_sequences(tmp_path):
+    out = tmp_path / "spr"
+    cfg_path = write_cfg(tmp_path / "spr.cfg", f"""
+dataset = sprites
+height = 8
+width = 8
+sprite_size = 3
+seq_length = 10
+seq_count = 23
+t_in = 6
+horizon = 4
+train_frac = 0.6
+val_frac = 0.25
+test_frac = 0.15
+seed = 5
+out_dir = {out}
+""")
+    assert cli.main(["generate", "--config", cfg_path]) == 0
+    cfg = cli.parse_config(cfg_path)
+    seqs = dt.gen_moving_sprites(8, 8, cfg.num_sprites,
+                                 (cfg.speed_min, cfg.speed_max), 10, 5,
+                                 count=23, sprite_size=3)
+    # by sample index: int(0.6 * 23) = 13, int(0.85 * 23) = 19
+    for name, lo, hi in (("train", 0, 13), ("val", 13, 19),
+                         ("test", 19, 23)):
+        got = dt.load_frame_sequences(out / "data" / f"{name}.frames")
+        assert got.tobytes() == seqs[lo:hi].tobytes()
+
+
 def test_seed_override_reaches_echo_and_files(tmp_path):
     cfg_path, out = make_run(tmp_path, "ovr")
     assert cli.main(["generate", "--config", cfg_path, "--seed", "99"]) == 0
@@ -383,6 +412,27 @@ def test_train_tpg_emits_both_checkpoints(tmp_path):
     assert "m1.loss" in metrics and "m2.loss" in metrics
     assert max(r.iteration for r in rows if r.metric == "m1.loss") <= 25
     assert min(r.iteration for r in rows if r.metric == "m2.loss") >= 25
+
+
+@pytest.mark.parametrize("extra", ["strategy = teacher_forcing\n",
+                                   "strategy = scheduled_sampling\n",
+                                   "strategy = tpg\nstage1_iters = 25\n"])
+def test_train_prints_each_final_metric_once(tmp_path, capsys, extra):
+    # tf and ss write test,loss at total_iters twice, from the last cadence
+    # and from the final evaluation of the kept parameters; the second is
+    # the checkpoint's, and the only one printed
+    cfg_path, out = make_run(tmp_path, "pr", extra)
+    assert cli.main(["generate", "--config", cfg_path]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg_path]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    rows = [r for r in cli._read_metric_csv(str(out / "curves.csv"))
+            if (r.iteration, r.split) == (50, "test")]
+    losses = [r for r in rows if r.metric == "loss"]
+    assert len(losses) == (1 if "tpg" in extra else 2)
+    last = {r.metric: r.value for r in rows}
+    assert printed == [f"test {m}: {last[m]:.6g}"
+                       for m in ("loss", "rmse", "mae")]
 
 
 def test_train_rerun_identical_artifacts(tmp_path):
@@ -888,7 +938,7 @@ _FUZZ_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-12, 0.5, 1.0,
 def _fuzz_value(key, kind):
     if key == "total_iters":
         return st.integers(-2, 3).map(str)
-    if kind in ("int", "u64"):
+    if kind == "int":
         return st.integers(-2, 8).map(str)
     if kind == "float":
         return st.sampled_from(_FUZZ_FLOATS).map(repr)

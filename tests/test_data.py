@@ -255,20 +255,24 @@ def test_split_independent_sequences_by_index():
                 continue
             for part, w in zip(dt.split(ds, fracs), want):
                 npt.assert_array_equal(part.contexts[:, 0, 0, 0], w)
-                assert part.meta.window_starts is None
+                # a bank's windows start at their sample indices, span 1
+                npt.assert_array_equal(part.meta.window_starts, w)
+                assert part.meta.window_span == 1
                 assert part.meta.dropped_windows == 0
 
 
 def _mask_split(ds, fractions):
     """Reference: the window indices of each part as the boolean masks of
-    the copying split selected them, and the dropped count."""
+    the copying split selected them, and the dropped count. The window
+    comes from the family and the array shapes, not from meta's span: a
+    bank is cut by sample index, a series by its windows' starts."""
     f1, f2, _ = fractions
     num = len(ds)
-    starts = ds.meta.window_starts
-    if starts is None:
+    if ds.meta.grid is not None:
         cuts, window = np.arange(num), 1
     else:
-        cuts, window = starts, ds.contexts.shape[1] + ds.targets.shape[1]
+        cuts = ds.meta.window_starts
+        window = ds.contexts.shape[1] + ds.targets.shape[1]
     horizon = int(cuts[-1]) + window if num else 0
     b1 = int(f1 * horizon)
     b2 = int((f1 + f2) * horizon)
@@ -302,11 +306,9 @@ def test_split_parts_are_views_matching_masks():
                 npt.assert_array_equal(part.contexts, ds.contexts[idx])
                 npt.assert_array_equal(part.targets, ds.targets[idx])
                 assert part.meta.dropped_windows == dropped
-                if ds.meta.window_starts is None:
-                    assert part.meta.window_starts is None
-                else:
-                    npt.assert_array_equal(part.meta.window_starts,
-                                           ds.meta.window_starts[idx])
+                npt.assert_array_equal(part.meta.window_starts,
+                                       ds.meta.window_starts[idx])
+                assert part.meta.window_span == ds.meta.window_span
                 if idx.size:
                     assert np.shares_memory(part.contexts, ds.contexts)
                     assert np.shares_memory(part.targets, ds.targets)
@@ -343,7 +345,8 @@ def test_train_statistics_keep_numpy_mean_std_bits():
         ds = dt.Dataset(contexts=contexts, targets=contexts[:, :1],
                         meta=dt.DataMeta(
                             channel_names=[f"ch{i}" for i in range(shape[3])],
-                            target_channels=[0]))
+                            target_channels=[0],
+                            window_starts=np.arange(shape[0]), window_span=1))
         flat = contexts.reshape(-1, shape[3])
         mean, std = dt.train_statistics(ds)
         assert mean.tobytes() == flat.mean(axis=0).tobytes()
