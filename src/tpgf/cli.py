@@ -22,8 +22,8 @@ import math
 import os
 import sys
 
-from .errors import (RANGES, ConfigError, DataFormatError, DimensionError,
-                     DivergenceError, check_ranges)
+from .errors import (RANGES, RULES, ConfigError, DataFormatError,
+                     DimensionError, DivergenceError, check_ranges)
 
 # key, attribute, kind, default. Order fixes the echo layout.
 _SCHEMA = [
@@ -131,18 +131,23 @@ def _read_pairs(path, keys, error, hint: str) -> dict:
     return pairs
 
 
-def _write_pairs(path, pairs) -> None:
-    """Write (key, text) pairs as `key = value` lines through a temp
-    file, so a failed write leaves the previous file intact."""
+def _write_lines(path, lines) -> None:
+    """Write text lines through a temp file, so a failed write leaves the
+    previous file intact."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("".join(f"{key} = {text}\n" for key, text in pairs))
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def _write_pairs(path, pairs) -> None:
+    """Write (key, text) pairs as `key = value` lines."""
+    _write_lines(path, (f"{key} = {text}\n" for key, text in pairs))
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -162,55 +167,23 @@ def parse_config(path: str) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig, lines: dict, path: str) -> None:
-    def where(key):
-        loc = f" (line {lines[key]})" if key in lines else ""
-        return f"{path}: key '{key}'{loc}:"
-
-    def fail(key, msg):
-        raise ConfigError(f"{where(key)} {msg}")
-
-    for key, attr, _, _ in _SCHEMA:
+    where = {attr: f"{path}: key '{key}'"
+             + (f" (line {lines[key]}):" if key in lines else ":")
+             for key, attr, _, _ in _SCHEMA}
+    for _, attr, _, _ in _SCHEMA:
         if attr in RANGES:
-            check_ranges(where(key), **{attr: getattr(cfg, attr)})
-    fracs = (cfg.train_frac, cfg.val_frac, cfg.test_frac)
-    if abs(sum(fracs) - 1.0) > 1e-9:
-        fail("train_frac", "train_frac + val_frac + test_frac must sum to 1, "
-             f"got {fracs}")
-    for key, frac in zip(("train_frac", "val_frac", "test_frac"), fracs):
-        if frac == 0:
-            fail(key, f"must be > 0, got {frac}")
-    if not cfg.target_channels:
-        fail("target_channels", "must name at least one channel")
-    if len(set(cfg.target_channels)) != len(cfg.target_channels):
-        fail("target_channels", f"must be distinct, got {cfg.target_channels}")
-    if cfg.dataset == "multinode":
-        for c in cfg.target_channels:
-            if not 0 <= c < cfg.channels:
-                fail("target_channels",
-                     f"channel {c} out of range for channels = {cfg.channels}")
-    if cfg.dataset == "sprites":
-        if cfg.speed_min < 1 or cfg.speed_min > cfg.speed_max:
-            fail("speed_min", f"need 1 <= speed_min <= speed_max, got "
-                 f"{cfg.speed_min}..{cfg.speed_max}")
-        travel = min(cfg.height, cfg.width) - cfg.sprite_size
-        if travel < 0:
-            fail("sprite_size", f"must fit the {cfg.height}x{cfg.width} "
-                 f"grid, got {cfg.sprite_size}")
-        if cfg.speed_max > travel:
-            fail("speed_max", f"must be <= min(height, width) - sprite_size "
-                 f"= {travel}, got {cfg.speed_max}")
-    span = "length" if cfg.dataset == "multinode" else "seq_length"
-    if getattr(cfg, span) < cfg.t_in + cfg.horizon:
-        fail(span, f"must cover t_in + horizon = {cfg.t_in + cfg.horizon}, "
-             f"got {getattr(cfg, span)}")
-
-    if cfg.strategy == "tpg":
-        if cfg.stage1_iters < 1:
-            fail("stage1_iters", "strategy = tpg requires stage1_iters >= 1")
-        if cfg.stage1_iters >= cfg.total_iters:
-            fail("stage1_iters", f"must be < total_iters = {cfg.total_iters}")
-        if cfg.horizon < 2:
-            fail("horizon", "strategy = tpg needs horizon >= 2 to subsample")
+            check_ranges(where, **{attr: getattr(cfg, attr)})
+    # generate has no file to write for an empty split
+    for attr in ("train_frac", "val_frac", "test_frac"):
+        if getattr(cfg, attr) == 0:
+            raise ConfigError(f"{where[attr]} must be > 0, got "
+                              f"{getattr(cfg, attr)}")
+    # a family is not held to the rules of the keys it does not read
+    unread = ({"sprite_size", "speed_min", "speed_max", "seq_length"}
+              if cfg.dataset == "multinode" else {"length", "channels"})
+    for names, _, _ in RULES:
+        if unread.isdisjoint(names):
+            check_ranges(where, **{n: getattr(cfg, n) for n in names})
 
 
 def _format_value(kind: str, value) -> str:
@@ -366,10 +339,8 @@ _CURVE_HEADER = "iter,split,metric,value"
 
 
 def _write_metric_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_CURVE_HEADER + "\n")
-        for r in rows:
-            fh.write(f"{r.iteration},{r.split},{r.metric},{r.value:.17g}\n")
+    _write_lines(path, [f"{_CURVE_HEADER}\n"] + [
+        f"{r.iteration},{r.split},{r.metric},{r.value:.17g}\n" for r in rows])
 
 
 def _read_metric_csv(path):
@@ -561,12 +532,10 @@ def cmd_compare(cfgs, labels, out_dir: str) -> int:
         best[m] = max(values) if m in _HIGHER_BETTER else min(values)
 
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "comparison.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("strategy," + ",".join(columns) + "\n")
-        for strategy, metrics in runs:
-            cells = [f"{metrics[m]:.17g}" for m in columns]
-            fh.write(",".join([strategy] + cells) + "\n")
+    _write_lines(os.path.join(out_dir, "comparison.csv"), [
+        ",".join(["strategy", *columns]) + "\n",
+        *(",".join([strategy] + [f"{metrics[m]:.17g}" for m in columns]) + "\n"
+          for strategy, metrics in runs)])
 
     cells = [["strategy"] + columns]
     for strategy, metrics in runs:
@@ -579,9 +548,7 @@ def cmd_compare(cfgs, labels, out_dir: str) -> int:
     rendered = "\n".join(
         "  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip()
         for row in cells) + "\n"
-    with open(os.path.join(out_dir, "comparison.txt"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(rendered)
+    _write_lines(os.path.join(out_dir, "comparison.txt"), [rendered])
     print(rendered, end="")
     return 0
 
@@ -593,7 +560,7 @@ def _apply_thread_cap() -> None:
     cap = os.environ.get("TPGF_THREADS")
     if cap is None:
         return
-    if not cap.isdigit() or int(cap) < 1:
+    if not (cap.isascii() and cap.isdigit()) or int(cap) < 1:
         raise ConfigError(f"TPGF_THREADS must be a positive integer, "
                           f"got {cap!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -624,7 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> int:
     if args.seed is not None:
-        check_ranges("--seed", seed=args.seed)
+        check_ranges({"seed": "--seed"}, seed=args.seed)
 
     if args.command == "compare":
         if len(args.config) < 2:

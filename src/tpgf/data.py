@@ -135,18 +135,10 @@ def gen_moving_sprites(h: int, w: int, num_sprites: int, speed_range,
     split(seed, i + 1); per sprite the draw order is row, col,
     |row speed|, |col speed|, row sign, col sign.
     """
-    check_ranges(height=h, width=w, num_sprites=num_sprites, seq_length=length,
-                 seq_count=count, sprite_size=sprite_size)
     lo, hi = int(speed_range[0]), int(speed_range[1])
-    if lo < 0 or hi < lo:
-        raise ConfigError(f"speed range must satisfy 0 <= lo <= hi, got {lo}, {hi}")
-    if sprite_size > h or sprite_size > w:
-        raise ConfigError(
-            f"sprite [{sprite_size}, {sprite_size}] does not fit grid {h}x{w}")
-    # one reflection per step keeps a sprite on the grid only this far
-    if hi > min(h, w) - sprite_size:
-        raise ConfigError(f"speed {hi} exceeds the travel range "
-                          f"{min(h, w) - sprite_size} of the sprite")
+    check_ranges(height=h, width=w, num_sprites=num_sprites, seq_length=length,
+                 seq_count=count, sprite_size=sprite_size, speed_min=lo,
+                 speed_max=hi)
     sprites = [np.ones((sprite_size, sprite_size))] * num_sprites
     r_lim = h - sprite_size
     c_lim = w - sprite_size
@@ -183,22 +175,14 @@ def windowize(raw: np.ndarray, t_in: int, k: int, stride: int = 1,
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 3:
         raise ConfigError(f"raw series must be [T, N, F], got shape {list(raw.shape)}")
-    check_ranges(t_in=t_in, horizon=k, stride=stride)
     total, nodes, channels = raw.shape
-    window = t_in + k
-    if total < window:
-        raise ConfigError(
-            f"series length {total} shorter than window {t_in}+{k}")
     if target_channels is None:
         target_channels = list(range(channels))
     target_channels = [int(c) for c in target_channels]
-    for c in target_channels:
-        if not 0 <= c < channels:
-            raise ConfigError(f"target channel {c} out of range for F={channels}")
-    if len(set(target_channels)) != len(target_channels):
-        raise ConfigError(f"target channels must be distinct, got {target_channels}")
+    check_ranges(t_in=t_in, horizon=k, stride=stride, length=total,
+                 channels=channels, target_channels=target_channels)
 
-    starts = np.arange(0, total - window + 1, stride, dtype=np.int64)
+    starts = np.arange(0, total - t_in - k + 1, stride, dtype=np.int64)
     # one C-contiguous copy of a strided view of all windows each, so
     # contexts and targets flatten to views
     view = np.lib.stride_tricks.sliding_window_view
@@ -209,7 +193,7 @@ def windowize(raw: np.ndarray, t_in: int, k: int, stride: int = 1,
         np.moveaxis(view(picked[t_in:], k, axis=0)[::stride], -1, 1))
     meta = DataMeta(channel_names=[f"ch{i}" for i in range(channels)],
                     target_channels=target_channels,
-                    window_starts=starts, window_span=window)
+                    window_starts=starts, window_span=t_in + k)
     return Dataset(contexts=contexts, targets=targets, meta=meta)
 
 
@@ -217,7 +201,6 @@ def windowize_sequences(seqs: np.ndarray, t_in: int, k: int,
                         grid: tuple) -> Dataset:
     """Independent frame sequences [count, T, H, W] -> one sample each,
     frames flattened to [T, H*W, 1]; sample i spans bank index i."""
-    check_ranges(t_in=t_in, horizon=k)
     seqs = np.asarray(seqs, dtype=np.float64)
     if seqs.ndim != 4:
         raise ConfigError(
@@ -226,9 +209,7 @@ def windowize_sequences(seqs: np.ndarray, t_in: int, k: int,
     if tuple(grid) != (h, w):
         raise ConfigError(
             f"grid {tuple(grid)} does not match the frames' (h, w) = {(h, w)}")
-    if total < t_in + k:
-        raise ConfigError(
-            f"sequence length {total} shorter than window {t_in}+{k}")
+    check_ranges(t_in=t_in, horizon=k, seq_length=total)
     flat = seqs.reshape(count, total, h * w, 1)
     meta = DataMeta(channel_names=["intensity"], target_channels=[0],
                     window_starts=np.arange(count), window_span=1, grid=(h, w))
@@ -248,8 +229,6 @@ def split(dataset: Dataset, fractions):
     """
     f1, f2, f3 = (float(x) for x in fractions)
     check_ranges(train_frac=f1, val_frac=f2, test_frac=f3)
-    if abs(f1 + f2 + f3 - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must sum to 1, got {fractions}")
     num = len(dataset)
     starts, span = dataset.meta.window_starts, dataset.meta.window_span
     horizon = int(starts[-1]) + span if num else 0

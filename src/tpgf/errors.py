@@ -1,6 +1,6 @@
-"""Shared exception types, and the one table of single-value range rules
-that every config entry point (the dataclasses, the data functions and
-the CLI) checks its values against."""
+"""Shared exception types, and the one table of config rules, single-value
+and cross-key, that every config entry point (the dataclasses, the data
+and training functions and the CLI) checks its values against."""
 
 import math
 import numbers
@@ -50,18 +50,67 @@ RANGES = {
     **dict.fromkeys(("total_iters", "stage1_iters"), _COUNT),
     **dict.fromkeys(("hidden", "batch_size", "val_every", "t_in", "horizon",
                      "stride", "nodes", "channels", "length", "height",
-                     "width", "num_sprites", "seq_length", "seq_count",
-                     "sprite_size"), _SIZE),
+                     "width", "num_sprites", "speed_min", "speed_max",
+                     "seq_length", "seq_count", "sprite_size"), _SIZE),
 }
+
+# (attribute names, predicate over their values, rule text) for the rules
+# that relate several values; each predicate is False on nan, and an error
+# names the first attribute
+RULES = (
+    (("train_frac", "val_frac", "test_frac"),
+     lambda a, b, c: abs(a + b + c - 1.0) <= 1e-9,
+     "must sum to 1 with val_frac and test_frac"),
+    (("target_channels",),
+     lambda cs: 0 < len(cs) == len(set(cs))
+     and all(isinstance(c, numbers.Integral) for c in cs),
+     "must be distinct integers, at least one"),
+    (("target_channels", "channels"), lambda cs, n: all(0 <= c < n for c in cs),
+     "must lie in [0, channels)"),
+    (("speed_min", "speed_max"), lambda lo, hi: lo <= hi,
+     "must be <= speed_max"),
+    (("sprite_size", "height", "width"), lambda s, h, w: s <= h and s <= w,
+     "must be <= min(height, width)"),
+    # one reflection per step keeps a sprite on the grid only this far
+    (("speed_max", "height", "width", "sprite_size"),
+     lambda v, h, w, s: v + s <= h and v + s <= w,
+     "must be <= min(height, width) - sprite_size"),
+    *(((span, "t_in", "horizon"), lambda n, t, k: n >= t + k,
+       "must be >= t_in + horizon") for span in ("length", "seq_length")),
+    (("stage1_iters", "strategy"), lambda s, how: how != "tpg" or s >= 1,
+     "must be >= 1 for strategy = tpg"),
+    (("stage1_iters", "total_iters", "strategy"),
+     lambda s, n, how: how != "tpg" or s < n,
+     "must be < total_iters for strategy = tpg"),
+    (("horizon", "strategy"), lambda k, how: how != "tpg" or k >= 2,
+     "must be >= 2 for strategy = tpg to subsample"),
+)
+
+# attribute name -> (predicate, rule text, the RULES entries it heads, or None)
+_CHECKS = {name: (*RANGES.get(name, (lambda v: True, "")),
+                  tuple(r for r in RULES if r[0][0] == name) or None)
+           for name in {*RANGES, *(n for names, _, _ in RULES for n in names)}}
 
 
 def check_ranges(where=None, **values):
-    """Raise ConfigError for the first value that breaks its RANGES rule.
-
-    The message names the attribute, or starts with `where` instead
-    when given.
-    """
+    """Raise ConfigError for the first value that breaks its RANGES rule,
+    else for the first broken RULES entry whose attributes were all passed.
+    A message starts with the (first) attribute's name, or `where[name]`."""
+    later = None
     for name, value in values.items():
-        test, rule = RANGES[name]
+        test, rule, rules = _CHECKS[name]
         if not test(value):
-            raise ConfigError(f"{where or name} must be {rule}, got {value}")
+            raise ConfigError(f"{(where or {}).get(name, name)} must be "
+                              f"{rule}, got {value}")
+        if rules is not None:
+            later = rules if later is None else later + rules
+    # every decoder step calls this with one name that heads no entry: keep
+    # that to two `is None` tests, and no closure over `values` (a cell each)
+    if later is None:
+        return
+    for names, test, rule in later:
+        args = tuple(map(values.get, names))
+        if values.keys() >= set(names) and not test(*args):
+            got = ", ".join(map("{} = {}".format, names, args))
+            raise ConfigError(f"{(where or {}).get(names[0], names[0])} "
+                              f"{rule}, got {got}")

@@ -40,9 +40,8 @@ class ScheduleConfig:
     stage1_iters: int = 0
 
     def __post_init__(self):
-        check_ranges(lam=self.lam, stage1_iters=self.stage1_iters)
-        if self.strategy is Strategy.TPG and self.stage1_iters < 1:
-            raise ConfigError("tpg requires stage1_iters >= 1")
+        check_ranges(lam=self.lam, stage1_iters=self.stage1_iters,
+                     strategy=self.strategy.value)
 
 
 def _decayed(i: int, lam: float, rate: float) -> float:

@@ -542,12 +542,9 @@ def train_tpg(splits, cfg: TrainConfig):
                           f"got {cfg.schedule.strategy.value}")
     train, evals = _unpack_splits(splits)
     k = train.targets.shape[1]
-    if k < 2:
-        raise ConfigError(f"tpg needs horizon >= 2 to subsample, got {k}")
     stage1 = cfg.schedule.stage1_iters
-    if stage1 >= cfg.total_iters:
-        raise ConfigError(
-            f"stage1_iters {stage1} must be < total_iters {cfg.total_iters}")
+    check_ranges(strategy="tpg", stage1_iters=stage1,
+                 total_iters=cfg.total_iters, horizon=k)
 
     curves: list = []
 

@@ -16,7 +16,9 @@ from test_acceptance import CLI_CFG
 from tpgf import cli
 from tpgf import data as dt
 from tpgf import model as md
-from tpgf.errors import RANGES, ConfigError, check_ranges
+from tpgf import sampling as sp
+from tpgf import training as tr
+from tpgf.errors import RANGES, RULES, ConfigError, check_ranges
 
 
 def write_cfg(path, text):
@@ -74,46 +76,98 @@ def test_bad_lambda_names_key_and_line(tmp_path):
     assert "lambda" in msg and "line 2" in msg
 
 
-@pytest.mark.parametrize("text, want", [
+def _sprites(h=16, w=16, speeds=(1, 2), size=5):
+    return lambda: dt.gen_moving_sprites(h, w, 1, speeds, 40, seed=0,
+                                         sprite_size=size)
+
+
+def _windows(length=40, channels=9, targets=(0, 1, 2)):
+    return lambda: dt.windowize(np.zeros((length, 1, channels)), 24, 12,
+                                target_channels=list(targets))
+
+
+def _tpg(stage1, total=2000, horizon=12):
+    def train():
+        schedule = sp.ScheduleConfig(strategy=sp.Strategy.TPG,
+                                     stage1_iters=stage1)
+        cfg = tr.TrainConfig(schedule=schedule, total_iters=total)
+        windows = dt.windowize(np.zeros((40, 1, 1)), 24, horizon)
+        tr.train_tpg((windows, None, None), cfg)
+    return train
+
+
+# a config breaking one rule; what parse_config says after the file name;
+# the library entry point that checks the same rule, given the same values
+@pytest.mark.parametrize("text, want, library", [
     ("length = 20\n",
-     "key 'length' (line 1): must cover t_in + horizon = 36, got 20"),
+     "key 'length' (line 1): must be >= t_in + horizon, got length = 20, "
+     "t_in = 24, horizon = 12", _windows(length=20)),
     ("dataset = sprites\nheight = 4\nwidth = 6\nsprite_size = 5\n",
-     "key 'sprite_size' (line 4): must fit the 4x6 grid, got 5"),
+     "key 'sprite_size' (line 4): must be <= min(height, width), got "
+     "sprite_size = 5, height = 4, width = 6", _sprites(4, 6)),
     ("train_frac = 0.0\nval_frac = 0.5\ntest_frac = 0.5\n",
-     "key 'train_frac' (line 1): must be > 0, got 0.0"),
+     "key 'train_frac' (line 1): must be > 0, got 0.0", None),
     ("val_frac = 0.0\ntest_frac = 0.2\n",
-     "key 'val_frac' (line 1): must be > 0, got 0.0"),
+     "key 'val_frac' (line 1): must be > 0, got 0.0", None),
     ("val_frac = 0.2\ntest_frac = 0\n",
-     "key 'test_frac' (line 2): must be > 0, got 0.0"),
+     "key 'test_frac' (line 2): must be > 0, got 0.0", None),
     ("dataset = sprites\nheight = 8\nwidth = 6\nsprite_size = 3\n"
      "speed_max = 4\n",
-     "key 'speed_max' (line 5): must be <= min(height, width) - sprite_size "
-     "= 3, got 4"),
+     "key 'speed_max' (line 5): must be <= min(height, width) - sprite_size, "
+     "got speed_max = 4, height = 8, width = 6, sprite_size = 3",
+     _sprites(8, 6, (1, 4), 3)),
     ("train_frac = 0.5\nval_frac = 0.2\ntest_frac = 0.2\n",
-     "key 'train_frac' (line 1): train_frac + val_frac + test_frac must sum "
-     "to 1, got (0.5, 0.2, 0.2)"),
+     "key 'train_frac' (line 1): must sum to 1 with val_frac and test_frac, "
+     "got train_frac = 0.5, val_frac = 0.2, test_frac = 0.2",
+     lambda: dt.split(_windows()(), (0.5, 0.2, 0.2))),
     ("target_channels =\n",
-     "key 'target_channels' (line 1): must name at least one channel"),
+     "key 'target_channels' (line 1): must be distinct integers, at least "
+     "one, got target_channels = ()", _windows(targets=())),
+    ("target_channels = 0,0\n",
+     "key 'target_channels' (line 1): must be distinct integers, at least "
+     "one, got target_channels = (0, 0)", _windows(targets=(0, 0))),
     ("channels = 2\ntarget_channels = 0,2\n",
-     "key 'target_channels' (line 2): channel 2 out of range for "
-     "channels = 2"),
+     "key 'target_channels' (line 2): must lie in [0, channels), got "
+     "target_channels = (0, 2), channels = 2",
+     _windows(channels=2, targets=(0, 2))),
     ("dataset = sprites\nspeed_min = 3\nspeed_max = 2\n",
-     "key 'speed_min' (line 2): need 1 <= speed_min <= speed_max, got 3..2"),
+     "key 'speed_min' (line 2): must be <= speed_max, got speed_min = 3, "
+     "speed_max = 2", _sprites(speeds=(3, 2))),
     ("dataset = sprites\nspeed_min = 0\n",
-     "key 'speed_min' (line 2): need 1 <= speed_min <= speed_max, got 0..2"),
+     "key 'speed_min' (line 2): must be an integer >= 1, got 0",
+     _sprites(speeds=(0, 2))),
+    ("dataset = sprites\nseq_length = 30\n",
+     "key 'seq_length' (line 2): must be >= t_in + horizon, got "
+     "seq_length = 30, t_in = 24, horizon = 12",
+     lambda: dt.windowize_sequences(np.zeros((1, 30, 4, 4)), 24, 12,
+                                    grid=(4, 4))),
+    ("strategy = tpg\nstage1_iters = 0\n",
+     "key 'stage1_iters' (line 2): must be >= 1 for strategy = tpg, got "
+     "stage1_iters = 0, strategy = tpg",
+     lambda: sp.ScheduleConfig(strategy=sp.Strategy.TPG, stage1_iters=0)),
     ("strategy = tpg\nstage1_iters = 50\ntotal_iters = 50\n",
-     "key 'stage1_iters' (line 2): must be < total_iters = 50"),
+     "key 'stage1_iters' (line 2): must be < total_iters for strategy = tpg, "
+     "got stage1_iters = 50, total_iters = 50, strategy = tpg",
+     _tpg(50, total=50)),
     ("strategy = tpg\nstage1_iters = 5\nhorizon = 1\n",
-     "key 'horizon' (line 3): strategy = tpg needs horizon >= 2 to "
-     "subsample"),
+     "key 'horizon' (line 3): must be >= 2 for strategy = tpg to subsample, "
+     "got horizon = 1, strategy = tpg", _tpg(5, horizon=1)),
 ], ids=["length", "sprite_size", "train_frac", "val_frac", "test_frac",
-        "speed_max", "fraction_sum", "no_target_channel", "target_channel",
-        "speed_order", "speed_zero", "stage1_iters", "tpg_horizon"])
-def test_data_shape_errors_name_key_and_line(tmp_path, text, want):
+        "speed_max", "fraction_sum", "no_target_channel",
+        "repeated_target_channel", "target_channel", "speed_order",
+        "speed_zero", "seq_length", "stage1_zero", "stage1_iters",
+        "tpg_horizon"])
+def test_data_shape_errors_name_key_and_line(tmp_path, text, want, library):
     cfg_path = write_cfg(tmp_path / "shape.cfg", text)
     with pytest.raises(ConfigError) as ei:
         cli.parse_config(cfg_path)
     assert str(ei.value) == f"{cfg_path}: {want}"
+    if library is not None:
+        key = want.split("'")[1]
+        rule = want.split("): ", 1)[1].split(", got ")[0]
+        with pytest.raises(ConfigError) as ei:
+            library()
+        assert str(ei.value).startswith(f"{key} {rule}, got ")
 
 
 @pytest.mark.parametrize("val_frac, want", [
@@ -133,6 +187,25 @@ def test_every_range_rule_rejects_nan_and_inf():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError, match=f"^{name} must be"):
                 check_ranges(**{name: bad})
+    # values that keep every cross-key rule; nan in any number breaks it
+    good = dict(train_frac=0.8, val_frac=0.1, test_frac=0.1,
+                target_channels=(0, 1), channels=3, speed_min=1, speed_max=2,
+                sprite_size=5, height=16, width=16, length=40, seq_length=40,
+                t_in=24, horizon=12, stage1_iters=5, total_iters=50,
+                strategy="tpg")
+    for names, test, _ in RULES:
+        assert test(*(good[n] for n in names)), names
+        for bad in set(names) - {"strategy"}:
+            nan = (0, math.nan) if bad == "target_channels" else math.nan
+            assert not test(*(nan if n == bad else good[n] for n in names)), \
+                (names, bad)
+
+
+def test_every_rule_reads_config_attributes():
+    # so parse_config can check every rule, and name the key and line
+    attrs = {attr for _, attr, _, _ in cli._SCHEMA}
+    named = {*RANGES, *(n for names, _, _ in RULES for n in names)}
+    assert named <= attrs, named - attrs
 
 
 @pytest.mark.parametrize("key, value", [
@@ -350,11 +423,24 @@ def test_seed_override_reaches_echo_and_files(tmp_path):
     assert "seed = 99" in echo
 
 
-@pytest.mark.parametrize("name", ["config.echo", "meta.txt"])
-def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name):
+# artifact, its path under out_dir, the command that writes it
+@pytest.mark.parametrize("name, where, command", [
+    ("config.echo", "config.echo", "generate"),
+    ("meta.txt", "data/meta.txt", "generate"),
+    ("curves.csv", "curves.csv", "train"),
+    ("metrics.csv", "metrics.csv", "evaluate"),
+    ("comparison.csv", "comparison.csv", "compare"),
+], ids=["config.echo", "meta.txt", "curves.csv", "metrics.csv",
+        "comparison.csv"])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name, where,
+                                          command):
     cfg_path, out = make_run(tmp_path, "atomic")
-    assert cli.main(["generate", "--config", cfg_path]) == 0
-    path = out / name if name == "config.echo" else out / "data" / name
+    steps = ["generate", "train", "evaluate", "compare"]
+    argv = {cmd: [cmd, "--config", cfg_path] for cmd in steps}
+    argv["compare"] += ["--config", cfg_path]
+    for cmd in steps[:steps.index(command) + 1]:
+        assert cli.main(argv[cmd]) == 0
+    path = out / where
     before = path.read_bytes()
 
     def crash(src, dst):
@@ -364,7 +450,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name):
         os.rename(src, dst)
 
     monkeypatch.setattr(cli.os, "replace", crash)
-    assert cli.main(["generate", "--config", cfg_path, "--seed", "99"]) == 3
+    assert cli.main(argv[command] + ["--seed", "99"]) == 3
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert not list(out.rglob("*.tmp"))
@@ -845,8 +931,11 @@ def test_compare_non_utf8_metrics_names_path(tmp_path, capsys):
 # entry point details
 
 def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("TPGF_THREADS", "zero")
-    assert cli.main(["generate", "--config", "whatever.cfg"]) == 2
+    # "²" passes str.isdigit but not int(); "١" passes both
+    for cap in ("zero", "\u00b2", "\u0661"):
+        monkeypatch.setenv("TPGF_THREADS", cap)
+        assert cli.main(["generate", "--config", "whatever.cfg"]) == 2
+        assert os.environ.get("OMP_NUM_THREADS") != cap
 
     monkeypatch.setenv("TPGF_THREADS", "2")
     cfg_path, out = make_run(tmp_path, "thr")

@@ -59,12 +59,10 @@ def test_multinode_huge_noise_names_noise():
             dt.gen_multinode_series(2, 3, 80, 0.5, 1e308, 1)
 
 
-def test_sprites_speed_zero_frozen():
-    seqs = dt.gen_moving_sprites(12, 12, 2, (0, 0), length=8, seed=5, count=2)
-    assert seqs.shape == (2, 8, 12, 12)
-    for idx in range(2):
-        for t in range(1, 8):
-            npt.assert_array_equal(seqs[idx, t], seqs[idx, 0])
+def test_sprites_speed_zero_rejected():
+    # a config never allowed speed 0, so the generator does not either
+    with pytest.raises(ConfigError, match="^speed_min must be an integer >= 1"):
+        dt.gen_moving_sprites(12, 12, 2, (0, 0), length=8, seed=5, count=2)
 
 
 def test_sprites_pure_translation():
@@ -118,7 +116,9 @@ def test_sprites_speed_beyond_travel_range_rejected():
     dt.gen_moving_sprites(8, 6, 1, (4, 4), 12, seed=1, sprite_size=2)
     with pytest.raises(ConfigError) as ei:
         dt.gen_moving_sprites(8, 6, 1, (4, 5), 12, seed=1, sprite_size=2)
-    assert "travel range 4" in str(ei.value)
+    assert str(ei.value) == ("speed_max must be <= min(height, width) - "
+                             "sprite_size, got speed_max = 5, height = 8, "
+                             "width = 6, sprite_size = 2")
 
 
 def test_windowize_counts():
@@ -136,6 +136,9 @@ def test_windowize_rejects_repeated_target_channel():
     with pytest.raises(ConfigError) as ei:
         dt.windowize(np.zeros((10, 2, 3)), t_in=6, k=4, target_channels=[0, 0])
     assert "distinct" in str(ei.value)
+    # no channel at all used to pass here and fail later, in init_model
+    with pytest.raises(ConfigError, match="^target_channels must be distinct"):
+        dt.windowize(np.zeros((10, 2, 3)), t_in=6, k=4, target_channels=[])
 
 
 def test_windowize_shapes_and_target_subset():
