@@ -16,14 +16,13 @@ set before the process starts heavy work, so `main` applies it first.
 """
 
 import argparse
-import contextlib
 import dataclasses
 import math
 import os
 import sys
 
 from .errors import (RANGES, RULES, ConfigError, DataFormatError,
-                     DimensionError, DivergenceError, check_ranges)
+                     DimensionError, DivergenceError, check_ranges, replacing)
 
 # key, attribute, kind, default. Order fixes the echo layout.
 _SCHEMA = [
@@ -74,8 +73,13 @@ ExperimentConfig = dataclasses.make_dataclass(
     [(attr, _KIND_TYPES.get(kind, str)) for _, attr, kind, _ in _SCHEMA])
 
 
-def _convert(key: str, kind: str, text: str, where: str):
+def _convert(kind: str, text: str, where: str):
+    """The value of one config text; `where` starts the error message.
+    Numbers are ASCII without '_', and no item of a list is empty."""
     try:
+        if kind in ("int", "float", "ints") and (
+                not text.isascii() or "_" in text):
+            raise ValueError("a number is ASCII, without '_'")
         if kind == "int":
             return int(text)
         if kind == "float":
@@ -86,8 +90,7 @@ def _convert(key: str, kind: str, text: str, where: str):
                 raise ValueError("expected true or false")
             return low == "true"
         if kind == "ints":
-            return tuple(int(part.strip()) for part in text.split(",")
-                         if part.strip())
+            return tuple(int(part) for part in text.split(",")) if text else ()
         if kind.startswith("choice:"):
             options = kind.split(":", 1)[1].split(",")
             if text not in options:
@@ -95,7 +98,7 @@ def _convert(key: str, kind: str, text: str, where: str):
             return text
         return text
     except ValueError as exc:
-        raise ConfigError(f"{where}: key '{key}': bad value {text!r} ({exc})")
+        raise ConfigError(f"{where} bad value {text!r} ({exc})")
 
 
 def _read_pairs(path, keys, error, hint: str) -> dict:
@@ -132,17 +135,9 @@ def _read_pairs(path, keys, error, hint: str) -> dict:
 
 
 def _write_lines(path, lines) -> None:
-    """Write text lines through a temp file, so a failed write leaves the
-    previous file intact."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(lines)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    """Write text lines through errors.replacing's temp file."""
+    with replacing(path) as fh:
+        fh.writelines(lines)
 
 
 def _write_pairs(path, pairs) -> None:
@@ -154,22 +149,22 @@ def parse_config(path: str) -> ExperimentConfig:
     """Read and validate a flat key = value config file."""
     kinds = {key: kind for key, _, kind, _ in _SCHEMA}
     pairs = _read_pairs(path, kinds, ConfigError, "")
-    values = {key: _convert(key, kinds[key], text, f"{path}:{lineno}")
-              for key, (lineno, text) in pairs.items()}
-    lines = {key: lineno for key, (lineno, _) in pairs.items()}
+    where = {key: f"{path}: key '{key}'"
+             + (f" (line {pairs[key][0]}):" if key in pairs else ":")
+             for key in kinds}
+    values = {key: _convert(kinds[key], text, where[key])
+              for key, (_, text) in pairs.items()}
 
     fields = {}
     for key, attr, _, default in _SCHEMA:
         fields[attr] = values.get(key, default)
     cfg = ExperimentConfig(**fields)
-    _validate(cfg, lines, path)
+    _validate(cfg, {attr: where[key] for key, attr, _, _ in _SCHEMA})
     return cfg
 
 
-def _validate(cfg: ExperimentConfig, lines: dict, path: str) -> None:
-    where = {attr: f"{path}: key '{key}'"
-             + (f" (line {lines[key]}):" if key in lines else ":")
-             for key, attr, _, _ in _SCHEMA}
+def _validate(cfg: ExperimentConfig, where: dict) -> None:
+    """Check every rule, naming a broken one's key and line by `where`."""
     for _, attr, _, _ in _SCHEMA:
         if attr in RANGES:
             check_ranges(where, **{attr: getattr(cfg, attr)})
@@ -403,7 +398,7 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
     for part, path in zip(parts, paths):
         starts, span = part.meta.window_starts, part.meta.window_span
         write(source[int(starts[0]):int(starts[-1]) + span], path)
-    dropped = parts[0].meta.dropped_windows
+    dropped = len(ds) - sum(map(len, parts))
 
     counts = {name: len(part) for name, part in zip(_SPLIT_NAMES, parts)}
     _write_pairs(_meta_path(cfg), [
@@ -582,7 +577,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", action="append", required=True,
                          metavar="PATH", help="experiment config file; "
                          "repeat for compare")
-        cmd.add_argument("--seed", type=int, default=None,
+        cmd.add_argument("--seed", default=None,
                          help="override the config seed")
         cmd.add_argument("--out", default=None,
                          help="override the config output directory")
@@ -591,6 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> int:
     if args.seed is not None:
+        args.seed = _convert("int", args.seed, "--seed:")
         check_ranges({"seed": "--seed"}, seed=args.seed)
 
     if args.command == "compare":

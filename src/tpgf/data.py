@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, check_ranges
+from .errors import ConfigError, DataFormatError, check_ranges, replacing
 from .rng import RngState
 
 
@@ -30,7 +30,6 @@ class DataMeta:
     window_starts: np.ndarray  # source index where each window starts
     window_span: int  # source steps one window covers
     grid: tuple | None = None  # (H, W) when samples are flattened frames
-    dropped_windows: int = 0
     normalized: bool = False
 
 
@@ -178,9 +177,10 @@ def windowize(raw: np.ndarray, t_in: int, k: int, stride: int = 1,
     total, nodes, channels = raw.shape
     if target_channels is None:
         target_channels = list(range(channels))
-    target_channels = [int(c) for c in target_channels]
+    # checked as given: int() would truncate a fractional channel
     check_ranges(t_in=t_in, horizon=k, stride=stride, length=total,
-                 channels=channels, target_channels=target_channels)
+                 channels=channels, target_channels=list(target_channels))
+    target_channels = [int(c) for c in target_channels]
 
     starts = np.arange(0, total - t_in - k + 1, stride, dtype=np.int64)
     # one C-contiguous copy of a strided view of all windows each, so
@@ -221,11 +221,10 @@ def split(dataset: Dataset, fractions):
     """Chronological (train, val, test) partition.
 
     Windows are cut at source boundaries and windows that straddle a
-    boundary are dropped (count recorded in meta). A bank of independent
-    sequences has unit windows at 0, 1, 2, ..., so it is cut by sample
-    index and drops none. Window starts and ends both ascend, so each
-    part is one run of windows: a view of the dataset's arrays, not a
-    copy.
+    boundary are dropped. A bank of independent sequences has unit
+    windows at 0, 1, 2, ..., so it is cut by sample index and drops
+    none. Window starts and ends both ascend, so each part is one run of
+    windows: a view of the dataset's arrays, not a copy.
     """
     f1, f2, f3 = (float(x) for x in fractions)
     check_ranges(train_frac=f1, val_frac=f2, test_frac=f3)
@@ -240,15 +239,13 @@ def split(dataset: Dataset, fractions):
     last = [int(np.searchsorted(ends, b1, side="right")),
             int(np.searchsorted(ends, b2, side="right")), num]
     runs = [slice(lo, max(lo, hi)) for lo, hi in zip(first, last)]
-    dropped = num - sum(run.stop - run.start for run in runs)
     parts = []
     for frac, run in zip((f1, f2, f3), runs):
         if frac > 0 and run.start == run.stop:
             raise ConfigError(
                 f"split fraction {frac} produced an empty partition "
                 f"({num} windows total)")
-        meta = dataclasses.replace(dataset.meta, window_starts=starts[run],
-                                   dropped_windows=dropped)
+        meta = dataclasses.replace(dataset.meta, window_starts=starts[run])
         parts.append(Dataset(contexts=dataset.contexts[run],
                              targets=dataset.targets[run], meta=meta))
     return tuple(parts)
@@ -312,7 +309,7 @@ def write_series_csv(series: np.ndarray, path):
     total, nodes, channels = series.shape
     block = "".join(f"{{t}},{n},{f},%.17g\n"
                     for n in range(nodes) for f in range(channels))
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write(_CSV_HEADER + "\n")
         for t in range(total):
             fh.write(block.replace("{t}", str(t))
@@ -420,7 +417,7 @@ def write_frame_sequences(seqs: np.ndarray, path):
         raise ConfigError(
             f"expected [count, T, H, W] frames, got shape {list(seqs.shape)}")
     count, total, h, w = seqs.shape
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(_FRAME_MAGIC)
         fh.write(struct.pack("<5I", _FRAME_VERSION, total, h, w, count))
         fh.write(seqs.astype("<f8").tobytes())

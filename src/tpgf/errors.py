@@ -1,9 +1,12 @@
-"""Shared exception types, and the one table of config rules, single-value
+"""Shared exception types; the one table of config rules, single-value
 and cross-key, that every config entry point (the dataclasses, the data
-and training functions and the CLI) checks its values against."""
+and training functions and the CLI) checks its values against; and the
+one temp-file writer every artifact goes through."""
 
+import contextlib
 import math
 import numbers
+import os
 
 
 class ConfigError(ValueError):
@@ -114,3 +117,21 @@ def check_ranges(where=None, **values):
             got = ", ".join(map("{} = {}".format, names, args))
             raise ConfigError(f"{(where or {}).get(names[0], names[0])} "
                               f"{rule}, got {got}")
+
+
+@contextlib.contextmanager
+def replacing(path, mode: str = "w"):
+    """Open a temp file beside `path` for writing, in text ("w": UTF-8,
+    LF line ends) or binary ("wb") mode. When the block completes it
+    replaces `path`; when anything fails it is removed, so a failed write
+    leaves the previous file intact."""
+    tmp = f"{path}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, check_ranges
+from .errors import ConfigError, DataFormatError, check_ranges, replacing
 from . import nn
 from .rng import RngState
 
@@ -164,7 +164,7 @@ def save_checkpoint(p: Seq2SeqParams, path):
     """Layout: 4-byte magic, then little-endian u32 version, hidden,
     f_in, f_out, n_slots, the slot table as u32, then every parameter
     tensor in declared order as little-endian float64."""
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<5I", _CKPT_VERSION, p.hidden, p.f_in, p.f_out,
                              p.target_slots.shape[0]))

@@ -295,17 +295,12 @@ def bptt(p: Seq2SeqParams, caches: RolloutCaches, dpreds: np.ndarray) -> list:
 # dataset adapters
 
 def flatten_dataset(ds: Dataset):
-    """[num, T, N, F] / [num, K, N, Ft] -> flattened pairs plus (N, Ft)."""
+    """A split as a (ctx [num, T, N*F], tgt [num, K, N, Ft], preferred
+    [num, K, N*Ft]) group of views; its own targets are preferred."""
     num, t_in, n, f = ds.contexts.shape
     k, ft = ds.targets.shape[1], ds.targets.shape[3]
-    return (ds.contexts.reshape(num, t_in, n * f),
-            ds.targets.reshape(num, k, n * ft), (n, ft))
-
-
-def _truth_group(ds: Dataset):
-    """(ctx, tgt, tgt, shape): a whole split, ground truth preferred."""
-    ctx, tgt, shape = flatten_dataset(ds)
-    return ctx, tgt, tgt, shape
+    return (ds.contexts.reshape(num, t_in, n * f), ds.targets,
+            ds.targets.reshape(num, k, n * ft))
 
 
 def _unpack_splits(splits):
@@ -318,12 +313,10 @@ def _unpack_splits(splits):
                    if ds is not None and len(ds) > 0]
 
 
-def _closed_loop_loss(p: Seq2SeqParams, ctx: np.ndarray, tgt: np.ndarray,
-                      shape) -> float:
-    n, ft = shape
+def _closed_loop_loss(p: Seq2SeqParams, ctx: np.ndarray,
+                      tgt: np.ndarray) -> float:
     preds = rollout_batch(p, ctx, tgt.shape[1])
-    b, k = tgt.shape[0], tgt.shape[1]
-    return composite_loss(preds.reshape(b, k, n, ft), tgt.reshape(b, k, n, ft))
+    return composite_loss(preds.reshape(tgt.shape), tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +330,8 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
     checkpoint a DivergenceError carries: the best-validation copy, or
     the starting parameters when there is no val split.
 
-    groups: (ctx [num, T, f_in], tgt [num, K, f_out], preferred [num, K,
-    f_out], (N, Ft)) tuples, cycled per iteration. Where tau=1, the input
+    groups: (ctx [num, T, f_in], tgt [num, K, N, Ft], preferred [num, K,
+    f_out]) tuples, cycled per iteration. Where tau=1, the input
     to decoder step s+1 is preferred[idx][:, s-1]: ground truth for tf,
     ss and tpg stage 1, the frozen m1's closed-loop estimates in stage 2.
     At iteration i, tau=1 has probability epsilon_for(schedule, i, s + 1),
@@ -355,8 +348,7 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
         nonlocal best_loss
         rows = {}
         for split, parts in eval_groups.items():
-            losses = [_closed_loop_loss(p, ctx, tgt, shape)
-                      for ctx, tgt, _, shape in parts]
+            losses = [_closed_loop_loss(p, ctx, tgt) for ctx, tgt, _ in parts]
             rows[split] = float(np.mean(losses))
             curves.append(MetricsRow(i, split, prefix + "loss", rows[split]))
         if has_val and rows["val"] < best_loss:
@@ -374,7 +366,7 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
                 if (schedule.strategy is Strategy.TPG
                         and epsilon_for(schedule, i, 2) < 1e-3):
                     state.stage = "M2Solo"
-                ctx_all, tgt_all, preferred_all, (n, ft) = \
+                ctx_all, tgt_all, preferred_all = \
                     groups[(i - start_iter) % len(groups)]
                 k = tgt_all.shape[1]
                 idx = state.rng.randint_below(ctx_all.shape[0], b)
@@ -390,8 +382,8 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
                 preferred = preferred_all[idx][:, :-1] if k > 1 else None
 
                 preds, caches = forward_train(p, ctx_all[idx], preferred, taus)
-                preds = preds.reshape(b, k, n, ft)
-                tgt = tgt_all[idx].reshape(b, k, n, ft)
+                tgt = tgt_all[idx]
+                preds = preds.reshape(tgt.shape)
                 total = composite_loss(preds, tgt)
                 if not np.isfinite(total):
                     raise FloatingPointError("non-finite training loss")
@@ -418,17 +410,20 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 # public drivers
 
+def _evaluation_views(ds: Dataset, split: str):
+    """The ctx and tgt views of a split to evaluate, which has windows."""
+    if len(ds) == 0:
+        raise ConfigError(f"cannot evaluate an empty {split} split")
+    ctx, tgt, _ = flatten_dataset(ds)
+    return ctx, tgt
+
+
 def evaluate(p: Seq2SeqParams, ds: Dataset, split: str = "test",
              iteration: int = 0) -> list:
     """Closed-loop metrics over a whole split."""
-    if len(ds) == 0:
-        raise ConfigError(f"cannot evaluate an empty {split} split")
-    ctx, tgt, (n, ft) = flatten_dataset(ds)
-    k = tgt.shape[1]
-    preds = rollout_batch(p, ctx, k)
-    num = ctx.shape[0]
-    pr = preds.reshape(num, k, n, ft)
-    tg = tgt.reshape(num, k, n, ft)
+    ctx, tg = _evaluation_views(ds, split)
+    num, k = tg.shape[:2]
+    pr = rollout_batch(p, ctx, k).reshape(tg.shape)
     total = composite_loss(pr, tg)
 
     rows = [MetricsRow(iteration, split, "loss", total),
@@ -456,14 +451,9 @@ def evaluate_horizon(p: Seq2SeqParams, ds: Dataset, split: str = "test",
     Emits one rmse.h<s> and one mae.h<s> row for each step s = 1..K,
     exposing how error accumulates along the horizon.
     """
-    if len(ds) == 0:
-        raise ConfigError(f"cannot evaluate an empty {split} split")
-    ctx, tgt, (n, ft) = flatten_dataset(ds)
-    k = tgt.shape[1]
-    preds = rollout_batch(p, ctx, k)
-    num = ctx.shape[0]
-    pr = preds.reshape(num, k, n, ft)
-    tg = tgt.reshape(num, k, n, ft)
+    ctx, tg = _evaluation_views(ds, split)
+    k = tg.shape[1]
+    pr = rollout_batch(p, ctx, k).reshape(tg.shape)
     rows = []
     for s in range(k):
         rows.append(MetricsRow(iteration, split, f"rmse.h{s + 1}",
@@ -502,8 +492,8 @@ def train_scheduled(p: Seq2SeqParams, splits, cfg: TrainConfig):
     train, evals = _unpack_splits(splits)
     curves: list = []
     state = make_train_state(p, RngState(cfg.seed).split(_STREAM_SCHEDULED))
-    _run_training(p, [_truth_group(train)],
-                  {name: [_truth_group(ds)] for name, ds in evals},
+    _run_training(p, [flatten_dataset(train)],
+                  {name: [flatten_dataset(ds)] for name, ds in evals},
                   cfg, cfg.schedule, state, curves, 0, cfg.total_iters)
     for name, ds in evals:
         curves.extend(evaluate(p, ds, name, cfg.total_iters))
@@ -511,19 +501,21 @@ def train_scheduled(p: Seq2SeqParams, splits, cfg: TrainConfig):
 
 
 def _half_timescale_groups(ds: Dataset):
-    """Parity-subsampled (ctx, tgt, tgt, shape) groups, odd half first.
+    """Parity-subsampled views of flatten_dataset's group, odd half first.
 
     Target step 1 anchors the parity: the odd half holds target steps
     1, 3, 5, ... and the context frames lying on the same stride-2 grid,
     which are the even positions counted back from the forecast origin;
     the even half holds the rest.
     """
-    ctx, tgt, shape = flatten_dataset(ds)
+    ctx, tgt, truth = flatten_dataset(ds)
     back_odd, back_even = subsample_odd_even(ctx.swapaxes(0, 1)[::-1])
     tgt_odd, tgt_even = subsample_odd_even(tgt.swapaxes(0, 1))
-    tgt_odd, tgt_even = tgt_odd.swapaxes(0, 1), tgt_even.swapaxes(0, 1)
-    odd = (back_even[::-1].swapaxes(0, 1), tgt_odd, tgt_odd, shape)
-    even = (back_odd[::-1].swapaxes(0, 1), tgt_even, tgt_even, shape)
+    flat_odd, flat_even = subsample_odd_even(truth.swapaxes(0, 1))
+    odd = (back_even[::-1].swapaxes(0, 1), tgt_odd.swapaxes(0, 1),
+           flat_odd.swapaxes(0, 1))
+    even = (back_odd[::-1].swapaxes(0, 1), tgt_even.swapaxes(0, 1),
+            flat_even.swapaxes(0, 1))
     return odd, even
 
 
@@ -541,10 +533,9 @@ def train_tpg(splits, cfg: TrainConfig):
         raise ConfigError(f"train_tpg requires the tpg strategy, "
                           f"got {cfg.schedule.strategy.value}")
     train, evals = _unpack_splits(splits)
-    k = train.targets.shape[1]
     stage1 = cfg.schedule.stage1_iters
     check_ranges(strategy="tpg", stage1_iters=stage1,
-                 total_iters=cfg.total_iters, horizon=k)
+                 total_iters=cfg.total_iters, horizon=train.targets.shape[1])
 
     curves: list = []
 
@@ -567,13 +558,13 @@ def train_tpg(splits, cfg: TrainConfig):
     # m1's closed-loop estimates, interleaved back to full order [num, K, f_out].
     # An overflowed m1 can return finite estimates behind saturated gates,
     # so the guard checks their loss, as the loop checks its own.
-    ctx, tgt, shape = flatten_dataset(train)
+    ctx, tgt, truth = flatten_dataset(train)
     with np.errstate(over="ignore", invalid="ignore"):
-        m1_odd = rollout_batch(m1, odd[0], (k + 1) // 2)
-        m1_even = rollout_batch(m1, even[0], k // 2)
+        m1_odd = rollout_batch(m1, odd[0], odd[1].shape[1])
+        m1_even = rollout_batch(m1, even[0], even[1].shape[1])
         m1_full = interleave_odd_even(m1_odd.swapaxes(0, 1),
                                       m1_even.swapaxes(0, 1)).swapaxes(0, 1)
-        m1_loss = composite_loss(m1_full, tgt)
+        m1_loss = composite_loss(m1_full, truth)
     if not np.isfinite(m1_loss):
         raise DivergenceError(
             f"non-finite m1 precompute loss at iteration {stage1}, "
@@ -581,8 +572,8 @@ def train_tpg(splits, cfg: TrainConfig):
 
     state2 = make_train_state(m2, RngState(cfg.seed).split(_STREAM_STAGE2),
                               stage="Transition")
-    _run_training(m2, [(ctx, tgt, m1_full, shape)],
-                  {name: [_truth_group(ds)] for name, ds in evals},
+    _run_training(m2, [(ctx, tgt, m1_full)],
+                  {name: [flatten_dataset(ds)] for name, ds in evals},
                   cfg, cfg.schedule, state2, curves, stage1, cfg.total_iters,
                   prefix="m2.")
     for name, ds in evals:

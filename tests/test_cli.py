@@ -152,11 +152,25 @@ def _tpg(stage1, total=2000, horizon=12):
     ("strategy = tpg\nstage1_iters = 5\nhorizon = 1\n",
      "key 'horizon' (line 3): must be >= 2 for strategy = tpg to subsample, "
      "got horizon = 1, strategy = tpg", _tpg(5, horizon=1)),
+    # int() and float() alone accept any Unicode digit and '_' separators
+    ("hidden = \u0661\u0662\n",
+     "key 'hidden' (line 1): bad value '\u0661\u0662' (a number is ASCII, "
+     "without '_')", None),
+    ("seed = 1\ntotal_iters = 1_000\n",
+     "key 'total_iters' (line 2): bad value '1_000' (a number is ASCII, "
+     "without '_')", None),
+    ("lambda = 2_0.5\n",
+     "key 'lambda' (line 1): bad value '2_0.5' (a number is ASCII, without "
+     "'_')", None),
+    ("target_channels = 0,,2,\n",
+     "key 'target_channels' (line 1): bad value '0,,2,' (invalid literal "
+     "for int() with base 10: '')", None),
 ], ids=["length", "sprite_size", "train_frac", "val_frac", "test_frac",
         "speed_max", "fraction_sum", "no_target_channel",
         "repeated_target_channel", "target_channel", "speed_order",
         "speed_zero", "seq_length", "stage1_zero", "stage1_iters",
-        "tpg_horizon"])
+        "tpg_horizon", "non_ascii_int", "underscore_int", "underscore_float",
+        "empty_list_item"])
 def test_data_shape_errors_name_key_and_line(tmp_path, text, want, library):
     cfg_path = write_cfg(tmp_path / "shape.cfg", text)
     with pytest.raises(ConfigError) as ei:
@@ -270,7 +284,7 @@ def test_unknown_duplicate_and_type_errors(tmp_path):
 
     with pytest.raises(ConfigError) as ei:
         cli.parse_config(write_cfg(tmp_path / "t.cfg", "hidden = soup\n"))
-    assert "hidden" in str(ei.value) and ":1" in str(ei.value)
+    assert "key 'hidden' (line 1)" in str(ei.value)
 
 
 def test_comments_and_blank_lines(tmp_path):
@@ -423,18 +437,26 @@ def test_seed_override_reaches_echo_and_files(tmp_path):
     assert "seed = 99" in echo
 
 
-# artifact, its path under out_dir, the command that writes it
-@pytest.mark.parametrize("name, where, command", [
-    ("config.echo", "config.echo", "generate"),
-    ("meta.txt", "data/meta.txt", "generate"),
-    ("curves.csv", "curves.csv", "train"),
-    ("metrics.csv", "metrics.csv", "evaluate"),
-    ("comparison.csv", "comparison.csv", "compare"),
-], ids=["config.echo", "meta.txt", "curves.csv", "metrics.csv",
-        "comparison.csv"])
+# artifact, its path under out_dir, the command that writes it, the dataset
+@pytest.mark.parametrize("name, where, command, dataset", [
+    ("config.echo", "config.echo", "generate", "multinode"),
+    ("meta.txt", "data/meta.txt", "generate", "multinode"),
+    ("train.csv", "data/train.csv", "generate", "multinode"),
+    ("train.frames", "data/train.frames", "generate", "sprites"),
+    ("model.ckpt", "model.ckpt", "train", "multinode"),
+    ("curves.csv", "curves.csv", "train", "multinode"),
+    ("metrics.csv", "metrics.csv", "evaluate", "multinode"),
+    ("comparison.csv", "comparison.csv", "compare", "multinode"),
+], ids=["config.echo", "meta.txt", "train.csv", "train.frames", "model.ckpt",
+        "curves.csv", "metrics.csv", "comparison.csv"])
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name, where,
-                                          command):
-    cfg_path, out = make_run(tmp_path, "atomic")
+                                          command, dataset):
+    sizes = ("height = 8\nwidth = 8\nsprite_size = 3\nseq_length = 12\n"
+             "seq_count = 20\n" if dataset == "sprites" else "")
+    out = tmp_path / "atomic"
+    cfg_path = write_cfg(tmp_path / "atomic.cfg",
+                         BASE.replace("multinode", dataset) + sizes
+                         + f"out_dir = {out}\n")
     steps = ["generate", "train", "evaluate", "compare"]
     argv = {cmd: [cmd, "--config", cfg_path] for cmd in steps}
     argv["compare"] += ["--config", cfg_path]
@@ -1005,9 +1027,14 @@ def test_single_command_rejects_multiple_configs(tmp_path):
     assert cli.main(["train", "--config", cfg_a, "--config", cfg_b]) == 2
 
 
-def test_bad_seed_override(tmp_path):
-    cfg_path, _ = make_run(tmp_path, "sd")
+def test_bad_seed_override(tmp_path, capsys):
+    cfg_path, out = make_run(tmp_path, "sd")
     assert cli.main(["generate", "--config", cfg_path, "--seed", "-1"]) == 2
+    # int() alone reads this as 10
+    assert cli.main(["generate", "--config", cfg_path,
+                     "--seed", "\u0661_0"]) == 2
+    assert "error: --seed: bad value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1056,7 +1083,7 @@ def _in_range(key, text):
     """Whether a drawn override parses and keeps its RANGES rule."""
     attr, kind = _FUZZ_KINDS[key]
     try:
-        value = cli._convert(key, kind, text, "fuzz")
+        value = cli._convert(kind, text, "fuzz")
     except ConfigError:
         return False
     return attr not in RANGES or RANGES[attr][0](value)

@@ -139,6 +139,16 @@ def test_windowize_rejects_repeated_target_channel():
     # no channel at all used to pass here and fail later, in init_model
     with pytest.raises(ConfigError, match="^target_channels must be distinct"):
         dt.windowize(np.zeros((10, 2, 3)), t_in=6, k=4, target_channels=[])
+    # a fractional channel was truncated to 1, and nan failed in int()
+    for bad in (1.7, np.nan):
+        with pytest.raises(ConfigError,
+                           match="^target_channels must be distinct integers"):
+            dt.windowize(np.arange(120.).reshape(40, 1, 3), 24, 12,
+                         target_channels=[bad])
+    # numpy integers are integers
+    ds = dt.windowize(np.zeros((10, 2, 3)), t_in=6, k=4,
+                      target_channels=np.array([2, 0]))
+    assert ds.meta.target_channels == [2, 0]
 
 
 def test_windowize_shapes_and_target_subset():
@@ -200,7 +210,7 @@ def test_split_back_to_back_exact():
     assert len(ds) == 100
     train, val, test = dt.split(ds, (0.8, 0.1, 0.1))
     assert (len(train), len(val), len(test)) == (80, 10, 10)
-    assert train.meta.dropped_windows == 0
+    assert len(ds) - sum(map(len, (train, val, test))) == 0
     # chronological: every val window starts after every train window
     assert train.meta.window_starts.max() < val.meta.window_starts.min()
     assert val.meta.window_starts.max() < test.meta.window_starts.min()
@@ -210,8 +220,8 @@ def test_split_overlapping_windows_dropped():
     raw = np.random.default_rng(0).normal(size=(200, 1, 1))
     ds = dt.windowize(raw, 8, 4, stride=1)
     train, val, test = dt.split(ds, (0.8, 0.1, 0.1))
-    assert train.meta.dropped_windows > 0
-    assert len(train) + len(val) + len(test) + train.meta.dropped_windows == len(ds)
+    dropped = len(ds) - sum(map(len, (train, val, test)))
+    assert dropped > 0
     # no leakage: raw-time coverage of partitions is disjoint
     window = 12
     t_end = train.meta.window_starts.max() + window
@@ -256,12 +266,13 @@ def test_split_independent_sequences_by_index():
                 with pytest.raises(ConfigError, match="empty partition"):
                     dt.split(ds, fracs)
                 continue
-            for part, w in zip(dt.split(ds, fracs), want):
+            parts = dt.split(ds, fracs)
+            assert len(ds) - sum(map(len, parts)) == 0
+            for part, w in zip(parts, want):
                 npt.assert_array_equal(part.contexts[:, 0, 0, 0], w)
                 # a bank's windows start at their sample indices, span 1
                 npt.assert_array_equal(part.meta.window_starts, w)
                 assert part.meta.window_span == 1
-                assert part.meta.dropped_windows == 0
 
 
 def _mask_split(ds, fractions):
@@ -305,10 +316,11 @@ def test_split_parts_are_views_matching_masks():
                 with pytest.raises(ConfigError, match="empty partition"):
                     dt.split(ds, fracs)
                 continue
-            for part, idx in zip(dt.split(ds, fracs), picks):
+            parts = dt.split(ds, fracs)
+            assert len(ds) - sum(map(len, parts)) == dropped
+            for part, idx in zip(parts, picks):
                 npt.assert_array_equal(part.contexts, ds.contexts[idx])
                 npt.assert_array_equal(part.targets, ds.targets[idx])
-                assert part.meta.dropped_windows == dropped
                 npt.assert_array_equal(part.meta.window_starts,
                                        ds.meta.window_starts[idx])
                 assert part.meta.window_span == ds.meta.window_span

@@ -553,6 +553,27 @@ def test_tpg_regression_frozen():
     assert rel_err(test.value, 1.379701815586207) < 1e-6
 
 
+def test_tpg_odd_horizon_trains_both_models():
+    # K=5: m1 learns halves of 3 and 2 steps, and m2 the full 5
+    splits = make_splits(seed=4, t_in=9, k=5)
+    cfg = tpg_cfg(total=60, stage1=30)
+    cfg.val_every = 10
+    m1, m2, curves = tr.train_tpg(splits, cfg)
+    for m in (m1, m2):
+        assert (m.f_in, m.f_out) == (9, 6)
+        assert all(np.isfinite(t).all() for t in m.tensors())
+    # m2 starts as a copy of m1 and trains on, so the two differ
+    assert any(not np.array_equal(a, b)
+               for a, b in zip(m1.tensors(), m2.tensors()))
+    # per stage: one train row per cadence, a val and a test row at each
+    # cadence and at the stage's end; then evaluate() on val and test
+    per_stage = 3 * 3 + 2
+    final = 2 * (3 + 2 * 2)
+    assert len(curves) == 2 * per_stage + final
+    assert [r.metric for r in curves[:per_stage]].count("m1.loss") == per_stage
+    assert {r.metric for r in curves[per_stage:2 * per_stage]} == {"m2.loss"}
+
+
 def test_tpg_stage_validation():
     splits = make_splits(seed=5)
     with pytest.raises(ConfigError):
@@ -575,8 +596,15 @@ def test_flatten_dataset_returns_views():
         a = tr.flatten_dataset(ds)
         b = tr.flatten_dataset(ds)
         assert np.shares_memory(a[0], b[0]) and np.shares_memory(a[1], b[1])
-        assert np.shares_memory(a[1], ds.targets)
-        npt.assert_array_equal(a[1], ds.targets.reshape(a[1].shape))
+        ctx, tgt, preferred = a
+        assert np.shares_memory(ctx, ds.contexts)
+        assert np.shares_memory(tgt, ds.targets)
+        assert np.shares_memory(preferred, ds.targets)
+        # targets keep the dataset's [num, K, N, Ft] layout
+        assert tgt.shape == ds.targets.shape
+        num, k = ds.targets.shape[:2]
+        npt.assert_array_equal(preferred, ds.targets.reshape(num, k, -1))
+        npt.assert_array_equal(ctx, ds.contexts.reshape(ctx.shape))
 
 
 def test_half_timescale_groups_shapes():
@@ -589,9 +617,19 @@ def test_half_timescale_groups_shapes():
     splits5 = make_splits(seed=6, t_in=9, k=5)
     odd5, even5 = tr._half_timescale_groups(splits5[0])
     assert odd5[1].shape[1] == 3 and even5[1].shape[1] == 2
+    targets = splits5[0].targets
+    num, _, n, ft = targets.shape
+    for (_, tgt, preferred), first in ((odd5, 0), (even5, 1)):
+        # each half's preferred values are its own targets, flattened,
+        # and both are views of the dataset's targets
+        assert np.shares_memory(preferred, targets)
+        assert np.shares_memory(tgt, targets)
+        npt.assert_array_equal(tgt, targets[:, first::2])
+        assert preferred.shape == (num, tgt.shape[1], n * ft)
+        npt.assert_array_equal(preferred, tgt.reshape(preferred.shape))
     # context parity anchors at the target boundary: the odd-half grid
     # steps backward from the first target with stride 2
-    ctx, tgt, _ = tr.flatten_dataset(splits5[0])
+    ctx, _, _ = tr.flatten_dataset(splits5[0])
     npt.assert_array_equal(odd5[0], ctx[:, 1::2])
     npt.assert_array_equal(even5[0], ctx[:, 0::2])
 
