@@ -73,24 +73,30 @@ ExperimentConfig = dataclasses.make_dataclass(
     [(attr, _KIND_TYPES.get(kind, str)) for _, attr, kind, _ in _SCHEMA])
 
 
+def _number(kind, text: str):
+    """kind(text) for kind int or float, refusing the non-ASCII digits
+    and '_' separators those accept; raises ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError("a number is ASCII, without '_'")
+    return kind(text)
+
+
 def _convert(kind: str, text: str, where: str):
     """The value of one config text; `where` starts the error message.
-    Numbers are ASCII without '_', and no item of a list is empty."""
+    Numbers follow _number, and no item of a list is empty."""
     try:
-        if kind in ("int", "float", "ints") and (
-                not text.isascii() or "_" in text):
-            raise ValueError("a number is ASCII, without '_'")
         if kind == "int":
-            return int(text)
+            return _number(int, text)
         if kind == "float":
-            return float(text)
+            return _number(float, text)
         if kind == "bool":
             low = text.lower()
             if low not in ("true", "false"):
                 raise ValueError("expected true or false")
             return low == "true"
         if kind == "ints":
-            return tuple(int(part) for part in text.split(",")) if text else ()
+            return (tuple(_number(int, part) for part in text.split(","))
+                    if text else ())
         if kind.startswith("choice:"):
             options = kind.split(":", 1)[1].split(",")
             if text not in options:
@@ -274,11 +280,18 @@ def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
                                   f"{want!r} from {source}; {rerun}")
 
     expect("dataset", cfg.dataset, "the config")
+    kept = 0
+    for name in _SPLIT_NAMES:
+        where, text = field(f"{name}_windows")
+        try:
+            kept += _number(int, text)
+        except ValueError as exc:
+            raise DataFormatError(f"{where}: {exc}; {rerun}") from None
     stats = []
     for key in ("mean", "std") if cfg.dataset == "multinode" else ():
         where, text = field(key)
         try:
-            values = np.array([float(v) for v in text.split(",")])
+            values = np.array([_number(float, v) for v in text.split(",")])
         except ValueError as exc:
             raise DataFormatError(f"{where}: {exc}") from None
         if values.size != cfg.channels:
@@ -315,13 +328,6 @@ def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
         parts.append(part)
     total = (len(range(0, cfg.length - cfg.t_in - cfg.horizon + 1, cfg.stride))
              if cfg.dataset == "multinode" else cfg.seq_count)
-    kept = 0
-    for name in _SPLIT_NAMES:
-        where, text = field(f"{name}_windows")
-        try:
-            kept += int(text)
-        except ValueError as exc:
-            raise DataFormatError(f"{where}: {exc}; {rerun}") from None
     expect("dropped_windows", str(total - kept),
            f"the config's {total} windows less the recorded split counts")
     return dt.normalize(*parts, stats=stats) if stats else tuple(parts)
@@ -396,8 +402,7 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
     # what train.csv windowizes to, so `evaluate` need not read it
     stats = dt.train_statistics(parts[0]) if cfg.dataset == "multinode" else ()
     for part, path in zip(parts, paths):
-        starts, span = part.meta.window_starts, part.meta.window_span
-        write(source[int(starts[0]):int(starts[-1]) + span], path)
+        write(part.source, path)
     dropped = len(ds) - sum(map(len, parts))
 
     counts = {name: len(part) for name, part in zip(_SPLIT_NAMES, parts)}

@@ -35,6 +35,12 @@ class DataMeta:
 
 @dataclass
 class Dataset:
+    """Windows over one read-only source: a series segment [T, N, F]
+    whose step 0 is the first window's start, or a bank of frame
+    sequences [count, T, H, W]. contexts and targets are read-only views
+    of the source (targets of a compact copy of its target channels), so
+    each source step is stored once however many windows hold it."""
+    source: np.ndarray
     contexts: np.ndarray  # [num, T_in, N, F]
     targets: np.ndarray  # [num, K, N, F_target]
     meta: DataMeta
@@ -46,8 +52,9 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # generators
 
-def multinode_clean_value(t, node, channel, nodes: int) -> float:
-    """Closed form of the noise-free, uncoupled series at one point.
+def multinode_clean_value(t, node, channel, nodes: int):
+    """Closed form of the noise-free, uncoupled series at one point, or
+    at every point of broadcast index grids.
 
     Two shared sinusoids per channel; the node enters only through its
     phase offset. Channel f has base period 24 + 7 f.
@@ -72,13 +79,10 @@ def gen_multinode_series(nodes: int, channels: int, length: int,
     check_ranges(nodes=nodes, channels=channels, length=length,
                  coupling=coupling, noise=noise)
 
-    t = np.arange(length, dtype=np.float64)[:, None, None]
-    n = np.arange(nodes, dtype=np.float64)[None, :, None]
-    f = np.arange(channels, dtype=np.float64)[None, None, :]
-    period = 24.0 + 7.0 * f
-    phase = 2.0 * np.pi * n / nodes + 0.61 * f
-    base = (np.sin(2.0 * np.pi * t / period + phase)
-            + 0.4 * np.sin(4.0 * np.pi * t / period + 2.0 * phase))
+    base = multinode_clean_value(
+        np.arange(length, dtype=np.float64)[:, None, None],
+        np.arange(nodes, dtype=np.float64)[None, :, None],
+        np.arange(channels, dtype=np.float64)[None, None, :], nodes)
 
     if coupling > 0.0:
         node_mean = base.mean(axis=1, keepdims=True)
@@ -169,8 +173,9 @@ def gen_moving_sprites(h: int, w: int, num_sprites: int, speed_range,
 
 def windowize(raw: np.ndarray, t_in: int, k: int, stride: int = 1,
               target_channels=None) -> Dataset:
-    """Sliding windows over a raw [T, N, F] series; the context/target
-    boundary sits at t_in. Channel f is named ch<f>."""
+    """Sliding windows over a raw [T, N, F] series, read-only views of
+    one copy of it; the context/target boundary sits at t_in. Channel f
+    is named ch<f>."""
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 3:
         raise ConfigError(f"raw series must be [T, N, F], got shape {list(raw.shape)}")
@@ -180,21 +185,12 @@ def windowize(raw: np.ndarray, t_in: int, k: int, stride: int = 1,
     # checked as given: int() would truncate a fractional channel
     check_ranges(t_in=t_in, horizon=k, stride=stride, length=total,
                  channels=channels, target_channels=list(target_channels))
-    target_channels = [int(c) for c in target_channels]
-
-    starts = np.arange(0, total - t_in - k + 1, stride, dtype=np.int64)
-    # one C-contiguous copy of a strided view of all windows each, so
-    # contexts and targets flatten to views
-    view = np.lib.stride_tricks.sliding_window_view
-    contexts = np.ascontiguousarray(
-        np.moveaxis(view(raw[:total - k], t_in, axis=0)[::stride], -1, 1))
-    picked = raw.take(target_channels, axis=2)
-    targets = np.ascontiguousarray(
-        np.moveaxis(view(picked[t_in:], k, axis=0)[::stride], -1, 1))
     meta = DataMeta(channel_names=[f"ch{i}" for i in range(channels)],
-                    target_channels=target_channels,
-                    window_starts=starts, window_span=t_in + k)
-    return Dataset(contexts=contexts, targets=targets, meta=meta)
+                    target_channels=[int(c) for c in target_channels],
+                    window_starts=np.arange(0, total - t_in - k + 1, stride,
+                                            dtype=np.int64),
+                    window_span=t_in + k)
+    return _windowed(np.array(raw, order="C"), meta, t_in, k)
 
 
 def windowize_sequences(seqs: np.ndarray, t_in: int, k: int,
@@ -210,11 +206,36 @@ def windowize_sequences(seqs: np.ndarray, t_in: int, k: int,
         raise ConfigError(
             f"grid {tuple(grid)} does not match the frames' (h, w) = {(h, w)}")
     check_ranges(t_in=t_in, horizon=k, seq_length=total)
-    flat = seqs.reshape(count, total, h * w, 1)
     meta = DataMeta(channel_names=["intensity"], target_channels=[0],
                     window_starts=np.arange(count), window_span=1, grid=(h, w))
-    return Dataset(contexts=flat[:, :t_in].copy(),
-                   targets=flat[:, t_in:t_in + k].copy(), meta=meta)
+    return _windowed(np.array(seqs, order="C"), meta, t_in, k)
+
+
+def _windowed(source: np.ndarray, meta: DataMeta, t_in: int, k: int) -> Dataset:
+    """The dataset of meta's windows over source, a C-contiguous series
+    segment whose step 0 is the first window's start, or a bank whose
+    sample i is window i. source becomes read-only: the windows' one
+    copy of the data."""
+    source.flags.writeable = False
+    if meta.grid is not None:
+        frames = source.reshape(*source.shape[:2], math.prod(meta.grid), 1)
+        return Dataset(source=source, contexts=frames[:, :t_in],
+                       targets=frames[:, t_in:t_in + k], meta=meta)
+    num = len(meta.window_starts)
+    step = int(meta.window_starts[1] - meta.window_starts[0]) if num > 1 else 1
+    # a compact copy, so target windows flatten [N, Ft] without a copy
+    picked = source.take(meta.target_channels, axis=2)
+    return Dataset(source=source, contexts=_slide(source, t_in, step, num),
+                   targets=_slide(picked[t_in:], k, step, num), meta=meta)
+
+
+def _slide(a: np.ndarray, width: int, step: int, num: int) -> np.ndarray:
+    """num read-only windows a[i * step:i * step + width] stacked on a new
+    axis 0; a holds at least (num - 1) * step + width steps."""
+    lead = a.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        a, (num, width) + a.shape[1:], (step * lead, lead) + a.strides[1:],
+        writeable=False)
 
 
 def split(dataset: Dataset, fractions):
@@ -224,7 +245,8 @@ def split(dataset: Dataset, fractions):
     boundary are dropped. A bank of independent sequences has unit
     windows at 0, 1, 2, ..., so it is cut by sample index and drops
     none. Window starts and ends both ascend, so each part is one run of
-    windows: a view of the dataset's arrays, not a copy.
+    windows, and its source is the segment those windows cover: views of
+    the dataset's arrays, not copies.
     """
     f1, f2, f3 = (float(x) for x in fractions)
     check_ranges(train_frac=f1, val_frac=f2, test_frac=f3)
@@ -245,28 +267,64 @@ def split(dataset: Dataset, fractions):
             raise ConfigError(
                 f"split fraction {frac} produced an empty partition "
                 f"({num} windows total)")
-        meta = dataclasses.replace(dataset.meta, window_starts=starts[run])
-        parts.append(Dataset(contexts=dataset.contexts[run],
-                             targets=dataset.targets[run], meta=meta))
+        kept = starts[run]
+        # the source steps the part's windows cover; step 0 is starts[0]
+        lo = int(kept[0] - starts[0]) if kept.size else 0
+        hi = int(kept[-1] - starts[0]) + span if kept.size else 0
+        parts.append(Dataset(source=dataset.source[lo:hi],
+                             contexts=dataset.contexts[run],
+                             targets=dataset.targets[run],
+                             meta=dataclasses.replace(dataset.meta,
+                                                      window_starts=kept)))
     return tuple(parts)
 
 
 # ---------------------------------------------------------------------------
 # normalization
 
+# the most rows of contexts.reshape(-1, F) train_statistics copies at once
+_STATISTICS_ROWS = 16384
+
+
 def train_statistics(train: Dataset):
     """Per-channel (mean, std) of the TRAIN contexts, the statistics
-    every split is z-scored with."""
+    every split is z-scored with.
+
+    The arithmetic is np.mean's and np.std's over the stack of window
+    steps, contexts.reshape(-1, F), without building that stack: numpy
+    sums several columns row by row, in order, so the stack is summed in
+    chunks of windows, each chunk's sum starting from the running total
+    as its row 0. A single column numpy sums pairwise, which chunks
+    would regroup, so it is summed in one piece.
+    """
     if train.meta.normalized:
         raise ConfigError("dataset is already normalized")
     if len(train) == 0:
         raise ConfigError("cannot normalize an empty training split")
-    flat = train.contexts.reshape(-1, train.contexts.shape[-1])
-    # np.mean and np.std's own arithmetic, with the column sum taken once
-    mean = flat.sum(axis=0) / len(flat)
-    dev = flat - mean
-    np.multiply(dev, dev, out=dev)
-    std = np.sqrt(dev.sum(axis=0) / len(flat))
+    contexts = train.contexts
+    f = contexts.shape[-1]
+    per = contexts[0].size // f
+    rows = len(train) * per
+    chunk = len(train) if f == 1 else max(1, _STATISTICS_ROWS // per)
+    buf = np.empty((min(chunk, len(train)) * per + 1, f))
+
+    def column_sums(center=None):
+        total = None
+        for lo in range(0, len(train), chunk):
+            windows = contexts[lo:lo + chunk]
+            stack = buf[1:1 + len(windows) * per]
+            np.copyto(stack.reshape(windows.shape), windows)
+            if center is not None:
+                stack -= center
+                np.multiply(stack, stack, out=stack)
+            if total is not None:
+                buf[0] = total
+                stack = buf[:1 + len(stack)]
+            total = stack.sum(axis=0)
+        return total
+
+    mean = column_sums() / rows
+    std = np.sqrt(column_sums(mean) / rows)
     for c, s in enumerate(std):
         if s <= 0:
             name = train.meta.channel_names[c]
@@ -277,18 +335,17 @@ def train_statistics(train: Dataset):
 def normalize(*datasets: Dataset, stats=None):
     """Z-score every channel of every dataset with the training
     statistics `stats` = (mean, std); when they are not given, the first
-    dataset is the training split and they are its train_statistics."""
+    dataset is the training split and they are its train_statistics.
+    Each dataset's source is z-scored and its windows formed over it
+    again."""
     mean, std = train_statistics(datasets[0]) if stats is None else stats
     out = []
     for ds in datasets:
         if ds.meta.normalized:
             raise ConfigError("dataset is already normalized")
-        tc = ds.meta.target_channels
         meta = dataclasses.replace(ds.meta, normalized=True)
-        out.append(Dataset(
-            contexts=(ds.contexts - mean) / std,
-            targets=(ds.targets - mean[tc]) / std[tc],
-            meta=meta))
+        out.append(_windowed((ds.source - mean) / std, meta,
+                             ds.contexts.shape[1], ds.targets.shape[1]))
     return tuple(out)
 
 
@@ -333,19 +390,30 @@ _CSV_ROW = np.dtype([("t", "i8"), ("n", "i8"), ("f", "i8"), ("v", "f8")])
 
 
 def _read_series_csv(path) -> np.ndarray:
+    # lines are counted and ASCII told on the bytes, which are never
+    # decoded: text mode reads '\r\n' and a lone '\r' as '\n', and no
+    # other UTF-8 sequence holds those bytes
+    with open(path, "rb") as raw:
+        blob = raw.read()
+    # the lines after the header
+    line_count = (np.count_nonzero(np.frombuffer(blob, np.uint8) == ord("\n"))
+                  + (blob[-1:] not in (b"\n", b"\r")) - 1)
+    if b"\r" in blob:
+        line_count += blob.count(b"\r") - blob.count(b"\r\n")
+    ascii_text = blob.isascii()
+    del blob
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != _CSV_HEADER:
             raise DataFormatError(
                 f"expected header {_CSV_HEADER!r}, got {header!r}")
         start = fh.tell()
-        body = fh.read()
-        if not body:
+        if not ascii_text:
+            # an undecodable byte is named where a whole read names it
+            fh.read()
+            fh.seek(start)
+        if not line_count:
             raise DataFormatError("CSV contains no data rows")
-        line_count = body.count("\n") + (body[-1] != "\n")
-        ascii_text = body.isascii()
-        del body
-        fh.seek(start)
         try:
             # a warning (no data; an older numpy's float-as-int
             # deprecation) is a refusal too; comments=None keeps '#' an error

@@ -94,15 +94,19 @@ def encode_full(context: np.ndarray, p: Seq2SeqParams,
     The input projection is formed time-major for as many steps at once
     as fit in _PROJECTION_ROWS rows (at least one step), so a large batch
     never holds the projection of its whole context. With caches it is
-    formed in their activation slots, which each step then overwrites.
+    formed in their activation slots, which each step then overwrites;
+    without, in one buffer that every chunk reuses, so a rollout asks
+    the allocator for one block, not one per chunk.
     """
     b, t_in, _ = context.shape
     state = nn.zero_state(p.hidden, b)
     chunk = max(1, _PROJECTION_ROWS // b)
+    buf = np.empty((min(chunk, t_in), b, 4 * p.hidden)) if caches is None else None
     for t0 in range(0, t_in, chunk):
         steps = slice(t0, t0 + chunk)
-        xw = nn.input_projection(context[:, steps].swapaxes(0, 1), p.encoder,
-                                 None if caches is None else caches.act[steps])
+        x = context[:, steps].swapaxes(0, 1)
+        xw = nn.input_projection(
+            x, p.encoder, caches.act[steps] if buf is None else buf[:len(x)])
         for t, xw_t in enumerate(xw, start=t0):
             state = nn.lstm_step(xw_t, state, p.encoder, caches, t)
     return state

@@ -19,9 +19,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tpgf"
 
 # module.name -> why the package keeps it although no package code calls it
 ALLOWED = {
-    "data.multinode_clean_value":
-        "closed form of the generator's clean series, the oracle the data "
-        "tests check gen_multinode_series against",
     "metrics.mse_per_frame": "acceptance criterion 5's metric oracle",
 }
 

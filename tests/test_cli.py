@@ -699,9 +699,15 @@ def _edit_meta(out, key, value):
                              "less the recorded split counts"),
     ("dropped_windows", "11", "meta.txt:7: key 'dropped_windows': '11' does "
                               "not match '10' from "),
+    # int() and float() accept these; meta.txt numbers follow config rules
+    ("train_windows", "1_49", "meta.txt:7: key 'train_windows': a number is "
+                              "ASCII, without '_'"),
+    ("mean", "0.0_1,0,0", "meta.txt:7: key 'mean': a number is ASCII, "
+                          "without '_'"),
 ], ids=["no_mean", "no_std", "count", "nan_std", "inf_mean", "zero_std",
         "bad_float", "unknown_key", "dataset", "test_windows", "val_windows",
-        "dropped_windows", "dropped_off_by_one"])
+        "dropped_windows", "dropped_off_by_one", "underscore_count",
+        "underscore_mean"])
 def test_bad_statistics_exit_3_naming_meta(tmp_path, capsys, command, key,
                                            value, want):
     cfg_path, out = trained_run(tmp_path, "meta")

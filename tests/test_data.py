@@ -1,11 +1,16 @@
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tpgf.errors import ConfigError, DataFormatError
 from tpgf import data as dt
+from tpgf import training as tr
 
 
 def test_multinode_clean_matches_closed_form():
@@ -161,13 +166,11 @@ def test_windowize_shapes_and_target_subset():
     npt.assert_array_equal(ds.targets[0], raw[s0 + 8:s0 + 11][:, :, [0, 2, 4]])
 
 
-def test_windowize_targets_c_contiguous_same_values():
+def test_windowize_windows_are_read_only_views_same_values():
     raw = dt.gen_multinode_series(4, 5, 300, 0.2, 0.1, seed=6)
     for total, stride in ((300, 1), (300, 2), (299, 3), (11, 1), (12, 3)):
         ds = dt.windowize(raw[:total], t_in=8, k=3, stride=stride,
                           target_channels=[4, 0, 2])
-        assert ds.contexts.flags.c_contiguous
-        assert ds.targets.flags.c_contiguous
         npt.assert_array_equal(ds.meta.window_starts,
                                np.arange(0, total - 10, stride))
         # against the per-start slices
@@ -176,9 +179,30 @@ def test_windowize_targets_c_contiguous_same_values():
         npt.assert_array_equal(ds.targets, np.stack(
             [raw[s + 8:s + 11][:, :, [4, 0, 2]]
              for s in ds.meta.window_starts]))
+        # one copy of the series, which the context windows view
+        npt.assert_array_equal(ds.source, raw[:total])
+        assert not np.shares_memory(ds.source, raw)
+        assert np.shares_memory(ds.contexts, ds.source)
+        if len(ds) > 1 and stride < 3:
+            # overlapping target windows store their shared steps once
+            assert np.shares_memory(ds.targets[0], ds.targets[1])
+        for array in (ds.source, ds.contexts, ds.targets):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ds.contexts[0, 0, 0, 0] = 1.0
     ds = dt.windowize(raw, t_in=8, k=3, stride=1, target_channels=[4, 0, 2])
-    for part in dt.normalize(*dt.split(ds, (0.8, 0.1, 0.1))):
-        assert part.targets.flags.c_contiguous
+    parts = dt.split(ds, (0.8, 0.1, 0.1))
+    for part in parts + dt.normalize(*parts):
+        # training flattens the windows without copying them
+        ctx, tgt, preferred = tr.flatten_dataset(part)
+        assert np.shares_memory(ctx, part.source)
+        assert tgt is part.targets
+        assert np.shares_memory(preferred, part.targets)
+        for array in (part.source, ctx, tgt, preferred):
+            assert not array.flags.writeable
+        # the source is the segment the part's windows cover
+        starts = part.meta.window_starts
+        assert len(part.source) == starts[-1] - starts[0] + 11
 
 
 def test_windowize_sequences():
@@ -189,6 +213,11 @@ def test_windowize_sequences():
     assert ds.targets.shape == (3, 3, 72, 1)
     assert ds.meta.grid == (8, 9)
     npt.assert_array_equal(ds.contexts[1, 2, :, 0], seqs[1, 2].reshape(-1))
+    # a bank's windows are read-only views of one copy of its frames
+    npt.assert_array_equal(ds.source, seqs)
+    assert np.shares_memory(ds.contexts, ds.source)
+    assert np.shares_memory(ds.targets, ds.source)
+    assert not (ds.contexts.flags.writeable or ds.targets.flags.writeable)
     with pytest.raises(ConfigError):
         dt.windowize_sequences(seqs, t_in=5, k=3, grid=(8, 9))
     # the grid must be the frames' (h, w); both shapes are named
@@ -331,6 +360,80 @@ def test_split_parts_are_views_matching_masks():
     assert checked > 500
 
 
+@st.composite
+def _windowed_series(draw):
+    """A random series and its windowize arguments, statistics chunked a
+    few window steps at a time."""
+    nodes, channels = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    t_in, k, stride = (draw(st.integers(1, 6)), draw(st.integers(1, 4)),
+                       draw(st.integers(1, 3)))
+    total = draw(st.integers(t_in + k, 60))
+    channel_ids = st.integers(0, channels - 1)
+    tc = draw(st.lists(channel_ids, min_size=1, max_size=channels, unique=True))
+    loc = draw(st.sampled_from([0.0, 5.0, -300.0]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    raw = rng.normal(loc, scale, size=(total, nodes, channels))
+    return raw, t_in, k, stride, tc, draw(st.integers(1, 64))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_windowed_series(),
+       fracs=st.sampled_from([(0.8, 0.1, 0.1), (0.5, 0.3, 0.2),
+                              (1.0, 0.0, 0.0)]))
+def test_statistics_and_normalize_on_views_match_stacked_windows(case, fracs):
+    raw, t_in, k, stride, tc, rows = case
+    ds = dt.windowize(raw, t_in, k, stride, target_channels=tc)
+    try:
+        parts = dt.split(ds, fracs)
+    except ConfigError:
+        assume(False)
+
+    def stacked(part):
+        # the per-start slices, as a copy of every window holds them
+        starts = part.meta.window_starts
+        return (np.stack([raw[s:s + t_in] for s in starts]),
+                np.stack([raw[s + t_in:s + t_in + k][:, :, tc] for s in starts]))
+
+    # the reference: np.mean's and np.std's arithmetic on the stacked rows
+    flat = stacked(parts[0])[0].reshape(-1, raw.shape[2])
+    mean = flat.sum(axis=0) / len(flat)
+    dev = flat - mean
+    std = np.sqrt((dev * dev).sum(axis=0) / len(flat))
+    with mock.patch.object(dt, "_STATISTICS_ROWS", rows):
+        if not (std > 0).all():
+            with pytest.raises(ConfigError, match="zero variance"):
+                dt.train_statistics(parts[0])
+            return
+        got_mean, got_std = dt.train_statistics(parts[0])
+        normalized = dt.normalize(*parts)
+    assert got_mean.tobytes() == mean.tobytes()
+    assert got_std.tobytes() == std.tobytes()
+    for part, norm in zip(parts, normalized):
+        assert len(norm) == len(part)
+        if len(part):
+            ctx, tgt = stacked(part)
+            assert norm.contexts.tobytes() == ((ctx - mean) / std).tobytes()
+            assert norm.targets.tobytes() == ((tgt - mean[tc]) / std[tc]).tobytes()
+
+
+def test_setup_memory_is_a_small_multiple_of_the_series():
+    # windows view one source, so setup at desk size holds the series a
+    # few times over (about 3x), where stacked windows held it 65x
+    raw = dt.gen_multinode_series(10, 9, 2000, 0.5, 0.2, seed=1)
+    tracemalloc.start()
+    try:
+        ds = dt.windowize(raw, 24, 12, 1, target_channels=[0, 1, 2])
+        parts = dt.split(ds, (0.8, 0.1, 0.1))
+        stats = dt.train_statistics(parts[0])
+        normalized = dt.normalize(*parts, stats=stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(n) for n in normalized] == [len(p) for p in parts]
+    assert peak < 5 * raw.nbytes
+
+
 def test_normalize_train_stats_only():
     rng = np.random.default_rng(7)
     raw = rng.normal(loc=5.0, scale=2.0, size=(300, 2, 3))
@@ -357,7 +460,8 @@ def test_train_statistics_keep_numpy_mean_std_bits():
                               ((60, 24, 10, 9), 5.0, 1e3),
                               ((7, 5, 1, 2), -2.0, 1e-3)):
         contexts = rng.normal(loc, scale, size=shape)
-        ds = dt.Dataset(contexts=contexts, targets=contexts[:, :1],
+        ds = dt.Dataset(source=contexts, contexts=contexts,
+                        targets=contexts[:, :1],
                         meta=dt.DataMeta(
                             channel_names=[f"ch{i}" for i in range(shape[3])],
                             target_channels=[0],

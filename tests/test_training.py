@@ -678,7 +678,8 @@ def test_evaluate_deterministic_and_empty():
     r2 = tr.evaluate(p, splits[2], "test")
     assert [(a.metric, a.value) for a in r1] == [(b.metric, b.value) for b in r2]
 
-    empty = dt.Dataset(contexts=np.zeros((0, 4, 2, 2)),
+    empty = dt.Dataset(source=np.zeros((0, 2, 2)),
+                       contexts=np.zeros((0, 4, 2, 2)),
                        targets=np.zeros((0, 2, 2, 2)),
                        meta=splits[2].meta)
     with pytest.raises(ConfigError):
