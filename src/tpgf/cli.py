@@ -306,9 +306,12 @@ def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
     parts = []
     for name in names:
         if cfg.dataset == "sprites":
-            part = dt.windowize_sequences(
-                dt.load_frame_sequences(paths[name]), cfg.t_in, cfg.horizon,
-                grid=(cfg.height, cfg.width))
+            seqs = dt.load_frame_sequences(paths[name])
+            grid = (cfg.height, cfg.width)
+            if seqs.shape[2:] != grid:
+                raise DataFormatError(f"{paths[name]} has (h, w) = {seqs.shape[2:]}"
+                                      f", the config (height, width) = {grid}")
+            part = dt.windowize_sequences(seqs, cfg.t_in, cfg.horizon, grid=grid)
         else:
             raw = dt.load_series_csv(paths[name])
             if raw.shape[2] != cfg.channels:

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, check_ranges, replacing
+from .errors import (ConfigError, DataFormatError, check_ranges, read_binary,
+                     replacing, write_binary)
 from .rng import RngState
 
 
@@ -52,26 +52,13 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # generators
 
-def multinode_clean_value(t, node, channel, nodes: int):
-    """Closed form of the noise-free, uncoupled series at one point, or
-    at every point of broadcast index grids.
-
-    Two shared sinusoids per channel; the node enters only through its
-    phase offset. Channel f has base period 24 + 7 f.
-    """
-    period = 24.0 + 7.0 * channel
-    phase = 2.0 * np.pi * node / nodes + 0.61 * channel
-    a = np.sin(2.0 * np.pi * t / period + phase)
-    b = 0.4 * np.sin(4.0 * np.pi * t / period + 2.0 * phase)
-    return a + b
-
-
 def gen_multinode_series(nodes: int, channels: int, length: int,
                          coupling: float, noise: float, seed: int) -> np.ndarray:
     """Raw series [T, N, F].
 
-    Construction, in order: (1) the closed-form sinusoid bank above;
-    (2) cross-node/cross-channel mixing controlled by `coupling`
+    Construction, in order: (1) two shared sinusoids per channel, the
+    node entering only through its phase offset: channel f has base
+    period 24 + 7 f, and node n the phase 2 pi n / N + 0.61 f; (2) cross-node/cross-channel mixing controlled by `coupling`
     (shared node-mean and channel-mean fields); (3) AR(1) noise with
     decay 0.7 whose innovations are one rng.normal(T*N*F) draw reshaped
     [T, N, F] in row-major order.
@@ -79,10 +66,13 @@ def gen_multinode_series(nodes: int, channels: int, length: int,
     check_ranges(nodes=nodes, channels=channels, length=length,
                  coupling=coupling, noise=noise)
 
-    base = multinode_clean_value(
-        np.arange(length, dtype=np.float64)[:, None, None],
-        np.arange(nodes, dtype=np.float64)[None, :, None],
-        np.arange(channels, dtype=np.float64)[None, None, :], nodes)
+    t = np.arange(length, dtype=np.float64)[:, None, None]
+    channel = np.arange(channels, dtype=np.float64)
+    period = 24.0 + 7.0 * channel
+    phase = (2.0 * np.pi * np.arange(nodes, dtype=np.float64)[:, None] / nodes
+             + 0.61 * channel)
+    base = (np.sin(2.0 * np.pi * t / period + phase)
+            + 0.4 * np.sin(4.0 * np.pi * t / period + 2.0 * phase))
 
     if coupling > 0.0:
         node_mean = base.mean(axis=1, keepdims=True)
@@ -478,36 +468,24 @@ _FRAME_VERSION = 1
 
 
 def write_frame_sequences(seqs: np.ndarray, path):
-    """Documented binary: magic, version, T, H, W, count as little-endian
-    u32 after the 8-byte magic, then float64 planes in sequence order."""
-    seqs = np.ascontiguousarray(seqs, dtype=np.float64)
-    if seqs.ndim != 4:
-        raise ConfigError(
-            f"expected [count, T, H, W] frames, got shape {list(seqs.shape)}")
+    """Layout: errors.write_binary's, with dims T, H, W, count; the
+    payload is the frames in sequence order as float64."""
+    seqs = np.asarray(seqs, dtype="<f8")
+    if seqs.ndim != 4 or not seqs.size:  # the reader refuses a zero dim
+        raise ConfigError(f"expected non-empty [count, T, H, W] frames, got "
+                          f"shape {list(seqs.shape)}")
     count, total, h, w = seqs.shape
-    with replacing(path, "wb") as fh:
-        fh.write(_FRAME_MAGIC)
-        fh.write(struct.pack("<5I", _FRAME_VERSION, total, h, w, count))
-        fh.write(seqs.astype("<f8").tobytes())
+    write_binary(path, _FRAME_MAGIC, _FRAME_VERSION, (total, h, w, count),
+                 [seqs])
 
 
 def load_frame_sequences(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(_FRAME_MAGIC) + 20:
-        raise DataFormatError("frame file truncated before header end")
-    if blob[:len(_FRAME_MAGIC)] != _FRAME_MAGIC:
-        raise DataFormatError(
-            f"bad frame-file magic {blob[:len(_FRAME_MAGIC)]!r}")
-    version, total, h, w, count = struct.unpack_from("<5I", blob, len(_FRAME_MAGIC))
-    if version != _FRAME_VERSION:
-        raise DataFormatError(f"unsupported frame-file version {version}")
-    need = len(_FRAME_MAGIC) + 20 + count * total * h * w * 8
-    if len(blob) != need:
-        raise DataFormatError(
-            f"frame file size {len(blob)} does not match header (expected {need})")
-    data = np.frombuffer(blob, dtype="<f8", offset=len(_FRAME_MAGIC) + 20)
-    seqs = data.reshape(count, total, h, w).astype(np.float64)
+    (total, h, w, count), payload = read_binary(
+        path, _FRAME_MAGIC, _FRAME_VERSION,
+        ("seq_length", "height", "width", "seq_count"),
+        lambda *dims: 8 * math.prod(dims))
+    seqs = np.frombuffer(payload, dtype="<f8").reshape(
+        count, total, h, w).astype(np.float64)
     finite = np.isfinite(seqs).reshape(count, total, h * w).all(axis=2)
     if not finite.all():
         seq, frame = np.argwhere(~finite)[0]

@@ -1,12 +1,14 @@
 """Shared exception types; the one table of config rules, single-value
 and cross-key, that every config entry point (the dataclasses, the data
-and training functions and the CLI) checks its values against; and the
-one temp-file writer every artifact goes through."""
+and training functions and the CLI) checks its values against; the one
+temp-file writer every artifact goes through; and the one binary reader
+and writer that checkpoints and frame files share."""
 
 import contextlib
 import math
 import numbers
 import os
+import struct
 
 
 class ConfigError(ValueError):
@@ -135,3 +137,41 @@ def replacing(path, mode: str = "w"):
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+_BINARY_HEADER = struct.Struct("<5I")
+
+
+def write_binary(path, magic: bytes, version: int, dims, payload):
+    """Write magic, then `version` and four `dims` as little-endian u32,
+    then the bytes of each little-endian array of `payload`, through one
+    temp file."""
+    with replacing(path, "wb") as fh:
+        fh.write(magic + _BINARY_HEADER.pack(version, *dims))
+        for array in payload:
+            fh.write(array.tobytes())
+
+
+def read_binary(path, magic: bytes, version: int, names, payload_bytes):
+    """(dims, payload memoryview) of a file write_binary wrote. Each dim,
+    named by `names`, must be >= 1 and payload_bytes(*dims) bytes follow
+    the header. Each fault is a DataFormatError that starts with `path`."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    start = len(magic) + _BINARY_HEADER.size
+    if len(blob) < start:
+        raise DataFormatError(f"{path}: truncated before header end")
+    if blob[:len(magic)] != magic:
+        raise DataFormatError(f"{path}: bad magic {blob[:len(magic)]!r}")
+    got, *dims = _BINARY_HEADER.unpack_from(blob, len(magic))
+    if got != version:
+        raise DataFormatError(f"{path}: unsupported version {got}")
+    for name, size in zip(names, dims):
+        if size < 1:
+            raise DataFormatError(f"{path}: header {name} must be >= 1, got {size}")
+    need = start + payload_bytes(*dims)  # a Python int: no overflow
+    if len(blob) != need:
+        fault = "truncated" if len(blob) < need else "trailing bytes"
+        raise DataFormatError(f"{path}: {fault}: {len(blob)} bytes where "
+                              f"the header implies {need}")
+    return dims, memoryview(blob)[start:]

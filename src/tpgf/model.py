@@ -17,12 +17,12 @@ persisted in checkpoints.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, check_ranges, replacing
+from .errors import (ConfigError, DataFormatError, check_ranges, read_binary,
+                     write_binary)
 from . import nn
 from .rng import RngState
 
@@ -62,22 +62,27 @@ def make_target_slots(nodes: int, channels: int, target_channels) -> np.ndarray:
     return np.asarray(slots, dtype=np.int64)
 
 
+def _check_slots(slots: np.ndarray, f_in: int, f_out: int, error, where):
+    """The target-slot rule: f_out >= 1 distinct entries in [0, f_in),
+    since each prediction is fed back into its own input slot. Raises
+    `error` with a message that starts with `where`."""
+    outside = slots[(slots < 0) | (slots >= f_in)]
+    if outside.size:
+        raise error(f"{where}: slot table entry {outside[0]} is outside "
+                    f"[0, f_in={f_in})")
+    if slots.shape != (f_out,) or not 0 < f_out == len(set(slots.tolist())):
+        raise error(f"{where}: slot table {slots.tolist()} must hold "
+                    f"f_out = {f_out} distinct entries, at least one")
+
+
 def init_seq2seq(hidden: int, f_in: int, f_out: int, rng: RngState,
                  target_slots=None) -> Seq2SeqParams:
-    """Draw order: encoder, decoder, projection."""
+    """Draw order: encoder, decoder, projection. target_slots defaults to
+    every input slot, so f_out must then equal f_in."""
     check_ranges(hidden=hidden)
-    if f_in < 1 or f_out < 1:
-        raise ConfigError(f"f_in, f_out must be >= 1, got {f_in}, {f_out}")
-    if target_slots is None:
-        if f_out != f_in:
-            raise ConfigError("target_slots required when f_out != f_in")
-        target_slots = np.arange(f_in, dtype=np.int64)
-    target_slots = np.asarray(target_slots, dtype=np.int64)
-    if target_slots.shape != (f_out,):
-        raise ConfigError(
-            f"target_slots must have length f_out={f_out}, got {target_slots.shape}")
-    if target_slots.size and (target_slots.min() < 0 or target_slots.max() >= f_in):
-        raise ConfigError("target_slots entries must index into [0, f_in)")
+    target_slots = np.asarray(
+        np.arange(f_in) if target_slots is None else target_slots, dtype=np.int64)
+    _check_slots(target_slots, f_in, f_out, ConfigError, "target_slots")
     return Seq2SeqParams(
         encoder=nn.init_lstm(hidden, f_in, rng),
         decoder=nn.init_lstm(hidden, f_in, rng),
@@ -133,11 +138,6 @@ def decoder_input(carrier: np.ndarray, p: Seq2SeqParams) -> DecoderInput:
     if (slots == np.arange(lo, lo + slots.size)).all():
         # a run of consecutive slots (every pixel of a frame) is a view
         slots = slice(lo, lo + slots.size)
-    elif len(set(slots.tolist())) != slots.size:
-        # two predictions cannot both be fed into one input slot
-        raise ConfigError(
-            f"target_slots must be distinct to feed predictions back, "
-            f"got {slots.tolist()}")
     zeroed = carrier.copy()
     zeroed[:, slots] = 0.0
     return DecoderInput(carrier=zeroed,
@@ -164,62 +164,40 @@ _CKPT_MAGIC = b"TPGF"
 _CKPT_VERSION = 1
 
 
+def _tensor_shapes(hidden: int, f_in: int, f_out: int):
+    """Shapes of the tensors() entries, in order."""
+    g = 4 * hidden
+    return [(g, f_in), (g, hidden), (g,), (g, f_in), (g, hidden), (g,),
+            (f_out, hidden), (f_out,)]
+
+
 def save_checkpoint(p: Seq2SeqParams, path):
-    """Layout: 4-byte magic, then little-endian u32 version, hidden,
-    f_in, f_out, n_slots, the slot table as u32, then every parameter
-    tensor in declared order as little-endian float64."""
-    with replacing(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<5I", _CKPT_VERSION, p.hidden, p.f_in, p.f_out,
-                             p.target_slots.shape[0]))
-        fh.write(p.target_slots.astype("<u4").tobytes())
-        for t in p.tensors():
-            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+    """Layout: errors.write_binary's, with dims hidden, f_in, f_out and
+    the slot count; the payload is the slot table as u32, then every
+    parameter tensor in declared order as float64."""
+    write_binary(path, _CKPT_MAGIC, _CKPT_VERSION,
+                 (p.hidden, p.f_in, p.f_out, len(p.target_slots)),
+                 [p.target_slots.astype("<u4"),
+                  *(np.asarray(t, dtype="<f8") for t in p.tensors())])
 
 
 def load_checkpoint(path) -> Seq2SeqParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 24:
-        raise DataFormatError("checkpoint truncated before header end")
-    if blob[:4] != _CKPT_MAGIC:
-        raise DataFormatError(f"bad checkpoint magic {blob[:4]!r}")
-    version, hidden, f_in, f_out, n_slots = struct.unpack_from("<5I", blob, 4)
-    if version != _CKPT_VERSION:
-        raise DataFormatError(f"unsupported checkpoint version {version}")
-    for name, size in (("hidden", hidden), ("f_in", f_in), ("f_out", f_out)):
-        if size < 1:
-            raise DataFormatError(f"checkpoint header {name} must be >= 1, got {size}")
-    if f_out != n_slots:
-        raise DataFormatError(
-            f"slot table length {n_slots} does not match f_out {f_out}")
-    offset = 24
-    if len(blob) < offset + 4 * n_slots:
-        raise DataFormatError("checkpoint truncated inside slot table")
-    slots = np.frombuffer(blob, dtype="<u4", count=n_slots,
-                          offset=offset).astype(np.int64)
-    if n_slots and slots.max() >= f_in:
-        raise DataFormatError(
-            f"slot table entry {slots.max()} is outside [0, f_in={f_in})")
-    offset += 4 * n_slots
-
-    shapes = [(4 * hidden, f_in), (4 * hidden, hidden), (4 * hidden,),
-              (4 * hidden, f_in), (4 * hidden, hidden), (4 * hidden,),
-              (f_out, hidden), (f_out,)]
-    arrays = []
-    for shape in shapes:
-        n = math.prod(shape)  # exact: np.prod wraps on huge header sizes
-        if len(blob) < offset + 8 * n:
-            raise DataFormatError("checkpoint truncated inside parameter data")
-        arrays.append(np.frombuffer(blob, dtype="<f8", count=n,
-                                    offset=offset).reshape(shape).copy())
-        offset += 8 * n
-    if offset != len(blob):
-        raise DataFormatError(
-            f"checkpoint has {len(blob) - offset} trailing bytes")
-    for name, a in zip(Seq2SeqParams.TENSOR_NAMES, arrays):
+    (hidden, f_in, f_out, n_slots), payload = read_binary(
+        path, _CKPT_MAGIC, _CKPT_VERSION,
+        ("hidden", "f_in", "f_out", "slot count"),
+        lambda hidden, f_in, f_out, n_slots: 4 * n_slots + 8 * sum(
+            map(math.prod, _tensor_shapes(hidden, f_in, f_out))))
+    slots = np.frombuffer(payload, dtype="<u4", count=n_slots).astype(np.int64)
+    _check_slots(slots, f_in, f_out, DataFormatError, path)
+    arrays, offset = [], 4 * n_slots
+    for name, shape in zip(Seq2SeqParams.TENSOR_NAMES,
+                           _tensor_shapes(hidden, f_in, f_out)):
+        a = np.frombuffer(payload, dtype="<f8", count=math.prod(shape),
+                          offset=offset).reshape(shape).copy()
         if not np.isfinite(a).all():
             raise DataFormatError(f"{path}: non-finite value in {name}")
+        arrays.append(a)
+        offset += a.nbytes
     return Seq2SeqParams(
         encoder=nn.LstmParams(w_x=arrays[0], w_h=arrays[1], b=arrays[2]),
         decoder=nn.LstmParams(w_x=arrays[3], w_h=arrays[4], b=arrays[5]),

@@ -622,6 +622,58 @@ def test_train_rejects_non_finite_pixel(tmp_path, capsys):
     assert "sequence 2, frame 7" in err and str(path) in err
 
 
+def test_train_names_damaged_frame_file(tmp_path, capsys):
+    out = tmp_path / "cut"
+    cfg_path = write_cfg(tmp_path / "cut.cfg", SPRITES + f"out_dir = {out}\n")
+    assert cli.main(["generate", "--config", cfg_path]) == 0
+    path = out / "data" / "val.frames"
+    path.write_bytes(path.read_bytes()[:-8])
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg_path]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {path}: truncated")
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_sprite_grid_unlike_frames_exits_3(tmp_path, capsys, command):
+    out = tmp_path / "grid"
+    cfg_path = write_cfg(tmp_path / "grid.cfg", SPRITES + f"out_dir = {out}\n")
+    assert cli.main(["generate", "--config", cfg_path]) == 0
+    assert cli.main(["train", "--config", cfg_path]) == 0
+    write_cfg(tmp_path / "grid.cfg", SPRITES.replace("= 8\n", "= 10\n")
+              + f"out_dir = {out}\n")
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg_path]) == 3
+    name = "train" if command == "train" else "test"
+    assert capsys.readouterr().err == (
+        f"error: {out / 'data' / name}.frames has (h, w) = (8, 8), the config "
+        f"(height, width) = (10, 10)\n")
+
+
+# a fresh interpreter runs the three commands, then says whether anything
+# imported numpy.ma: its lazy import (np.unique, say) adds about 1.6 MB to
+# the peak RSS the benchmark measures
+_NUMPY_MA_RUN = """
+import sys
+from tpgf import cli
+for command in ("generate", "train", "evaluate"):
+    assert cli.main([command, "--config", sys.argv[1]]) == 0, command
+print("numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("config", [
+    BASE + "strategy = tpg\nstage1_iters = 20\n", SPRITES],
+    ids=["multinode-tpg", "sprites"])
+def test_commands_do_not_import_numpy_ma(tmp_path, config):
+    cfg_path = write_cfg(tmp_path / "ma.cfg",
+                         config + f"out_dir = {tmp_path / 'out'}\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-c", _NUMPY_MA_RUN, cfg_path],
+                         env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.split()[-1] == "False"
+
+
 def test_train_without_dataset_hints_generate(tmp_path, capsys):
     cfg_path, out = make_run(tmp_path, "nogen")
     assert cli.main(["train", "--config", cfg_path]) == 3

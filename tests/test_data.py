@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -14,12 +15,21 @@ from tpgf import training as tr
 
 
 def test_multinode_clean_matches_closed_form():
+    # the closed form written out here, independent of the generator:
+    # channel f has period 24 + 7 f, node n of 4 the phase 2 pi n / 4 + 0.61 f
     series = dt.gen_multinode_series(nodes=4, channels=3, length=50,
                                      coupling=0.0, noise=0.0, seed=9)
+    # exact in float64: step 0, a quarter period, a quarter-turn phase
+    assert series[0, 0, 0] == 0.0
+    assert series[6, 0, 0] == 1.0
+    assert series[0, 1, 0] == 1.0
     for t in (0, 7, 49):
         for n in (0, 3):
             for f in (0, 2):
-                want = dt.multinode_clean_value(t, n, f, nodes=4)
+                period = 24.0 + 7.0 * f
+                phase = 2.0 * math.pi * n / 4 + 0.61 * f
+                want = (math.sin(2.0 * math.pi * t / period + phase)
+                        + 0.4 * math.sin(4.0 * math.pi * t / period + 2.0 * phase))
                 assert abs(series[t, n, f] - want) < 1e-12
 
 

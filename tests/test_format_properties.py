@@ -1,15 +1,18 @@
 """Property tests for the file formats: checkpoints, frame files and
 series CSVs round-trip bit for bit, and a truncated or corrupted file
-either loads or raises DataFormatError, never anything else."""
+either loads or raises DataFormatError, never anything else. A corpus
+of damaged binary files checks that each fault names its file."""
 
 import io
+import math
+import struct
 import warnings
 from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -55,7 +58,8 @@ def _flip(blob, data):
 def checkpoints(draw):
     hidden = draw(st.integers(1, 3))
     f_in = draw(st.integers(1, 4))
-    slots = draw(st.lists(st.integers(0, f_in - 1), min_size=1, max_size=f_in))
+    slots = draw(st.lists(st.integers(0, f_in - 1), min_size=1, max_size=f_in,
+                          unique=True))
     return md.init_seq2seq(hidden, f_in, len(slots),
                            RngState(draw(st.integers(0, 2 ** 32))),
                            target_slots=slots)
@@ -90,6 +94,22 @@ def test_checkpoint_flipped_byte(scratch, p, data):
     blob = _written(md.save_checkpoint, p, path)
     q = _load_or_format_error(md.load_checkpoint, path, _flip(blob, data))
     assert q is None or all(np.isfinite(t).all() for t in q.tensors())
+
+
+@SETTINGS
+@given(p=checkpoints(), data=st.data())
+def test_checkpoint_repeated_slot_refused(scratch, p, data):
+    # a repeated slot would feed two predictions into one input slot
+    assume(p.f_out >= 2)
+    path = scratch / "twice.ckpt"
+    blob = bytearray(_written(md.save_checkpoint, p, path))
+    i, j = data.draw(st.lists(st.integers(0, p.f_out - 1), min_size=2,
+                              max_size=2, unique=True), label="slots")
+    blob[24 + 4 * j:28 + 4 * j] = blob[24 + 4 * i:28 + 4 * i]
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match="distinct entries") as ei:
+        md.load_checkpoint(path)
+    assert str(ei.value).startswith(f"{path}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +148,77 @@ def test_frames_flipped_byte(scratch, seqs, data):
     back = _load_or_format_error(dt.load_frame_sequences, path,
                                  _flip(blob, data))
     assert back is None or np.isfinite(back).all()
+
+
+# ---------------------------------------------------------------------------
+# every binary fault names its file
+
+def _binary(magic, dims, *payload):
+    return (magic + struct.pack("<5I", 1, *dims)
+            + b"".join(a.tobytes() for a in payload))
+
+
+def _checkpoint(slots=(0, 2), hidden=3, f_in=4, f_out=2, value=0.0):
+    """A checkpoint whose every parameter is `value`."""
+    count = 2 * 4 * hidden * (f_in + hidden + 1) + f_out * (hidden + 1)
+    return _binary(b"TPGF", (hidden, f_in, f_out, len(slots)),
+                   np.asarray(slots, dtype="<u4"),
+                   np.full(count, value, dtype="<f8"))
+
+
+def _frames(dims=(2, 3, 3, 1), value=0.0):
+    """A frame file, dims (T, H, W, count), whose every pixel is `value`."""
+    return _binary(b"TPGFRAME", dims,
+                   np.full(math.prod(dims), value, dtype="<f8"))
+
+
+def _faults(load, good, magic, own):
+    """A case per damage: the damage both formats share, then the
+    format's own `own` (id, damaged file, message after the path)."""
+    n = len(magic)
+    return [pytest.param(load, good, damaged, fault,
+                         id=f"{load.__name__}-{case}")
+            for case, damaged, fault in [
+        ("short_header", good[:n + 19], "truncated before header end"),
+        ("magic", b"X" * n + good[n:], f"bad magic {b'X' * n!r}"),
+        ("version", good[:n] + struct.pack("<I", 2) + good[n + 4:],
+         "unsupported version 2"),
+        ("truncated", good[:-8], f"truncated: {len(good) - 8} bytes where "
+                                 f"the header implies {len(good)}"),
+        ("trailing", good + bytes(8), f"trailing bytes: {len(good) + 8} "
+                                      f"bytes where the header implies "
+                                      f"{len(good)}"),
+        *own]]
+
+
+FAULTS = [
+    *_faults(md.load_checkpoint, _checkpoint(), b"TPGF", [
+        ("zero_dim", _checkpoint(hidden=0),
+         "header hidden must be >= 1, got 0"),
+        ("slot_count", _checkpoint(slots=(0, 2, 3)), "slot table [0, 2, 3] "
+         "must hold f_out = 2 distinct entries, at least one"),
+        ("slot_range", _checkpoint(slots=(0, 4)),
+         "slot table entry 4 is outside [0, f_in=4)"),
+        ("slot_repeated", _checkpoint(slots=(1, 1)), "slot table [1, 1] "
+         "must hold f_out = 2 distinct entries, at least one"),
+        ("non_finite", _checkpoint(value=math.nan),
+         "non-finite value in encoder.w_x")]),
+    *_faults(dt.load_frame_sequences, _frames(), b"TPGFRAME", [
+        ("zero_dim", _frames((2, 3, 0, 1)), "header width must be >= 1, got 0"),
+        ("non_finite", _frames(value=math.inf),
+         "non-finite pixel in sequence 0, frame 0")]),
+]
+
+
+@pytest.mark.parametrize("load, good, damaged, fault", FAULTS)
+def test_binary_fault_names_file(tmp_path, load, good, damaged, fault):
+    path = tmp_path / "file.bin"
+    path.write_bytes(good)
+    load(path)
+    path.write_bytes(damaged)
+    with pytest.raises(DataFormatError) as ei:
+        load(path)
+    assert str(ei.value) == f"{path}: {fault}"
 
 
 # ---------------------------------------------------------------------------
