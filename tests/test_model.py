@@ -141,6 +141,14 @@ def test_rollout_teacher_forced_matches_stepwise():
     npt.assert_allclose(got, np.stack(want, axis=1), atol=1e-14)
 
 
+def test_rollout_rejects_repeated_slots():
+    # the split input projection feeds each prediction into its own slot;
+    # repeated slots are refused when the model is made, so no rollout
+    # ever sees them
+    with pytest.raises(ConfigError, match="distinct"):
+        small_params(f_out=2, slots=np.array([1, 1]))
+
+
 def test_make_target_slots_layout():
     slots = md.make_target_slots(3, 4, [0, 2])
     npt.assert_array_equal(slots, [0, 2, 4, 6, 8, 10])
@@ -151,9 +159,6 @@ def test_init_validation():
         md.init_seq2seq(3, 4, 2, RngState(1))  # needs slots when f_out != f_in
     with pytest.raises(ConfigError):
         md.init_seq2seq(3, 4, 2, RngState(1), target_slots=np.array([0, 9]))
-    # the split input projection feeds each prediction into its own slot
-    with pytest.raises(ConfigError, match="distinct"):
-        small_params(f_out=2, slots=np.array([1, 1]))
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
