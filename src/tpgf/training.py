@@ -556,14 +556,15 @@ def train_tpg(splits, cfg: TrainConfig):
                        target_slots=m1.target_slots))
 
     # m1's closed-loop estimates, interleaved back to full order [num, K, f_out].
-    # An overflowed m1 can return finite estimates behind saturated gates,
-    # so the guard checks their loss, as the loop checks its own.
+    # No name keeps the two halves, so their memory is free before the loss
+    # and stage 2. An overflowed m1 can return finite estimates behind
+    # saturated gates, so the guard checks their loss as the loop does.
     ctx, tgt, truth = flatten_dataset(train)
     with np.errstate(over="ignore", invalid="ignore"):
-        m1_odd = rollout_batch(m1, odd[0], odd[1].shape[1])
-        m1_even = rollout_batch(m1, even[0], even[1].shape[1])
-        m1_full = interleave_odd_even(m1_odd.swapaxes(0, 1),
-                                      m1_even.swapaxes(0, 1)).swapaxes(0, 1)
+        m1_full = interleave_odd_even(
+            rollout_batch(m1, odd[0], odd[1].shape[1]).swapaxes(0, 1),
+            rollout_batch(m1, even[0], even[1].shape[1]).swapaxes(0, 1),
+        ).swapaxes(0, 1)
         m1_loss = composite_loss(m1_full, truth)
     if not np.isfinite(m1_loss):
         raise DivergenceError(

@@ -454,9 +454,8 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name, where,
     sizes = ("height = 8\nwidth = 8\nsprite_size = 3\nseq_length = 12\n"
              "seq_count = 20\n" if dataset == "sprites" else "")
     out = tmp_path / "atomic"
-    cfg_path = write_cfg(tmp_path / "atomic.cfg",
-                         BASE.replace("multinode", dataset) + sizes
-                         + f"out_dir = {out}\n")
+    text = BASE.replace("multinode", dataset) + sizes + f"out_dir = {out}\n"
+    cfg_path = write_cfg(tmp_path / "atomic.cfg", text)
     steps = ["generate", "train", "evaluate", "compare"]
     argv = {cmd: [cmd, "--config", cfg_path] for cmd in steps}
     argv["compare"] += ["--config", cfg_path]
@@ -464,6 +463,13 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name, where,
         assert cli.main(argv[cmd]) == 0
     path = out / where
     before = path.read_bytes()
+    # the rerun writes other bytes: train and evaluate refuse data of
+    # another seed, so they rerun with a key the generator does not read
+    rerun = argv[command] + ["--seed", "99"]
+    if command in ("train", "evaluate"):
+        write_cfg(tmp_path / "atomic.cfg",
+                  text.replace("total_iters = 50", "total_iters = 40"))
+        rerun = argv[command]
 
     def crash(src, dst):
         # the temp file is complete here; the crash comes before it lands
@@ -472,7 +478,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name, where,
         os.rename(src, dst)
 
     monkeypatch.setattr(cli.os, "replace", crash)
-    assert cli.main(argv[command] + ["--seed", "99"]) == 3
+    assert cli.main(rerun) == 3
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert not list(out.rglob("*.tmp"))
@@ -639,14 +645,16 @@ def test_sprite_grid_unlike_frames_exits_3(tmp_path, capsys, command):
     cfg_path = write_cfg(tmp_path / "grid.cfg", SPRITES + f"out_dir = {out}\n")
     assert cli.main(["generate", "--config", cfg_path]) == 0
     assert cli.main(["train", "--config", cfg_path]) == 0
-    write_cfg(tmp_path / "grid.cfg", SPRITES.replace("= 8\n", "= 10\n")
-              + f"out_dir = {out}\n")
+    # meta.txt refuses a config of another grid, so the file changes
+    path = out / "data" / f"{'train' if command == 'train' else 'test'}.frames"
+    seqs = dt.load_frame_sequences(path)
+    dt.write_frame_sequences(np.pad(seqs, ((0, 0), (0, 0), (0, 2), (0, 2))),
+                             path)
     capsys.readouterr()
     assert cli.main([command, "--config", cfg_path]) == 3
-    name = "train" if command == "train" else "test"
     assert capsys.readouterr().err == (
-        f"error: {out / 'data' / name}.frames has (h, w) = (8, 8), the config "
-        f"(height, width) = (10, 10)\n")
+        f"error: {path} has (h, w) = (10, 10), the config (height, width) = "
+        f"(8, 8)\n")
 
 
 # a fresh interpreter runs the three commands, then says whether anything
@@ -728,53 +736,58 @@ def _edit_meta(out, key, value):
     return path
 
 
+_RERUN = "; rerun `tpgf generate` with this config"
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 @pytest.mark.parametrize("key, value, want", [
-    ("mean", None, "no 'mean' line, so the data predates recorded training "
-                   "statistics; rerun `tpgf generate`"),
-    ("std", None, "no 'std' line, so the data predates recorded training "
-                  "statistics; rerun `tpgf generate`"),
+    ("mean", None, f"no 'mean' line{_RERUN}"),
+    ("std", None, f"no 'std' line{_RERUN}"),
     ("mean", "0.5,0.25", "key 'mean': 2 values, expected one per channel "
                          "(channels = 3)"),
     ("std", "1,nan,1", "key 'std': non-finite value in '1,nan,1'"),
     ("mean", "1,2,inf", "key 'mean': non-finite value in '1,2,inf'"),
     ("std", "1,0,1", "key 'std': must be > 0, got '1,0,1'"),
     ("std", "1,x,1", "key 'std': could not convert string to float: 'x'"),
-    ("wat", "1", "meta.txt:8: unknown key 'wat'"),
-    ("dataset", "sprites", "meta.txt:7: key 'dataset': 'sprites' does not "
-                           "match 'multinode' from the config"),
-    ("test_windows", "999", "meta.txt:7: key 'test_windows': '999' does not "
+    ("wat", "1", f"meta.txt:19: unknown key 'wat'{_RERUN}"),
+    ("dataset", "sprites", "meta.txt:18: key 'dataset': 'sprites' does not "
+                           f"match 'multinode' from the config{_RERUN}"),
+    ("test_windows", "999", "meta.txt:18: key 'test_windows': '999' does not "
                             "match '8' from "),
-    ("val_windows", "x", "meta.txt:7: key 'val_windows': "),
-    ("dropped_windows", "x", "meta.txt:7: key 'dropped_windows': 'x' does "
-                             "not match '10' from the config's 125 windows "
-                             "less the recorded split counts"),
-    ("dropped_windows", "11", "meta.txt:7: key 'dropped_windows': '11' does "
-                              "not match '10' from "),
-    # int() and float() accept these; meta.txt numbers follow config rules
-    ("train_windows", "1_49", "meta.txt:7: key 'train_windows': a number is "
-                              "ASCII, without '_'"),
-    ("mean", "0.0_1,0,0", "meta.txt:7: key 'mean': a number is ASCII, "
+    # evaluate loads only test.csv, so it checks no val count
+    ("val_windows", "x", "meta.txt:18: key 'val_windows': 'x' does not match "
+                         "'8' from "),
+    # the line that a data directory written before meta.txt recorded the
+    # generator keys fails on
+    ("dropped_windows", "10", f"meta.txt:19: unknown key 'dropped_windows'"
+                              f"{_RERUN}"),
+    ("seed", None, f"no 'seed' line{_RERUN}"),
+    # int() and float() accept these; meta.txt holds what generate writes
+    ("test_windows", "0_8", "meta.txt:18: key 'test_windows': '0_8' does not "
+                            "match '8' from "),
+    ("mean", "0.0_1,0,0", "meta.txt:18: key 'mean': a number is ASCII, "
                           "without '_'"),
 ], ids=["no_mean", "no_std", "count", "nan_std", "inf_mean", "zero_std",
         "bad_float", "unknown_key", "dataset", "test_windows", "val_windows",
-        "dropped_windows", "dropped_off_by_one", "underscore_count",
+        "dropped_windows", "missing_seed", "underscore_count",
         "underscore_mean"])
 def test_bad_statistics_exit_3_naming_meta(tmp_path, capsys, command, key,
                                            value, want):
     cfg_path, out = trained_run(tmp_path, "meta")
     path = _edit_meta(out, key, value)
     capsys.readouterr()
-    assert cli.main([command, "--config", cfg_path]) == 3
+    code = 0 if (command, key) == ("evaluate", "val_windows") else 3
+    assert cli.main([command, "--config", cfg_path]) == code
     err = capsys.readouterr().err
-    assert str(path) in err and want in err
+    assert (str(path) in err and want in err) if code else err == ""
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 @pytest.mark.parametrize("line, want", [
-    ("mean = 0,0,0", "meta.txt:8: duplicate key 'mean' (first set on line 6)"),
-    ("no equals sign", "meta.txt:8: expected 'key = value', got "
-                       "'no equals sign'"),
+    ("mean = 0,0,0", "meta.txt:19: duplicate key 'mean' (first set on line "
+                     f"17){_RERUN}"),
+    ("no equals sign", "meta.txt:19: expected 'key = value', got "
+                       f"'no equals sign'{_RERUN}"),
 ], ids=["duplicate_mean", "no_equals"])
 def test_malformed_meta_line_exits_3(tmp_path, capsys, command, line, want):
     cfg_path, out = trained_run(tmp_path, "metaline")
@@ -795,7 +808,7 @@ def test_sprites_evaluate_checks_recorded_window_count(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", cfg_path]) == 3
     err = capsys.readouterr().err
-    assert f"{path}:5: key 'test_windows': '99' does not match '2'" in err
+    assert f"{path}:18: key 'test_windows': '99' does not match '2'" in err
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
@@ -1010,36 +1023,24 @@ def test_compare_non_utf8_metrics_names_path(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # entry point details
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    # "²" passes str.isdigit but not int(); "١" passes both
-    for cap in ("zero", "\u00b2", "\u0661"):
-        monkeypatch.setenv("TPGF_THREADS", cap)
-        assert cli.main(["generate", "--config", "whatever.cfg"]) == 2
-        assert os.environ.get("OMP_NUM_THREADS") != cap
-
-    monkeypatch.setenv("TPGF_THREADS", "2")
-    cfg_path, out = make_run(tmp_path, "thr")
-    assert cli.main(["generate", "--config", cfg_path]) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-
-
 def test_artifacts_identical_across_thread_caps(tmp_path):
-    # the cap only takes effect before numpy loads, so every command runs
+    # BLAS reads its thread count when numpy loads, so every command runs
     # in a fresh interpreter
     src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
     artifacts = []
     for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads)
         out = tmp_path / f"threads{threads}"
         cfg_path = write_cfg(tmp_path / f"threads{threads}.cfg",
                              CLI_CFG + f"out_dir = {out}\n")
-        for command in ("generate", "train"):
+        for command in ("generate", "train", "evaluate"):
             subprocess.run([sys.executable, "-m", "tpgf.cli", command,
                             "--config", cfg_path],
-                           env=dict(env, TPGF_THREADS=threads), check=True,
-                           capture_output=True)
+                           env=env, check=True, capture_output=True)
         artifacts.append({name: (out / name).read_bytes()
-                          for name in ("model.ckpt", "curves.csv")})
+                          for name in ("model.ckpt", "curves.csv",
+                                       "metrics.csv")})
     assert artifacts[0] == artifacts[1]
 
 
@@ -1093,6 +1094,104 @@ def test_bad_seed_override(tmp_path, capsys):
                      "--seed", "\u0661_0"]) == 2
     assert "error: --seed: bad value" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_out_overrides_config_out_dir(tmp_path):
+    cfg_path, out = make_run(tmp_path, "cfgout")
+    other = tmp_path / "other"
+    for command in ("generate", "train", "evaluate"):
+        assert cli.main([command, "--config", cfg_path,
+                         "--out", str(other)]) == 0
+        echo = cli.parse_config(str(other / "config.echo"))
+        assert echo.out_dir == str(other)
+    for name in ("data/train.csv", "data/val.csv", "data/test.csv",
+                 "data/meta.txt", "model.ckpt", "curves.csv", "metrics.csv"):
+        assert (other / name).exists(), name
+    assert not out.exists()
+
+
+def test_relative_checkpoint_is_under_out_dir(tmp_path, capsys):
+    cfg_path, out = trained_run(tmp_path, "rel")
+    assert cli.main(["evaluate", "--config", cfg_path]) == 0
+    want = (out / "metrics.csv").read_bytes()
+    (out / "model.ckpt").rename(out / "renamed.ckpt")
+    for name, code in (("renamed.ckpt", 0), ("model.ckpt", 3)):
+        cfg_rel = write_cfg(tmp_path / "relck.cfg", Path(cfg_path).read_text()
+                            + f"checkpoint = {name}\n")
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", cfg_rel]) == code
+    assert f"checkpoint {out / 'model.ckpt'} not found" in \
+        capsys.readouterr().err
+    assert (out / "metrics.csv").read_bytes() == want
+
+
+# ---------------------------------------------------------------------------
+# meta.txt records the keys generate reads
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("base, key, old, new, line", [
+    (BASE, "seed", "3", "12", 2),
+    (BASE, "noise", "0.05", "0.06", 12),
+    (BASE, "length", "260", "250", 10),
+    (SPRITES, "height", "8", "10", 8),
+], ids=["seed", "noise", "length", "sprites_height"])
+def test_changed_generator_key_exits_3(tmp_path, capsys, command, base, key,
+                                       old, new, line):
+    out = tmp_path / "rec"
+    text = base + f"out_dir = {out}\n"
+    cfg_path = write_cfg(tmp_path / "rec.cfg", text)
+    for step in ("generate", "train"):
+        assert cli.main([step, "--config", cfg_path]) == 0
+    argv = [command, "--config", cfg_path]
+    if key == "seed":
+        argv += ["--seed", new]
+    else:
+        write_cfg(tmp_path / "rec.cfg",
+                  text.replace(f"{key} = {old}\n", f"{key} = {new}\n"))
+    capsys.readouterr()
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"error: {out / 'data' / 'meta.txt'}:{line}: key '{key}': '{old}' "
+        f"does not match '{new}' from the config{_RERUN}\n")
+
+
+def test_train_runs_after_keys_generate_does_not_read(tmp_path):
+    cfg_path, out = make_run(tmp_path, "free")
+    assert cli.main(["generate", "--config", cfg_path]) == 0
+    text = Path(cfg_path).read_text()
+    for old, new in (("hidden = 6", "hidden = 5"),
+                     ("total_iters = 50", "total_iters = 40"),
+                     ("target_channels = 0,1", "target_channels = 2")):
+        write_cfg(Path(cfg_path), text.replace(old, new))
+        assert cli.main(["train", "--config", cfg_path]) == 0, new
+
+
+# a multinode run of 2 x 2 cells per step, so 8 rows are 2 steps
+_TINY = BASE.replace("nodes = 3", "nodes = 2").replace(
+    "channels = 3", "channels = 2").replace("t_in = 8", "t_in = 4").replace(
+    "horizon = 4", "horizon = 2")
+
+
+@pytest.mark.parametrize("dataset", ["multinode", "sprites"])
+def test_data_file_shorter_than_window_exits_3(tmp_path, capsys, dataset):
+    out = tmp_path / "short"
+    config = _TINY if dataset == "multinode" else SPRITES
+    cfg_path = write_cfg(tmp_path / "short.cfg", config + f"out_dir = {out}\n")
+    for command in ("generate", "train"):
+        assert cli.main([command, "--config", cfg_path]) == 0
+    if dataset == "multinode":
+        path = out / "data" / "test.csv"
+        path.write_text("".join(path.read_text().splitlines(True)[:9]))
+        steps, window = 2, 6
+    else:
+        path = out / "data" / "test.frames"
+        dt.write_frame_sequences(dt.load_frame_sequences(path)[:, :5], path)
+        steps, window = 5, 10
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {path} has {steps} steps, fewer than the config's t_in + "
+        f"horizon = {window}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from tpgf import model as md
 from tpgf import nn
 from tpgf import training as tr
 from tpgf.rng import RngState
-from tpgf.sampling import ScheduleConfig, Strategy
+from tpgf.sampling import ScheduleConfig, Strategy, epsilon_for
 from tpgf.tensor import randn
 
 
@@ -454,6 +454,25 @@ def test_train_scheduled_deterministic():
         assert a.value == b.value
     for a, b in zip(p1.tensors(), p2.tensors()):
         npt.assert_array_equal(a, b)
+
+
+def test_epsilon_exactly_0_draws_no_coin_flips():
+    # lam = 1e-3: epsilon is about 0.001 at iteration 0, and exactly 0 from
+    # iteration 1, where i / lam passes the exp overflow guard
+    schedule = ScheduleConfig(strategy=Strategy.SCHEDULED_SAMPLING, lam=1e-3)
+    assert 0 < epsilon_for(schedule, 0, 2) < 1e-3
+    assert epsilon_for(schedule, 1, 2) == 0.0
+    splits = make_splits()
+    p = make_model_for(splits, hidden=4)
+    group = tr.flatten_dataset(splits[0])
+    b, k = 8, group[1].shape[1]
+    cfg = tr.TrainConfig(schedule=schedule, hidden=4, batch_size=b,
+                         total_iters=2, seed=5)
+    state = tr.make_train_state(p, RngState(5))
+    tr._run_training(p, [group], {}, cfg, schedule, state, [], 0, 2)
+    # one index draw per iteration; coin flips for decoder steps 2..K at
+    # iteration 0 only
+    assert state.rng.counter == 2 * b + (k - 1) * b
 
 
 # every overflow on the way is caught by the loop or by the m1 precompute
