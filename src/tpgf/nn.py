@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .rng import RngState
-from .tensor import randn, sigmoid, tanh
+from .tensor import randn, sigmoid
 
 # standard deviation of every initial weight; biases start at zero
 _INIT_SCALE = 0.1
@@ -160,7 +160,7 @@ def lstm_step(xw: np.ndarray, state: LstmState, p: LstmParams,
     pre += p.b
     # one sigmoid over all four gate blocks, then tanh over the g rows
     sigmoid(pre, out=act)
-    act[:, 2 * hidden:3 * hidden] = tanh(pre[:, 2 * hidden:3 * hidden])
+    np.tanh(pre[:, 2 * hidden:3 * hidden], out=act[:, 2 * hidden:3 * hidden])
     i = act[:, 0 * hidden:1 * hidden]
     f = act[:, 1 * hidden:2 * hidden]
     g = act[:, 2 * hidden:3 * hidden]

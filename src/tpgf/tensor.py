@@ -1,8 +1,8 @@
 """Dense float64 tensor helpers shared by every other module.
 
 Tensors are plain numpy float64 arrays of rank 1 to 3, row-major. The
-functions here are the LSTM gate activations and seeded initialization;
-the arithmetic itself is numpy's.
+functions here are the LSTM gates' sigmoid and seeded initialization;
+the arithmetic itself, tanh included, is numpy's.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     den += 1.0
     np.divide(num, den, out=num)
     return num
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(np.asarray(x, dtype=np.float64))
 
 
 def randn(shape, scale: float, rng: RngState) -> np.ndarray:

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -326,11 +327,15 @@ def test_generate_multinode_counts(tmp_path, capsys):
     for name, part in zip(("train", "val", "test"), parts):
         assert f"{name}_windows = {len(part)}" in meta
         assert f"{name}: {len(part)} samples" in printed
-    # the training statistics of that split, one %.17g line each
+    # the training statistics of that split, one %.17g line each, then
+    # the CRC-32 of each file's bytes
     mean, std = dt.train_statistics(parts[0])
-    assert meta.splitlines()[-2:] == [
+    assert meta.splitlines()[-5:] == [
         "mean = " + ",".join("%.17g" % v for v in mean),
-        "std = " + ",".join("%.17g" % v for v in std)]
+        "std = " + ",".join("%.17g" % v for v in std),
+        *(f"{name}_crc32 = %08x" % zlib.crc32(
+            (out / "data" / f"{name}.csv").read_bytes())
+          for name in ("train", "val", "test"))]
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -652,20 +657,21 @@ def test_sprite_grid_unlike_frames_exits_3(tmp_path, capsys, command):
                              path)
     capsys.readouterr()
     assert cli.main([command, "--config", cfg_path]) == 3
-    assert capsys.readouterr().err == (
-        f"error: {path} has (h, w) = (10, 10), the config (height, width) = "
-        f"(8, 8)\n")
+    assert capsys.readouterr().err == _crc_refusal(
+        out, path, 19 if command == "train" else 21)
 
 
-# a fresh interpreter runs the three commands, then says whether anything
-# imported numpy.ma: its lazy import (np.unique, say) adds about 1.6 MB to
-# the peak RSS the benchmark measures
+# a fresh interpreter runs the three commands, then names what they
+# imported of numpy.ma and _hashlib. numpy.ma's lazy import (np.unique,
+# say) adds about 1.6 MB to the peak RSS the benchmark measures, and
+# _hashlib, which `import hashlib` loads with OpenSSL, 3.49 MB: meta.txt's
+# file checksums are CRC-32s for that reason
 _NUMPY_MA_RUN = """
 import sys
 from tpgf import cli
 for command in ("generate", "train", "evaluate"):
     assert cli.main([command, "--config", sys.argv[1]]) == 0, command
-print("numpy.ma" in sys.modules)
+print([name for name in ("numpy.ma", "_hashlib") if name in sys.modules])
 """
 
 
@@ -679,7 +685,7 @@ def test_commands_do_not_import_numpy_ma(tmp_path, config):
     run = subprocess.run([sys.executable, "-c", _NUMPY_MA_RUN, cfg_path],
                          env=dict(os.environ, PYTHONPATH=src), check=True,
                          capture_output=True, text=True)
-    assert run.stdout.split()[-1] == "False"
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_train_without_dataset_hints_generate(tmp_path, capsys):
@@ -739,6 +745,18 @@ def _edit_meta(out, key, value):
 _RERUN = "; rerun `tpgf generate` with this config"
 
 
+def _crc_refusal(out, path, line):
+    """The whole message for a data file whose bytes changed after
+    `generate`: meta.txt's line `line` records the old CRC-32."""
+    meta = out / "data" / "meta.txt"
+    key = f"{path.stem}_crc32"
+    old = dict(text.split(" = ")
+               for text in meta.read_text().splitlines())[key]
+    new = "%08x" % zlib.crc32(path.read_bytes())
+    return (f"error: {meta}:{line}: key '{key}': '{old}' does not match "
+            f"'{new}' from {path}{_RERUN}\n")
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 @pytest.mark.parametrize("key, value, want", [
     ("mean", None, f"no 'mean' line{_RERUN}"),
@@ -749,23 +767,23 @@ _RERUN = "; rerun `tpgf generate` with this config"
     ("mean", "1,2,inf", "key 'mean': non-finite value in '1,2,inf'"),
     ("std", "1,0,1", "key 'std': must be > 0, got '1,0,1'"),
     ("std", "1,x,1", "key 'std': could not convert string to float: 'x'"),
-    ("wat", "1", f"meta.txt:19: unknown key 'wat'{_RERUN}"),
-    ("dataset", "sprites", "meta.txt:18: key 'dataset': 'sprites' does not "
+    ("wat", "1", f"meta.txt:22: unknown key 'wat'{_RERUN}"),
+    ("dataset", "sprites", "meta.txt:21: key 'dataset': 'sprites' does not "
                            f"match 'multinode' from the config{_RERUN}"),
-    ("test_windows", "999", "meta.txt:18: key 'test_windows': '999' does not "
+    ("test_windows", "999", "meta.txt:21: key 'test_windows': '999' does not "
                             "match '8' from "),
     # evaluate loads only test.csv, so it checks no val count
-    ("val_windows", "x", "meta.txt:18: key 'val_windows': 'x' does not match "
+    ("val_windows", "x", "meta.txt:21: key 'val_windows': 'x' does not match "
                          "'8' from "),
     # the line that a data directory written before meta.txt recorded the
     # generator keys fails on
-    ("dropped_windows", "10", f"meta.txt:19: unknown key 'dropped_windows'"
+    ("dropped_windows", "10", f"meta.txt:22: unknown key 'dropped_windows'"
                               f"{_RERUN}"),
     ("seed", None, f"no 'seed' line{_RERUN}"),
     # int() and float() accept these; meta.txt holds what generate writes
-    ("test_windows", "0_8", "meta.txt:18: key 'test_windows': '0_8' does not "
+    ("test_windows", "0_8", "meta.txt:21: key 'test_windows': '0_8' does not "
                             "match '8' from "),
-    ("mean", "0.0_1,0,0", "meta.txt:18: key 'mean': a number is ASCII, "
+    ("mean", "0.0_1,0,0", "meta.txt:21: key 'mean': a number is ASCII, "
                           "without '_'"),
 ], ids=["no_mean", "no_std", "count", "nan_std", "inf_mean", "zero_std",
         "bad_float", "unknown_key", "dataset", "test_windows", "val_windows",
@@ -784,9 +802,9 @@ def test_bad_statistics_exit_3_naming_meta(tmp_path, capsys, command, key,
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 @pytest.mark.parametrize("line, want", [
-    ("mean = 0,0,0", "meta.txt:19: duplicate key 'mean' (first set on line "
+    ("mean = 0,0,0", "meta.txt:22: duplicate key 'mean' (first set on line "
                      f"17){_RERUN}"),
-    ("no equals sign", "meta.txt:19: expected 'key = value', got "
+    ("no equals sign", "meta.txt:22: expected 'key = value', got "
                        f"'no equals sign'{_RERUN}"),
 ], ids=["duplicate_mean", "no_equals"])
 def test_malformed_meta_line_exits_3(tmp_path, capsys, command, line, want):
@@ -808,7 +826,7 @@ def test_sprites_evaluate_checks_recorded_window_count(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", cfg_path]) == 3
     err = capsys.readouterr().err
-    assert f"{path}:18: key 'test_windows': '99' does not match '2'" in err
+    assert f"{path}:21: key 'test_windows': '99' does not match '2'" in err
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
@@ -829,8 +847,7 @@ def test_evaluate_rejects_channel_count_unlike_meta(tmp_path, capsys):
     dt.write_series_csv(dt.load_series_csv(path)[:, :, :2], path)
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", cfg_path]) == 3
-    err = capsys.readouterr().err
-    assert f"{path} has 2 channels" in err and "meta.txt" in err
+    assert capsys.readouterr().err == _crc_refusal(out, path, 21)
 
 
 def test_train_rejects_statistics_edited_after_generate(tmp_path, capsys):
@@ -994,13 +1011,16 @@ def test_compare_non_numeric_cell_names_line(tmp_path, capsys):
                       ("20,test,loss,1.0\nx,test,mae,1.0", 3),
                       ("20,test,loss,nan", 2),
                       ("20,test,loss,1.0\n20,test,rmse,inf", 3),
-                      ("20,test,loss,1.0\n20,test,loss,2.0", 3)):
+                      ("20,test,loss,1.0\n20,test,loss,2.0", 3),
+                      # int() and float() accept these; tpgf never writes them
+                      ("2_0,test,loss,1.0", 2), ("20,test,loss,0.5_1", 2),
+                      ("\u0665,test,loss,\u0661.5", 2)):
         argv = ["compare"]
         for name, rows in (("na", "20,test,loss,0.5"), ("nb", bad)):
             cfg_path, out = make_run(tmp_path, name)
             out.mkdir(exist_ok=True)
             (out / "metrics.csv").write_text(
-                "iter,split,metric,value\n" + rows + "\n")
+                "iter,split,metric,value\n" + rows + "\n", encoding="utf-8")
             argv += ["--config", cfg_path]
         assert cli.main(argv) == 3
         assert f"metrics.csv:{line}" in capsys.readouterr().err
@@ -1179,19 +1199,83 @@ def test_data_file_shorter_than_window_exits_3(tmp_path, capsys, dataset):
     cfg_path = write_cfg(tmp_path / "short.cfg", config + f"out_dir = {out}\n")
     for command in ("generate", "train"):
         assert cli.main([command, "--config", cfg_path]) == 0
+    # 2 steps where t_in + horizon is 6, and 5 frames where it is 10
     if dataset == "multinode":
         path = out / "data" / "test.csv"
         path.write_text("".join(path.read_text().splitlines(True)[:9]))
-        steps, window = 2, 6
     else:
         path = out / "data" / "test.frames"
         dt.write_frame_sequences(dt.load_frame_sequences(path)[:, :5], path)
-        steps, window = 5, 10
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == _crc_refusal(out, path, 21)
+
+
+# ---------------------------------------------------------------------------
+# meta.txt records the CRC-32 of each data file
+
+@pytest.mark.parametrize("command, name, line", [
+    ("train", "train", 19), ("train", "val", 20), ("train", "test", 21),
+    ("evaluate", "test", 21)])
+def test_value_edited_after_generate_exits_3(tmp_path, capsys, command, name,
+                                             line):
+    # the reader accepts one value rewritten in generate's format
+    cfg_path, out = make_run(tmp_path, "edit")
+    for step in ("generate", "train")[:2 if command == "evaluate" else 1]:
+        assert cli.main([step, "--config", cfg_path]) == 0
+    path = out / "data" / f"{name}.csv"
+    lines = path.read_text().splitlines(True)
+    t, n, f, _ = lines[5].split(",")
+    lines[5] = f"{t},{n},{f},9.5\n"
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == _crc_refusal(out, path, line)
+    written = "curves.csv" if command == "train" else "metrics.csv"
+    assert not (out / written).exists()
+
+
+@pytest.mark.parametrize("command, name, line", [
+    ("train", "train", 19), ("evaluate", "test", 21)])
+def test_sprites_pixel_rewritten_after_generate_exits_3(tmp_path, capsys,
+                                                        command, name, line):
+    out = tmp_path / "pixel"
+    cfg_path = write_cfg(tmp_path / "pixel.cfg", SPRITES + f"out_dir = {out}\n")
+    for step in ("generate", "train")[:2 if command == "evaluate" else 1]:
+        assert cli.main([step, "--config", cfg_path]) == 0
+    path = out / "data" / f"{name}.frames"
+    seqs = dt.load_frame_sequences(path)
+    seqs[1, 3, 2, 5] = 0.5
+    dt.write_frame_sequences(seqs, path)
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == _crc_refusal(out, path, line)
+
+
+def test_crlf_data_file_exits_3(tmp_path, capsys):
+    # load_series_csv reads the same values; the bytes are not generate's
+    cfg_path, out = trained_run(tmp_path, "crlf")
+    path = out / "data" / "test.csv"
+    want = dt.load_series_csv(path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert dt.load_series_csv(path).tobytes() == want.tobytes()
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == _crc_refusal(out, path, 21)
+
+
+@pytest.mark.parametrize("command, name", [("train", "train"),
+                                           ("evaluate", "test")])
+def test_meta_without_checksums_exits_3(tmp_path, capsys, command, name):
+    # meta.txt as generate wrote it before it recorded the files' CRC-32s
+    cfg_path, out = trained_run(tmp_path, "nocrc")
+    path = out / "data" / "meta.txt"
+    path.write_text("".join(line for line in path.read_text().splitlines(True)
+                            if "_crc32 = " not in line))
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg_path]) == 3
     assert capsys.readouterr().err == (
-        f"error: {path} has {steps} steps, fewer than the config's t_in + "
-        f"horizon = {window}\n")
+        f"error: {path}: no '{name}_crc32' line{_RERUN}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from tpgf.errors import DimensionError
 from tpgf import nn
 from tpgf.rng import RngState
-from tpgf.tensor import randn, sigmoid, tanh
+from tpgf.tensor import randn, sigmoid
 
 
 def rel_err(a, f):
@@ -123,7 +123,7 @@ def test_gates_equal_per_slice_activations():
     new, caches = step_cached(x, state, p)
     pre = (state.h @ p.w_h.T + x @ p.w_x.T) + p.b
     want = {"i": sigmoid(pre[:, 0 * C:1 * C]), "f": sigmoid(pre[:, 1 * C:2 * C]),
-            "g": tanh(pre[:, 2 * C:3 * C]), "o": sigmoid(pre[:, 3 * C:4 * C])}
+            "g": np.tanh(pre[:, 2 * C:3 * C]), "o": sigmoid(pre[:, 3 * C:4 * C])}
     got = gates(caches)
     for name, gate in want.items():
         npt.assert_array_equal(got[name].view(np.int64),
@@ -149,7 +149,7 @@ def test_step_bit_exact_against_expression_form(B):
     xw = x @ p.w_x.T
     pre = (state.h @ p.w_h.T + xw) + p.b
     act = sigmoid(pre)
-    act[:, 2 * C:3 * C] = tanh(pre[:, 2 * C:3 * C])
+    act[:, 2 * C:3 * C] = np.tanh(pre[:, 2 * C:3 * C])
     i, f, g, o = (act[:, k * C:(k + 1) * C] for k in range(4))
     c_new = f * state.c + i * g
     t = np.tanh(c_new)
