@@ -28,8 +28,10 @@ from .rng import RngState
 
 # The most rows the encoder's input projection forms in one GEMM. A
 # batch of B rows projects max(1, _PROJECTION_ROWS // B) steps at once, so
-# training batches project their whole context while a rollout over a
-# whole split (thousands of rows) keeps its transient memory bounded.
+# training batches project their whole context, a closed-loop rollout's
+# 256-row blocks 8 steps at a time (inference never holds more than one
+# block of transients), and a batch of thousands of rows keeps its
+# transient memory bounded.
 _PROJECTION_ROWS = 2048
 
 
@@ -98,10 +100,13 @@ def encode_full(context: np.ndarray, p: Seq2SeqParams,
 
     The input projection is formed time-major for as many steps at once
     as fit in _PROJECTION_ROWS rows (at least one step), so a large batch
-    never holds the projection of its whole context. With caches it is
-    formed in their activation slots, which each step then overwrites;
-    without, in one buffer that every chunk reuses, so a rollout asks
-    the allocator for one block, not one per chunk.
+    never holds the projection of its whole context. Closed-loop
+    inference (training.rollout_batch) calls it on one block of at most
+    256 rows at a time, so it never holds more than one block of
+    transients. With caches the projection is formed in their activation
+    slots, which each step then overwrites; without, in one buffer that
+    every chunk reuses, so a rollout asks the allocator for one block,
+    not one per chunk.
     """
     b, t_in, _ = context.shape
     state = nn.zero_state(p.hidden, b)

@@ -43,6 +43,14 @@ _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS_ADAM = 1e-8
 
+# Closed-loop rollouts over more rows than this run in blocks of this
+# many rows, so their transients are bounded by the block, not the
+# split. Every block holds all of its rows (the last one is the last
+# _ROLLOUT_ROWS rows and overlaps its neighbour): on OpenBLAS 0.3.31 the
+# bits of a GEMM row stop depending on the row count at 64 rows, so a
+# blocked rollout keeps the bits of a single pass.
+_ROLLOUT_ROWS = 256
+
 
 @dataclass
 class TrainConfig:
@@ -191,8 +199,16 @@ def forward_train(p: Seq2SeqParams, contexts: np.ndarray,
 
 def rollout_batch(p: Seq2SeqParams, contexts: np.ndarray, horizon: int) -> np.ndarray:
     """Closed-loop batched inference: every feedback is the model's own
-    prediction, and no backward cache is kept. Returns [B, K, F_out]."""
-    return _unroll(p, contexts, horizon, None, None)[0]
+    prediction, and no backward cache is kept. Returns [B, K, F_out],
+    formed in blocks of _ROLLOUT_ROWS rows when B is larger."""
+    b = contexts.shape[0]
+    if b <= _ROLLOUT_ROWS:
+        return _unroll(p, contexts, horizon, None, None)[0]
+    preds = np.empty((b, horizon, p.f_out))
+    for r in [*range(0, b - _ROLLOUT_ROWS, _ROLLOUT_ROWS), b - _ROLLOUT_ROWS]:
+        rows = slice(r, r + _ROLLOUT_ROWS)
+        preds[rows] = _unroll(p, contexts[rows], horizon, None, None)[0]
+    return preds
 
 
 def _unroll(p: Seq2SeqParams, contexts: np.ndarray, k: int,
@@ -558,14 +574,18 @@ def train_tpg(splits, cfg: TrainConfig):
     # m1's closed-loop estimates, interleaved back to full order [num, K, f_out].
     # No name keeps the two halves, so their memory is free before the loss
     # and stage 2. An overflowed m1 can return finite estimates behind
-    # saturated gates, so the guard checks their loss as the loop does.
+    # saturated gates, so the guard checks their loss as the loop does. It
+    # needs only finiteness, so it sums the loss of rollout-sized blocks
+    # and holds no residual of the whole split.
     ctx, tgt, truth = flatten_dataset(train)
     with np.errstate(over="ignore", invalid="ignore"):
         m1_full = interleave_odd_even(
             rollout_batch(m1, odd[0], odd[1].shape[1]).swapaxes(0, 1),
             rollout_batch(m1, even[0], even[1].shape[1]).swapaxes(0, 1),
         ).swapaxes(0, 1)
-        m1_loss = composite_loss(m1_full, truth)
+        m1_loss = sum(composite_loss(m1_full[r:r + _ROLLOUT_ROWS],
+                                     truth[r:r + _ROLLOUT_ROWS])
+                      for r in range(0, len(truth), _ROLLOUT_ROWS))
     if not np.isfinite(m1_loss):
         raise DivergenceError(
             f"non-finite m1 precompute loss at iteration {stage1}, "

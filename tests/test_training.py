@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -368,16 +370,72 @@ def test_bptt_skipped_feedback_equals_masked_form(taus_value):
 
 @pytest.mark.parametrize("b", [7, 600, md._PROJECTION_ROWS + 52])
 def test_rollout_rows_match_single_rows_across_projection_bound(b):
-    # 7 rows project all 5 context steps in one GEMM, 600 three steps at
-    # a time, and a batch above the bound one step at a time
+    # encode_full on 7 rows projects all 5 context steps in one GEMM, on
+    # 600 three steps at a time, and on a batch above the bound one step
+    # at a time (training batches above 1,024 rows take that branch).
+    # rollout_batch reaches the encoder in blocks of tr._ROLLOUT_ROWS
+    # rows, which project up to 8 steps per GEMM, so only the direct
+    # encode_full call reaches the one-step branch.
     slots = md.make_target_slots(2, 2, [0])
     p = md.init_seq2seq(3, 4, 2, RngState(91), target_slots=slots)
     ctx = randn((b, 5, 4), 1.0, RngState(92))
     got = tr.rollout_batch(p, ctx, 3)
+    state = md.encode_full(ctx, p)
     rows = sorted({0, 1, b // 2, b - 2, b - 1})
     for r in rows:
         one = tr.rollout_batch(p, ctx[r:r + 1], 3)
         npt.assert_allclose(got[r:r + 1], one, rtol=0, atol=1e-12)
+        one_state = md.encode_full(ctx[r:r + 1], p)
+        npt.assert_allclose(state.h[r:r + 1], one_state.h, rtol=0, atol=1e-12)
+        npt.assert_allclose(state.c[r:r + 1], one_state.c, rtol=0, atol=1e-12)
+
+
+def _window_rollout_case(b, nodes, channels, targets, hidden, t_in, seed):
+    """A model and a [b, t_in, f_in] context of sliding windows over one
+    source, as a dataset holds them."""
+    slots = md.make_target_slots(nodes, channels, targets)
+    f_in = nodes * channels
+    p = md.init_seq2seq(hidden, f_in, len(slots), RngState(seed),
+                        target_slots=slots)
+    src = randn((b + t_in - 1, f_in), 1.0, RngState(seed + 1))
+    ctx = np.lib.stride_tricks.sliding_window_view(src, t_in, axis=0)
+    return p, ctx.swapaxes(1, 2)
+
+
+# rollout_batch runs a split of more than tr._ROLLOUT_ROWS rows in blocks,
+# the last block overlapping the one before it. That keeps a single pass's
+# bits because a GEMM row's bits stop depending on the row count M at 64
+# rows and above, as measured on OpenBLAS 0.3.31; a BLAS that breaks this
+# fails here.
+@pytest.mark.parametrize("shape", [
+    pytest.param((10, 9, [0, 1, 2], 32, 24, 12), id="desk"),
+    pytest.param((256, 1, [0], 96, 12, 4), id="sprites"),
+])
+@pytest.mark.parametrize("b", [257, 300, 1565])
+def test_blocked_rollout_matches_single_pass(b, shape):
+    nodes, channels, targets, hidden, t_in, k = shape
+    p, ctx = _window_rollout_case(b, nodes, channels, targets, hidden, t_in, 93)
+    got = tr.rollout_batch(p, ctx, k)
+    want = tr._unroll(p, ctx, k, None, None)[0]
+    assert got.shape == (b, k, p.f_out)
+    npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_rollout_memory_is_bounded_by_the_block():
+    # tracemalloc peak of a desk-shaped rollout, less its [B, K, F_out]
+    # output: 2.52 MB at 300 rows and 12.75 MB at 1,565 (ratio 5.07) when
+    # a rollout ran a whole split in one pass; 3.71 MB at both (ratio
+    # 1.00) in blocks of 256 rows
+    p, ctx = _window_rollout_case(1565, 10, 9, [0, 1, 2], 32, 24, 95)
+    peaks = {}
+    for b in (300, 1565):
+        tracemalloc.start()
+        try:
+            out = tr.rollout_batch(p, ctx[:b], 12)
+            peaks[b] = tracemalloc.get_traced_memory()[1] - out.nbytes
+        finally:
+            tracemalloc.stop()
+    assert peaks[1565] < 1.5 * peaks[300], peaks
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +578,15 @@ def test_train_divergence_keeps_checkpoint():
         npt.assert_array_equal(a, b)
     assert [(r.iteration, r.metric) for r in ei.value.curves] == \
         [(0, "m1.loss")]
+
+    # a training split of more than 256 windows: the guard sums the loss
+    # over several blocks and stops with the same message
+    train = make_splits(seed=5, k=4, length=1200)[0]
+    assert len(train) > tr._ROLLOUT_ROWS
+    with pytest.raises(DivergenceError) as ei:
+        tr.train_tpg((train, None, None), cfg)
+    assert str(ei.value) == \
+        "non-finite m1 precompute loss at iteration 1, stage M1"
 
 
 # ---------------------------------------------------------------------------
