@@ -129,19 +129,37 @@ class DecoderInput:
     A decoder input is the carrier (the last context frame) with the
     values `fed` at the target slots, so its projection x @ w_x.T is
     fed @ w_fed + base: `base` is formed once per rollout, and each step
-    adds only the product over the target slots.
+    adds only the product over the target slots. When the target slots
+    are the whole input in order, as every pixel of a frame is, the fed
+    values are the input: there is no carrier and no `base`.
     """
 
-    carrier: np.ndarray  # [B, F_in], zero at the target slots
-    base: np.ndarray  # [B, 4C]: carrier @ w_x.T
+    carrier: np.ndarray | None  # [B, F_in], zero at the target slots
+    base: np.ndarray | None  # [B, 4C]: carrier @ w_x.T
     w_fed: np.ndarray  # [F_out, 4C]: w_x[:, target_slots].T
+
+    def project(self, fed: np.ndarray, out: np.ndarray | None = None):
+        """fed @ w_fed + base over the last axis of a [..., B, F_out]
+        `fed`, as one GEMM whatever the leading axes, into `out` (a
+        contiguous array of the result's shape) when given."""
+        rows = None if out is None else out.reshape(-1, self.w_fed.shape[1])
+        xw = np.matmul(fed.reshape(-1, fed.shape[-1]), self.w_fed, out=rows)
+        xw = xw.reshape(fed.shape[:-1] + (xw.shape[-1],))
+        if self.base is not None:
+            xw += self.base
+        return xw
 
 
 def decoder_input(carrier: np.ndarray, p: Seq2SeqParams) -> DecoderInput:
+    """The split projection of rollouts from `carrier` [B, F_in]; a frame
+    pipeline, whose target slots are the whole input in order, keeps no
+    carrier."""
     slots = p.target_slots
     lo = int(slots[0])
     if (slots == np.arange(lo, lo + slots.size)).all():
-        # a run of consecutive slots (every pixel of a frame) is a view
+        if slots.size == p.f_in:
+            return DecoderInput(carrier=None, base=None, w_fed=p.decoder.w_x.T)
+        # a run of consecutive slots is a view
         slots = slice(lo, lo + slots.size)
     zeroed = carrier.copy()
     zeroed[:, slots] = 0.0
@@ -150,14 +168,14 @@ def decoder_input(carrier: np.ndarray, p: Seq2SeqParams) -> DecoderInput:
                         w_fed=p.decoder.w_x[:, slots].T)
 
 
-def decode_step(fed: np.ndarray, state: nn.LstmState, p: Seq2SeqParams,
-                dec_in: DecoderInput, caches: nn.LstmCaches | None = None,
-                t: int = 0):
+def decode_step(fed: np.ndarray | None, state: nn.LstmState,
+                p: Seq2SeqParams, dec_in: DecoderInput,
+                caches: nn.LstmCaches | None = None, t: int = 0):
     """One decoder LSTM step plus the output projection; `fed` [B, F_out]
-    holds the input's values at the target slots. Returns (pred,
-    state)."""
-    xw = fed @ dec_in.w_fed
-    xw += dec_in.base
+    holds the input's values at the target slots, or is None when
+    caches.act[t] already holds the step's input projection (see
+    DecoderInput.project). Returns (pred, state)."""
+    xw = caches.act[t] if fed is None else dec_in.project(fed)
     state = nn.lstm_step(xw, state, p.decoder, caches, t)
     return nn.linear_forward(state.h, p.projection), state
 

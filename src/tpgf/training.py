@@ -4,9 +4,10 @@ curriculum. Each is a decay schedule plus a preferred source.
 
 Per-iteration draw order (the determinism contract depends on it):
   1. batch sample indices, one randint_below call
-  2. tau coin flips for decoder steps 2..K in step order, one bernoulli
-     call per step; steps whose epsilon is exactly 0 or 1 consume no
-     draws
+  2. tau coin flips, one uniform call: B words for each decoder step
+     2..K in step order, row r of a step being 1 where its word is
+     below the step's epsilon; steps whose epsilon is exactly 0 or 1
+     consume no words
 
 Gradient-flow boundary: when a decoder input was sampled from ground
 truth or from the frozen intermediate model, backpropagation treats it
@@ -46,10 +47,20 @@ _EPS_ADAM = 1e-8
 # Closed-loop rollouts over more rows than this run in blocks of this
 # many rows, so their transients are bounded by the block, not the
 # split. Every block holds all of its rows (the last one is the last
-# _ROLLOUT_ROWS rows and overlaps its neighbour): on OpenBLAS 0.3.31 the
-# bits of a GEMM row stop depending on the row count at 64 rows, so a
-# blocked rollout keeps the bits of a single pass.
+# _ROLLOUT_ROWS rows and overlaps its neighbour), so every block runs
+# GEMMs of one row count. That keeps a single pass's bits only where
+# OpenBLAS 0.3.31 gives a GEMM row bits that do not depend on the row
+# count: at the desk and sprite shapes, not at an odd hidden size from
+# 49 up (see _SMALL_GEMM).
 _ROLLOUT_ROWS = 256
+
+# The decoder's leading teacher-forced run is one GEMM only where that
+# keeps each step's bits. On OpenBLAS 0.3.31 (SkylakeX kernels) a step
+# product of at most this many elements takes the small-matrix kernel, a
+# single row the matrix-vector kernel, and an odd hidden size from 49 up
+# changes bits with the row count; every other shape kept its bits over
+# 1-256 rows, even hidden sizes 2-384 and 1-300 fed columns.
+_SMALL_GEMM = 1200
 
 
 @dataclass
@@ -117,14 +128,18 @@ def composite_loss(pred: np.ndarray, target: np.ndarray):
     if pred.ndim < 2:
         raise DimensionError("loss expects channels along a trailing axis")
     d = pred - target
-    per_channel = np.mean(d * d, axis=tuple(range(pred.ndim - 1)))
+    d *= d  # squared in place: one temporary the size of pred, not two
+    per_channel = np.mean(d, axis=tuple(range(pred.ndim - 1)))
     return float(per_channel.sum())
 
 
 def composite_loss_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """d(total)/d(pred): 2 * residual / (elements per channel)."""
     n = int(np.prod(pred.shape[:-1]))
-    return 2.0 * (pred - target) / n
+    g = pred - target
+    g *= 2.0
+    g /= n
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +233,11 @@ def _unroll(p: Seq2SeqParams, contexts: np.ndarray, k: int,
 
     Step 1 is fed the carrier's own values at the target slots; step s+1
     is fed prediction s, or preferred[:, s-1] where taus[:, s-1] is 1
-    (nowhere when taus is None).
+    (nowhere when taus is None). With taus, the inputs of step 1 and of
+    each following step whose taus column is all 1 are known before the
+    loop, so the leading run of such steps is projected as one GEMM into
+    the decoder's activation slots, at the shapes where that keeps each
+    step's bits (see _SMALL_GEMM).
     """
     keep = taus is not None
     b, t_in, f_in = contexts.shape
@@ -237,14 +256,22 @@ def _unroll(p: Seq2SeqParams, contexts: np.ndarray, k: int,
     dec = nn.lstm_caches(k, state) if keep else None
     fed_all = np.empty((k, b, p.f_out)) if keep else None
     fed = carrier[:, p.target_slots]
+    run = 0
+    if keep and b > 1 and p.hidden % 2 == 0 and b * 4 * p.hidden > _SMALL_GEMM:
+        run = 1 + int(np.logical_and.accumulate(taus.all(axis=0)).sum())
+        fed_all[0] = fed
+        if run > 1:
+            fed_all[1:run] = preferred[:, :run - 1].swapaxes(0, 1)
+        dec_in.project(fed_all[:run], out=dec.act[:run])
     preds = np.empty((b, k, p.f_out))
     for s in range(1, k + 1):
-        if keep:
+        if keep and s > run:
             fed_all[s - 1] = fed
-        pred, state = decode_step(fed, state, p, dec_in, dec, s - 1)
+        pred, state = decode_step(None if s <= run else fed, state, p, dec_in,
+                                  dec, s - 1)
         preds[:, s - 1] = pred
         fed = pred
-        if keep and s < k:
+        if keep and run <= s < k:
             col = taus[:, s - 1]
             if col.all():
                 fed = preferred[:, s - 1]
@@ -289,10 +316,14 @@ def bptt(p: Seq2SeqParams, caches: RolloutCaches, dpreds: np.ndarray) -> list:
             elif own.any():
                 dpred_all[s - 2] += (da_dec[s - 1] @ w_fed.T) * own[:, None]
 
-    # decoder inputs are the zero-slotted carrier plus the fed values
-    g_dec_w_x = da_dec.sum(axis=0).T @ caches.dec_in.carrier
-    g_dec_w_x[:, p.target_slots] += (da_dec.reshape(-1, four_h).T
-                                     @ caches.fed.reshape(-1, p.f_out))
+    # decoder inputs are the fed values, plus the zero-slotted carrier
+    # when the target slots do not cover the input
+    g_fed = da_dec.reshape(-1, four_h).T @ caches.fed.reshape(-1, p.f_out)
+    if caches.dec_in.carrier is None:
+        g_dec_w_x = g_fed
+    else:
+        g_dec_w_x = da_dec.sum(axis=0).T @ caches.dec_in.carrier
+        g_dec_w_x[:, p.target_slots] += g_fed
     g_dec = [g_dec_w_x, *nn.recurrent_grads(da_dec, caches.dec)]
     g_proj = nn.linear_backward(dpred_all, caches.dec.h[1:], p.projection)
     del dpred_all  # not needed by the encoder's backward
@@ -386,18 +417,18 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
                     groups[(i - start_iter) % len(groups)]
                 k = tgt_all.shape[1]
                 idx = state.rng.randint_below(ctx_all.shape[0], b)
-                taus = np.empty((b, k - 1), dtype=np.int64)
-                for s in range(1, k):
-                    eps = epsilon_for(schedule, i, s + 1)
-                    if eps >= 1.0:
-                        taus[:, s - 1] = 1
-                    elif eps <= 0.0:
-                        taus[:, s - 1] = 0
-                    else:
-                        taus[:, s - 1] = state.rng.bernoulli(eps, b)
-                preferred = preferred_all[idx][:, :-1] if k > 1 else None
+                eps = np.array([epsilon_for(schedule, i, s + 1)
+                                for s in range(1, k)])
+                coin = (eps > 0.0) & (eps < 1.0)
+                taus = np.zeros((b, k - 1), dtype=np.int64)
+                taus[:, eps >= 1.0] = 1
+                flips = state.rng.uniform(int(coin.sum()) * b).reshape(-1, b)
+                taus[:, coin] = (flips < eps[coin, None]).T
 
-                preds, caches = forward_train(p, ctx_all[idx], preferred, taus)
+                # the gathered preferred values die with forward_train's call
+                preds, caches = forward_train(
+                    p, ctx_all[idx],
+                    preferred_all[idx][:, :-1] if k > 1 else None, taus)
                 tgt = tgt_all[idx]
                 preds = preds.reshape(tgt.shape)
                 total = composite_loss(preds, tgt)
@@ -406,10 +437,14 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
                 if i % cfg.val_every == 0:
                     curves.append(MetricsRow(i, "train", prefix + "loss", total))
                     cadence(i)
-                grads = bptt(p, caches,
-                             composite_loss_grad(preds, tgt).reshape(b, k, -1))
-                # free this iteration's caches before the next forward builds its own
-                del caches
+                dpreds = composite_loss_grad(preds, tgt).reshape(b, k, -1)
+                del preds, tgt
+                grads = bptt(p, caches, dpreds)
+                # free this iteration's caches before the next forward builds
+                # its own; the gradients stay until the next bptt replaces
+                # them, since freeing them too lets the allocator return the
+                # heap top to the system and fault it back in every iteration
+                del caches, dpreds
                 adam_step(p, clip_gradients(grads, cfg.clip_norm), state, cfg)
             if end_iter > start_iter:
                 state.iteration = end_iter

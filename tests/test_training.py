@@ -174,14 +174,16 @@ def test_clip_gradients():
 # bptt
 
 def _fd_full_rollout(hidden, f_in, k, taus_value, seed, tol=1e-5,
-                     sample_coords=None):
+                     sample_coords=None, target_slots=None):
     """Finite-difference check of bptt through a full rollout with the
-    tau decisions frozen, so forward replays identically."""
+    tau decisions frozen, so forward replays identically. The target
+    slots default to the whole input."""
     rng = RngState(seed)
-    p = md.init_seq2seq(hidden, f_in, f_in, rng)
+    slots = np.arange(f_in) if target_slots is None else np.asarray(target_slots)
+    p = md.init_seq2seq(hidden, f_in, len(slots), rng, target_slots=slots)
     b, t_in = 2, 3
     ctx = randn((b, t_in, f_in), 1.0, rng)
-    tgt = randn((b, k, f_in), 1.0, rng)
+    tgt = randn((b, k, len(slots)), 1.0, rng)
     if isinstance(taus_value, int):
         taus = np.full((b, k - 1), taus_value, dtype=np.int64)
     else:
@@ -189,7 +191,7 @@ def _fd_full_rollout(hidden, f_in, k, taus_value, seed, tol=1e-5,
     preferred = tgt[:, :-1]
     # random weighted-sum loss keeps the gradients O(1) so central
     # differences stay above roundoff
-    weights = randn((b, k, f_in), 1.0, rng)
+    weights = randn((b, k, len(slots)), 1.0, rng)
 
     def loss():
         preds, _ = tr.forward_train(p, ctx, preferred, taus)
@@ -261,6 +263,14 @@ def test_bptt_fd_closed_loop_1unit():
 def test_bptt_fd_mixed_taus():
     taus = np.array([[1, 0, 1], [0, 1, 0]], dtype=np.int64)
     _fd_full_rollout(hidden=2, f_in=2, k=4, taus_value=taus, seed=73)
+
+
+def test_bptt_fd_partial_slots_partial_leading_run():
+    # steps 1-3 are the leading teacher-forced run, projected as one
+    # GEMM; step 4 mixes, and the carrier holds the one untargeted slot
+    taus = np.array([[1, 1, 0], [1, 1, 1]], dtype=np.int64)
+    _fd_full_rollout(hidden=2, f_in=3, k=4, taus_value=taus, seed=74,
+                     target_slots=[0, 2])
 
 
 def test_feedback_path_changes_gradient():
@@ -368,6 +378,93 @@ def test_bptt_skipped_feedback_equals_masked_form(taus_value):
         npt.assert_array_equal(g.view(np.int64), w.view(np.int64), err_msg=name)
 
 
+def _per_step_forward(p, contexts, preferred, taus):
+    """forward_train as it ran before the decoder's leading teacher-forced
+    run was stacked: each step's input projected on its own, onto the
+    projection of the zero-slotted carrier, even where the target slots
+    cover the input."""
+    b, t_in, _ = contexts.shape
+    k = taus.shape[1] + 1
+    x_enc = np.ascontiguousarray(contexts.swapaxes(0, 1))
+    enc = nn.lstm_caches(t_in, nn.zero_state(p.hidden, b))
+    state = md.encode_full(x_enc.swapaxes(0, 1), p, enc)
+    carrier = x_enc[-1]
+    zeroed = carrier.copy()
+    zeroed[:, p.target_slots] = 0.0
+    dec_in = md.DecoderInput(carrier=zeroed,
+                             base=nn.input_projection(zeroed, p.decoder),
+                             w_fed=md.decoder_input(carrier, p).w_fed)
+    dec = nn.lstm_caches(k, state)
+    fed_all = np.empty((k, b, p.f_out))
+    preds = np.empty((b, k, p.f_out))
+    fed = carrier[:, p.target_slots]
+    for s in range(1, k + 1):
+        fed_all[s - 1] = fed
+        pred, state = md.decode_step(fed, state, p, dec_in, dec, s - 1)
+        preds[:, s - 1] = pred
+        fed = pred
+        if s < k:
+            col = taus[:, s - 1]
+            if col.all():
+                fed = preferred[:, s - 1]
+            elif col.any():
+                fed = np.where(col[:, None] == 1, preferred[:, s - 1], pred)
+    return preds, tr.RolloutCaches(x_enc=x_enc, enc=enc, dec=dec, dec_in=dec_in,
+                                   fed=fed_all, taus=taus)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("shape", [
+    pytest.param((10, 9, [0, 1, 2], 32, 32), id="desk"),
+    pytest.param((256, 1, [0], 96, 32), id="sprites"),
+    pytest.param((10, 9, [0, 1, 2], 49, 32), id="desk-odd-hidden"),
+    pytest.param((100, 1, [0], 16, 8), id="sprites-small"),
+])
+@pytest.mark.parametrize("run", ["all", "partial", "none", "k1"])
+def test_stacked_decoder_inputs_match_per_step(shape, run):
+    # the leading run of steps whose inputs are known (step 1, then each
+    # all-1 taus column) is projected as one GEMM where that keeps the
+    # bits (desk, sprites), and a frame pipeline has no carrier; preds,
+    # caches and gradients keep their per-step bits. An odd hidden size
+    # from 49 up, and 8 rows x 4H = 64 with 100 fed columns, regroup GEMM
+    # rows on OpenBLAS 0.3.31, so those steps stay per step. Leading
+    # runs: all k steps, 3 of 6, step 1 only, k = 1.
+    nodes, channels, targets, hidden, b = shape
+    t_in = 6
+    k = 1 if run == "k1" else 6
+    rng = RngState(97)
+    p, ctx = _window_rollout_case(b, nodes, channels, targets, hidden, t_in, 98)
+    preferred = randn((b, k - 1, p.f_out), 1.0, rng) if k > 1 else None
+    taus = rng.bernoulli(0.5, b * (k - 1)).astype(np.int64).reshape(b, k - 1)
+    taus[0] = 0  # no column after the run is all 1
+    if run == "all":
+        taus[:] = 1
+    elif run == "partial":
+        taus[:, :2] = 1
+    dpreds = randn((b, k, p.f_out), 1.0, rng)
+
+    got, caches = tr.forward_train(p, ctx, preferred, taus)
+    want, ref = _per_step_forward(p, ctx, preferred, taus)
+    assert (caches.dec_in.carrier is None) == (p.f_out == p.f_in)
+    npt.assert_array_equal(_bits(got), _bits(want))
+    for name in ("x_enc", "fed"):
+        npt.assert_array_equal(_bits(getattr(caches, name)),
+                               _bits(getattr(ref, name)), err_msg=name)
+    for part in ("enc", "dec"):
+        for name in ("act", "h", "c"):
+            npt.assert_array_equal(
+                _bits(getattr(getattr(caches, part), name)),
+                _bits(getattr(getattr(ref, part), name)),
+                err_msg=f"{part}.{name}")
+    grads = tr.bptt(p, caches, dpreds)
+    for name, g, w in zip(md.Seq2SeqParams.TENSOR_NAMES, grads,
+                          _masked_bptt(p, ref, dpreds)):
+        npt.assert_array_equal(_bits(g), _bits(w), err_msg=name)
+
+
 @pytest.mark.parametrize("b", [7, 600, md._PROJECTION_ROWS + 52])
 def test_rollout_rows_match_single_rows_across_projection_bound(b):
     # encode_full on 7 rows projects all 5 context steps in one GEMM, on
@@ -403,15 +500,15 @@ def _window_rollout_case(b, nodes, channels, targets, hidden, t_in, seed):
 
 
 # rollout_batch runs a split of more than tr._ROLLOUT_ROWS rows in blocks,
-# the last block overlapping the one before it. That keeps a single pass's
-# bits because a GEMM row's bits stop depending on the row count M at 64
-# rows and above, as measured on OpenBLAS 0.3.31; a BLAS that breaks this
-# fails here.
+# the last block overlapping the one before it. At these shapes that keeps
+# a single pass's bits because a GEMM row's bits do not depend on the row
+# count M at 64 rows and above, as measured on OpenBLAS 0.3.31; a BLAS
+# that breaks this fails here.
 @pytest.mark.parametrize("shape", [
     pytest.param((10, 9, [0, 1, 2], 32, 24, 12), id="desk"),
     pytest.param((256, 1, [0], 96, 12, 4), id="sprites"),
 ])
-@pytest.mark.parametrize("b", [257, 300, 1565])
+@pytest.mark.parametrize("b", [257, 300, 513, 1565])
 def test_blocked_rollout_matches_single_pass(b, shape):
     nodes, channels, targets, hidden, t_in, k = shape
     p, ctx = _window_rollout_case(b, nodes, channels, targets, hidden, t_in, 93)
@@ -512,6 +609,38 @@ def test_train_scheduled_deterministic():
         assert a.value == b.value
     for a, b in zip(p1.tensors(), p2.tensors()):
         npt.assert_array_equal(a, b)
+
+
+def test_training_iteration_memory_is_bounded_by_shapes():
+    # tracemalloc peak of three sprites-shaped train_scheduled iterations
+    # (f_in = f_out = 256, H 96, B 32, t_in = K = 20) against what an
+    # iteration needs: the resident state (best copy, Adam m and v, and
+    # the gradients the previous iteration left), one iteration's caches
+    # and gradients, and three [B, K, F_out] arrays for the loss
+    # (predictions, targets, one residual): 23.26 MiB. Measured 26.10 MiB
+    # when the gathered preferred values, predictions and targets lived
+    # through bptt and bptt formed an all-zero carrier's w_x gradient;
+    # 21.53 MiB once they are gone before it.
+    b, t_in, k, f, h = 32, 20, 20, 256, 96
+    seqs = dt.gen_moving_sprites(16, 16, 1, (1, 1), t_in + k, 1, count=12,
+                                 sprite_size=7)
+    splits = dt.split(dt.windowize_sequences(seqs, t_in, k, grid=(16, 16)),
+                      (0.8, 0.1, 0.1))
+    cfg = tr.TrainConfig(
+        schedule=ScheduleConfig(strategy=Strategy.SCHEDULED_SAMPLING, lam=100.0),
+        hidden=h, batch_size=b, total_iters=3, seed=1)
+    p = tr.init_model(splits[0], cfg)
+    params = sum(t.nbytes for t in p.tensors())
+    # inputs, gate activations, h and c of the encoder and the decoder
+    caches = 8 * b * (t_in + k) * (f + 4 * h) + 8 * b * (t_in + k + 2) * 2 * h
+    bound = 5 * params + caches + 3 * 8 * b * k * f
+    tracemalloc.start()
+    try:
+        tr.train_scheduled(p, splits, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak / 2**20, bound / 2**20)
 
 
 def test_epsilon_exactly_0_draws_no_coin_flips():
