@@ -138,17 +138,6 @@ class DecoderInput:
     base: np.ndarray | None  # [B, 4C]: carrier @ w_x.T
     w_fed: np.ndarray  # [F_out, 4C]: w_x[:, target_slots].T
 
-    def project(self, fed: np.ndarray, out: np.ndarray | None = None):
-        """fed @ w_fed + base over the last axis of a [..., B, F_out]
-        `fed`, as one GEMM whatever the leading axes, into `out` (a
-        contiguous array of the result's shape) when given."""
-        rows = None if out is None else out.reshape(-1, self.w_fed.shape[1])
-        xw = np.matmul(fed.reshape(-1, fed.shape[-1]), self.w_fed, out=rows)
-        xw = xw.reshape(fed.shape[:-1] + (xw.shape[-1],))
-        if self.base is not None:
-            xw += self.base
-        return xw
-
 
 def decoder_input(carrier: np.ndarray, p: Seq2SeqParams) -> DecoderInput:
     """The split projection of rollouts from `carrier` [B, F_in]; a frame
@@ -168,14 +157,15 @@ def decoder_input(carrier: np.ndarray, p: Seq2SeqParams) -> DecoderInput:
                         w_fed=p.decoder.w_x[:, slots].T)
 
 
-def decode_step(fed: np.ndarray | None, state: nn.LstmState,
-                p: Seq2SeqParams, dec_in: DecoderInput,
-                caches: nn.LstmCaches | None = None, t: int = 0):
+def decode_step(fed: np.ndarray, state: nn.LstmState, p: Seq2SeqParams,
+                dec_in: DecoderInput, caches: nn.LstmCaches | None = None,
+                t: int = 0):
     """One decoder LSTM step plus the output projection; `fed` [B, F_out]
-    holds the input's values at the target slots, or is None when
-    caches.act[t] already holds the step's input projection (see
-    DecoderInput.project). Returns (pred, state)."""
-    xw = caches.act[t] if fed is None else dec_in.project(fed)
+    holds the input's values at the target slots, on a frame pipeline
+    the whole input, which has no base to add. Returns (pred, state)."""
+    xw = fed @ dec_in.w_fed
+    if dec_in.base is not None:
+        xw += dec_in.base
     state = nn.lstm_step(xw, state, p.decoder, caches, t)
     return nn.linear_forward(state.h, p.projection), state
 

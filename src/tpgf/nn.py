@@ -18,11 +18,8 @@ Products that do not depend on the recurrence are stacked over time
 (the cuDNN recipe, Appleyard et al. 2016, arXiv:1604.01946): the input
 projection x @ w_x.T of many steps is one GEMM (input_projection),
 each step adds only h @ w_h.T and b, and the weight gradients of a whole
-unroll are single GEMMs over the stacked gate gradients. The encoder
-projects its whole context this way; in training, so does the decoder
-over its leading teacher-forced run, whose inputs are known before the
-loop (model.DecoderInput.project). The caches that make this possible
-are preallocated [T, B, .] arrays.
+unroll are single GEMMs over the stacked gate gradients. The caches
+that make this possible are preallocated [T, B, .] arrays.
 """
 
 from __future__ import annotations

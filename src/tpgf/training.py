@@ -4,10 +4,9 @@ curriculum. Each is a decay schedule plus a preferred source.
 
 Per-iteration draw order (the determinism contract depends on it):
   1. batch sample indices, one randint_below call
-  2. tau coin flips, one uniform call: B words for each decoder step
-     2..K in step order, row r of a step being 1 where its word is
-     below the step's epsilon; steps whose epsilon is exactly 0 or 1
-     consume no words
+  2. tau coin flips for decoder steps 2..K in step order, one bernoulli
+     call per step; steps whose epsilon is exactly 0 or 1 consume no
+     draws
 
 Gradient-flow boundary: when a decoder input was sampled from ground
 truth or from the frozen intermediate model, backpropagation treats it
@@ -51,16 +50,9 @@ _EPS_ADAM = 1e-8
 # GEMMs of one row count. That keeps a single pass's bits only where
 # OpenBLAS 0.3.31 gives a GEMM row bits that do not depend on the row
 # count: at the desk and sprite shapes, not at an odd hidden size from
-# 49 up (see _SMALL_GEMM).
+# 49 up nor at a product of at most 1,200 elements over 32 or more
+# inner columns.
 _ROLLOUT_ROWS = 256
-
-# The decoder's leading teacher-forced run is one GEMM only where that
-# keeps each step's bits. On OpenBLAS 0.3.31 (SkylakeX kernels) a step
-# product of at most this many elements takes the small-matrix kernel, a
-# single row the matrix-vector kernel, and an odd hidden size from 49 up
-# changes bits with the row count; every other shape kept its bits over
-# 1-256 rows, even hidden sizes 2-384 and 1-300 fed columns.
-_SMALL_GEMM = 1200
 
 
 @dataclass
@@ -233,11 +225,7 @@ def _unroll(p: Seq2SeqParams, contexts: np.ndarray, k: int,
 
     Step 1 is fed the carrier's own values at the target slots; step s+1
     is fed prediction s, or preferred[:, s-1] where taus[:, s-1] is 1
-    (nowhere when taus is None). With taus, the inputs of step 1 and of
-    each following step whose taus column is all 1 are known before the
-    loop, so the leading run of such steps is projected as one GEMM into
-    the decoder's activation slots, at the shapes where that keeps each
-    step's bits (see _SMALL_GEMM).
+    (nowhere when taus is None).
     """
     keep = taus is not None
     b, t_in, f_in = contexts.shape
@@ -256,22 +244,14 @@ def _unroll(p: Seq2SeqParams, contexts: np.ndarray, k: int,
     dec = nn.lstm_caches(k, state) if keep else None
     fed_all = np.empty((k, b, p.f_out)) if keep else None
     fed = carrier[:, p.target_slots]
-    run = 0
-    if keep and b > 1 and p.hidden % 2 == 0 and b * 4 * p.hidden > _SMALL_GEMM:
-        run = 1 + int(np.logical_and.accumulate(taus.all(axis=0)).sum())
-        fed_all[0] = fed
-        if run > 1:
-            fed_all[1:run] = preferred[:, :run - 1].swapaxes(0, 1)
-        dec_in.project(fed_all[:run], out=dec.act[:run])
     preds = np.empty((b, k, p.f_out))
     for s in range(1, k + 1):
-        if keep and s > run:
+        if keep:
             fed_all[s - 1] = fed
-        pred, state = decode_step(None if s <= run else fed, state, p, dec_in,
-                                  dec, s - 1)
+        pred, state = decode_step(fed, state, p, dec_in, dec, s - 1)
         preds[:, s - 1] = pred
         fed = pred
-        if keep and run <= s < k:
+        if keep and s < k:
             col = taus[:, s - 1]
             if col.all():
                 fed = preferred[:, s - 1]
@@ -417,14 +397,15 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
                     groups[(i - start_iter) % len(groups)]
                 k = tgt_all.shape[1]
                 idx = state.rng.randint_below(ctx_all.shape[0], b)
-                eps = np.array([epsilon_for(schedule, i, s + 1)
-                                for s in range(1, k)])
-                coin = (eps > 0.0) & (eps < 1.0)
-                taus = np.zeros((b, k - 1), dtype=np.int64)
-                taus[:, eps >= 1.0] = 1
-                flips = state.rng.uniform(int(coin.sum()) * b).reshape(-1, b)
-                taus[:, coin] = (flips < eps[coin, None]).T
-
+                taus = np.empty((b, k - 1), dtype=np.int64)
+                for s in range(1, k):
+                    eps = epsilon_for(schedule, i, s + 1)
+                    if eps >= 1.0:
+                        taus[:, s - 1] = 1
+                    elif eps <= 0.0:
+                        taus[:, s - 1] = 0
+                    else:
+                        taus[:, s - 1] = state.rng.bernoulli(eps, b)
                 # the gathered preferred values die with forward_train's call
                 preds, caches = forward_train(
                     p, ctx_all[idx],
