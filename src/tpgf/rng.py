@@ -20,6 +20,10 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV53 = 2.0 ** -53
+# Box-Muller runs over this many word pairs at a time, so a large draw
+# holds its output and one block's temporaries, not temporaries the size
+# of the whole draw
+_NORMAL_PAIRS = 8192
 
 
 def _mix64(state: np.ndarray) -> np.ndarray:
@@ -45,25 +49,45 @@ class RngState:
         """Independent stream for a parallel consumer (seed XOR stream id)."""
         return RngState((self.seed ^ int(stream_id)) & _MASK64)
 
-    def _words(self, n: int) -> np.ndarray:
-        lo = (self.counter + 1) & _MASK64
+    def _words_at(self, start: int, n: int) -> np.ndarray:
+        """Words start .. start+n-1 of the stream; the counter is left as
+        it is."""
+        lo = (start + 1) & _MASK64
         idx = (np.arange(n, dtype=np.uint64) + np.uint64(lo)) * _GAMMA
-        self.counter += n
         return _mix64(np.uint64(self.seed) + idx)
+
+    def _words(self, n: int) -> np.ndarray:
+        w = self._words_at(self.counter, n)
+        self.counter += n
+        return w
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1)."""
         return (self._words(n) >> np.uint64(11)).astype(np.float64) * _INV53
 
     def normal(self, n: int) -> np.ndarray:
-        """n standard-normal doubles via Box-Muller on consecutive word pairs."""
+        """n standard-normal doubles via Box-Muller.
+
+        The draw consumes 2 * pairs words, pairs = ceil(n / 2): pair j
+        takes u1 from word j and u2 from word pairs + j, and gives output
+        j (r cos theta) and pairs + j (r sin theta); the last is dropped
+        when n is odd. Pairs are formed in blocks of _NORMAL_PAIRS.
+        """
         pairs = (n + 1) // 2
-        w = self._words(2 * pairs)
-        u1 = ((w[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53  # (0, 1]
-        u2 = (w[pairs:] >> np.uint64(11)).astype(np.float64) * _INV53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * math.pi) * u2
-        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        start = self.counter
+        self.counter += 2 * pairs
+        out = np.empty(2 * pairs)
+        for j in range(0, pairs, _NORMAL_PAIRS):
+            m = min(_NORMAL_PAIRS, pairs - j)
+            w1 = self._words_at(start + j, m)
+            w2 = self._words_at(start + pairs + j, m)
+            u1 = ((w1 >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53  # (0, 1]
+            u2 = (w2 >> np.uint64(11)).astype(np.float64) * _INV53
+            r = np.sqrt(-2.0 * np.log(u1))
+            theta = (2.0 * math.pi) * u2
+            out[j:j + m] = r * np.cos(theta)
+            out[pairs + j:pairs + j + m] = r * np.sin(theta)
+        return out[:n]
 
     def bernoulli(self, p: float, n: int) -> np.ndarray:
         """n boolean draws, each True with probability p."""

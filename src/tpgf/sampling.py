@@ -95,7 +95,9 @@ def subsample_odd_even(seq: np.ndarray):
 
 
 def interleave_odd_even(odd: np.ndarray, even: np.ndarray) -> np.ndarray:
-    """Inverse of subsample_odd_even."""
+    """Inverse of subsample_odd_even: each half is written into the
+    parity slots that subsample_odd_even takes of the result, as the
+    two-stage curriculum's m1 precompute writes its two rollouts."""
     odd = np.asarray(odd)
     even = np.asarray(even)
     n_odd, n_even = odd.shape[0], even.shape[0]
@@ -107,6 +109,7 @@ def interleave_odd_even(odd: np.ndarray, even: np.ndarray) -> np.ndarray:
             f"interleave trailing shapes differ: {list(odd.shape[1:])} vs "
             f"{list(even.shape[1:])}")
     out = np.empty((n_odd + n_even,) + odd.shape[1:], dtype=odd.dtype)
-    out[0::2] = odd
-    out[1::2] = even
+    slots_odd, slots_even = subsample_odd_even(out)
+    slots_odd[...] = odd
+    slots_even[...] = even
     return out

@@ -29,7 +29,7 @@ from .model import (DecoderInput, Seq2SeqParams, decode_step, decoder_input,
                     encode_full, init_seq2seq, make_target_slots)
 from .rng import RngState
 from .sampling import (ScheduleConfig, Strategy, epsilon_for,
-                       interleave_odd_even, subsample_odd_even)
+                       subsample_odd_even)
 
 # rng stream ids, xor-ed into the run seed
 _STREAM_SCHEDULED = 0x5C
@@ -204,18 +204,26 @@ def forward_train(p: Seq2SeqParams, contexts: np.ndarray,
     return _unroll(p, contexts, k, preferred, taus)
 
 
-def rollout_batch(p: Seq2SeqParams, contexts: np.ndarray, horizon: int) -> np.ndarray:
+def rollout_batch(p: Seq2SeqParams, contexts: np.ndarray, horizon: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Closed-loop batched inference: every feedback is the model's own
     prediction, and no backward cache is kept. Returns [B, K, F_out],
-    formed in blocks of _ROLLOUT_ROWS rows when B is larger."""
+    formed in blocks of _ROLLOUT_ROWS rows when B is larger. With `out`,
+    a [B, K, F_out] array or strided view, each block is written into it
+    and `out` is returned."""
     b = contexts.shape[0]
-    if b <= _ROLLOUT_ROWS:
-        return _unroll(p, contexts, horizon, None, None)[0]
-    preds = np.empty((b, horizon, p.f_out))
-    for r in [*range(0, b - _ROLLOUT_ROWS, _ROLLOUT_ROWS), b - _ROLLOUT_ROWS]:
+    if out is None:
+        if b <= _ROLLOUT_ROWS:
+            return _unroll(p, contexts, horizon, None, None)[0]
+        out = np.empty((b, horizon, p.f_out))
+    elif out.shape != (b, horizon, p.f_out):
+        raise DimensionError(f"rollout output must be [{b}, {horizon}, "
+                             f"{p.f_out}], got {list(out.shape)}")
+    for r in [*range(0, b - _ROLLOUT_ROWS, _ROLLOUT_ROWS),
+              max(b - _ROLLOUT_ROWS, 0)]:
         rows = slice(r, r + _ROLLOUT_ROWS)
-        preds[rows] = _unroll(p, contexts[rows], horizon, None, None)[0]
-    return preds
+        out[rows] = _unroll(p, contexts[rows], horizon, None, None)[0]
+    return out
 
 
 def _unroll(p: Seq2SeqParams, contexts: np.ndarray, k: int,
@@ -363,21 +371,27 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
     ss and tpg stage 1, the frozen m1's closed-loop estimates in stage 2.
     At iteration i, tau=1 has probability epsilon_for(schedule, i, s + 1),
     drawn from state.rng. eval_groups: {split: [tuples of the same form]}
-    for the closed-loop cadence rows. A tpg schedule relabels state.stage
-    M2Solo once epsilon at v=2 drops below 1e-3.
+    for the closed-loop cadence rows. At an iteration i with i % val_every
+    == 0 the cadence's rollouts run before the forward pass, which does
+    not change p; its rows are written after the iteration's train row,
+    and none is written when the training loss is not finite. A tpg
+    schedule relabels state.stage M2Solo once epsilon at v=2 drops below
+    1e-3.
     """
     best = copy.deepcopy(p)
     best_loss = np.inf
     has_val = "val" in eval_groups
     b = cfg.batch_size
 
-    def cadence(i):
+    def measure():
+        return {split: float(np.mean([_closed_loop_loss(p, ctx, tgt)
+                                      for ctx, tgt, _ in parts]))
+                for split, parts in eval_groups.items()}
+
+    def record(i, rows):
         nonlocal best_loss
-        rows = {}
-        for split, parts in eval_groups.items():
-            losses = [_closed_loop_loss(p, ctx, tgt) for ctx, tgt, _ in parts]
-            rows[split] = float(np.mean(losses))
-            curves.append(MetricsRow(i, split, prefix + "loss", rows[split]))
+        for split, loss in rows.items():
+            curves.append(MetricsRow(i, split, prefix + "loss", loss))
         if has_val and rows["val"] < best_loss:
             best_loss = rows["val"]
             copy_into(best, p)
@@ -393,6 +407,10 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
                 if (schedule.strategy is Strategy.TPG
                         and epsilon_for(schedule, i, 2) < 1e-3):
                     state.stage = "M2Solo"
+                # the cadence's rollouts run before this iteration's
+                # forward pass, on the same p, so their transients never
+                # sit on top of its caches
+                rows = measure() if i % cfg.val_every == 0 else None
                 ctx_all, tgt_all, preferred_all = \
                     groups[(i - start_iter) % len(groups)]
                 k = tgt_all.shape[1]
@@ -415,9 +433,9 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
                 total = composite_loss(preds, tgt)
                 if not np.isfinite(total):
                     raise FloatingPointError("non-finite training loss")
-                if i % cfg.val_every == 0:
+                if rows is not None:
                     curves.append(MetricsRow(i, "train", prefix + "loss", total))
-                    cadence(i)
+                    record(i, rows)
                 dpreds = composite_loss_grad(preds, tgt).reshape(b, k, -1)
                 del preds, tgt
                 grads = bptt(p, caches, dpreds)
@@ -429,7 +447,7 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
                 adam_step(p, clip_gradients(grads, cfg.clip_norm), state, cfg)
             if end_iter > start_iter:
                 state.iteration = end_iter
-                cadence(end_iter)
+                record(end_iter, measure())
     except FloatingPointError as exc:
         raise DivergenceError(
             f"{exc} at iteration {state.iteration}, stage {state.stage}",
@@ -587,18 +605,21 @@ def train_tpg(splits, cfg: TrainConfig):
                        RngState(cfg.seed).split(_STREAM_M2_INIT),
                        target_slots=m1.target_slots))
 
-    # m1's closed-loop estimates, interleaved back to full order [num, K, f_out].
-    # No name keeps the two halves, so their memory is free before the loss
-    # and stage 2. An overflowed m1 can return finite estimates behind
-    # saturated gates, so the guard checks their loss as the loop does. It
-    # needs only finiteness, so it sums the loss of rollout-sized blocks
-    # and holds no residual of the whole split.
+    # m1's closed-loop estimates in full order [num, K, f_out]: each half's
+    # rollout writes its blocks straight into its parity slots of the one
+    # buffer, so no half and no interleaved copy is ever held. An
+    # overflowed m1 can return finite estimates behind saturated gates, so
+    # the guard checks their loss as the loop does. It needs only
+    # finiteness, so it sums the loss of rollout-sized blocks and holds no
+    # residual of the whole split.
     ctx, tgt, truth = flatten_dataset(train)
+    m1_full = np.empty(truth.shape)
+    slots_odd, slots_even = subsample_odd_even(m1_full.swapaxes(0, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        m1_full = interleave_odd_even(
-            rollout_batch(m1, odd[0], odd[1].shape[1]).swapaxes(0, 1),
-            rollout_batch(m1, even[0], even[1].shape[1]).swapaxes(0, 1),
-        ).swapaxes(0, 1)
+        rollout_batch(m1, odd[0], odd[1].shape[1],
+                      out=slots_odd.swapaxes(0, 1))
+        rollout_batch(m1, even[0], even[1].shape[1],
+                      out=slots_even.swapaxes(0, 1))
         m1_loss = sum(composite_loss(m1_full[r:r + _ROLLOUT_ROWS],
                                      truth[r:r + _ROLLOUT_ROWS])
                       for r in range(0, len(truth), _ROLLOUT_ROWS))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -49,6 +51,34 @@ def test_normal_frozen():
 
 def test_normal_odd_count():
     assert RngState(5).normal(7).shape == (7,)
+
+
+def _normal_unblocked(r, n):
+    # Box-Muller over the whole draw at once: u1 from the first half of
+    # the words, u2 from the second, cosines then sines
+    pairs = (n + 1) // 2
+    w = r._words(2 * pairs)
+    u1 = ((w[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = (w[pairs:] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    rad = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * math.pi) * u2
+    return np.concatenate([rad * np.cos(theta), rad * np.sin(theta)])[:n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 8191, 16385, 100001])
+def test_normal_blocks_match_unblocked_formula(n):
+    # normal() runs Box-Muller over blocks of pairs; the words, their
+    # order and the bits must be those of one pass over the whole draw
+    got, want = RngState(77), RngState(77)
+    got.uniform(5)
+    want.uniform(5)
+    x = got.normal(n)
+    y = _normal_unblocked(want, n)
+    assert x.shape == (n,)
+    npt.assert_array_equal(x.view(np.int64), y.view(np.int64))
+    assert got.counter == want.counter == 5 + 2 * ((n + 1) // 2)
+    # the next draw continues the stream where the unblocked one does
+    npt.assert_array_equal(got.uniform(3), want.uniform(3))
 
 
 def test_normal_moments():

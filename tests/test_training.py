@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,8 @@ from tpgf import model as md
 from tpgf import nn
 from tpgf import training as tr
 from tpgf.rng import RngState
-from tpgf.sampling import ScheduleConfig, Strategy, epsilon_for
+from tpgf.sampling import (ScheduleConfig, Strategy, epsilon_for,
+                           interleave_odd_even)
 from tpgf.tensor import randn
 
 
@@ -508,6 +510,45 @@ def test_blocked_rollout_matches_single_pass(b, shape):
     npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("b", [100, 300, 513])
+def test_rollout_into_parity_slots_keeps_the_bits(b):
+    # with out=, each block is written into a strided view: here the odd
+    # time slots of a buffer twice the horizon, as the m1 precompute does
+    p, ctx = _window_rollout_case(b, 10, 9, [0, 1, 2], 32, 24, 97)
+    want = tr.rollout_batch(p, ctx, 6)
+    buf = np.full((b, 12, p.f_out), np.nan)
+    slots = buf[:, 0::2]
+    got = tr.rollout_batch(p, ctx, 6, out=slots)
+    assert got is slots
+    npt.assert_array_equal(buf[:, 0::2].view(np.int64), want.view(np.int64))
+    assert np.isnan(buf[:, 1::2]).all()
+    with pytest.raises(DimensionError):
+        tr.rollout_batch(p, ctx, 6, out=buf[:, 1::3])
+
+
+def test_m1_precompute_interleaves_the_half_rollouts(monkeypatch):
+    # stage 2's preferred source is m1's two half-timescale rollouts,
+    # merged by interleave_odd_even, whatever the precompute writes into
+    train = make_splits(seed=5, k=5, t_in=9, length=1200)[0]
+    assert len(train) > tr._ROLLOUT_ROWS
+    sources = []
+    run = tr._run_training
+
+    def spy(p, groups, *args, **kwargs):
+        if kwargs.get("prefix") == "m2.":
+            sources.append(groups[0][2].copy())
+        return run(p, groups, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "_run_training", spy)
+    m1, _, _ = tr.train_tpg((train, None, None), tpg_cfg(total=6, stage1=3))
+    odd, even = tr._half_timescale_groups(train)
+    halves = [tr.rollout_batch(m1, ctx, tgt.shape[1]).swapaxes(0, 1)
+              for ctx, tgt, _ in (odd, even)]
+    want = interleave_odd_even(*halves).swapaxes(0, 1)
+    assert len(sources) == 1 and sources[0].shape == want.shape
+    npt.assert_array_equal(sources[0].view(np.int64), want.view(np.int64))
+
+
 def test_rollout_memory_is_bounded_by_the_block():
     # tracemalloc peak of a desk-shaped rollout, less its [B, K, F_out]
     # output: 2.52 MB at 300 rows and 12.75 MB at 1,565 (ratio 5.07) when
@@ -523,6 +564,50 @@ def test_rollout_memory_is_bounded_by_the_block():
         finally:
             tracemalloc.stop()
     assert peaks[1565] < 1.5 * peaks[300], peaks
+
+
+def test_m1_precompute_memory_holds_one_copy_of_the_estimates(monkeypatch):
+    # tracemalloc rise over the m1 precompute of a desk-shaped split of
+    # 3,000 windows (hidden 32, K 12, f_out 30), from the end of stage 1
+    # to the start of stage 2, against its bound: m2's params, m1_full and
+    # one 256-row block's transients (13.25 MiB). Measured 16.73 MiB when
+    # the two half rollouts and their interleaved copy were held at once;
+    # 12.02 MiB with the halves rolled out into m1_full's parity slots.
+    t_in, k, h, rows = 24, 12, 32, tr._ROLLOUT_ROWS
+    raw = dt.gen_multinode_series(10, 9, 3000 + t_in + k - 1, coupling=0.5,
+                                  noise=0.2, seed=3)
+    train = dt.windowize(raw, t_in, k, target_channels=[0, 1, 2])
+    assert len(train) == 3000
+    cfg = tpg_cfg(total=2, stage1=1, hidden=h, batch=32)
+    run = tr._run_training
+    seen = {}
+
+    def spy(p, groups, *args, **kwargs):
+        if kwargs.get("prefix") == "m2.":
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+            seen["m1_full"] = groups[0][2].nbytes
+            seen["params"] = sum(t.nbytes for t in p.tensors())
+            return p
+        best = run(p, groups, *args, **kwargs)
+        seen["resident"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return best
+
+    monkeypatch.setattr(tr, "_run_training", spy)
+    tracemalloc.start()
+    try:
+        tr.train_tpg((train, None, None), cfg)
+    finally:
+        tracemalloc.stop()
+    f_in, f_out, k_half = 90, 30, k // 2
+    steps = md._PROJECTION_ROWS // rows
+    # the encoder's projection buffer and its input chunk, four [rows, 4H]
+    # step temporaries, and the block's predictions
+    block = 8 * rows * (steps * (4 * h + f_in) + 4 * 4 * h + k_half * f_out)
+    rise = seen["peak"] - seen["resident"]
+    bound = seen["params"] + seen["m1_full"] + block
+    assert seen["m1_full"] == 8 * 3000 * k * f_out
+    assert rise < bound, (rise / 2**20, bound / 2**20)
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +716,62 @@ def test_training_iteration_memory_is_bounded_by_shapes():
     finally:
         tracemalloc.stop()
     assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
+def _cadence_run(**cfg_args):
+    splits = make_splits(seed=4)
+    p = make_model_for(splits, hidden=4, seed=6)
+    cfg = tr.TrainConfig(
+        schedule=ScheduleConfig(strategy=Strategy.SCHEDULED_SAMPLING, lam=20.0),
+        hidden=4, batch_size=8, seed=2, val_every=5, **cfg_args)
+    return p, splits, cfg
+
+
+def test_cadence_rows_follow_the_train_row():
+    # the cadence's rollouts may run anywhere in the iteration, but its
+    # val and test rows follow the train row, with the values recorded
+    # when they ran after it
+    p, splits, cfg = _cadence_run(total_iters=10)
+    _, curves = tr.train_scheduled(p, splits, cfg)
+    assert [(r.iteration, r.split, r.metric, r.value) for r in curves[:8]] == [
+        (0, "train", "loss", 2.0192235722852496),
+        (0, "val", "loss", 2.0457246893814602),
+        (0, "test", "loss", 2.0109681885802697),
+        (5, "train", "loss", 2.005601967813665),
+        (5, "val", "loss", 2.018703141905219),
+        (5, "test", "loss", 1.9993797719743358),
+        (10, "val", "loss", 1.9834019866939427),
+        (10, "test", "loss", 1.9729109616501086),
+    ]
+
+
+def test_non_finite_train_loss_at_cadence_writes_no_cadence_row(monkeypatch):
+    # iteration 10's training loss is forced to NaN: the run stops before
+    # any row of iteration 10, and keeps the best of iterations 0 and 5
+    p, splits, cfg = _cadence_run(total_iters=20)
+    forward = tr.forward_train
+    iteration = itertools.count()  # one forward pass per iteration
+    at_cadence = {}
+
+    def nan_at_10(model, *args):
+        i = next(iteration)
+        if i % cfg.val_every == 0:
+            at_cadence[i] = [t.copy() for t in model.tensors()]
+        preds, caches = forward(model, *args)
+        return (preds * np.nan if i == 10 else preds), caches
+
+    monkeypatch.setattr(tr, "forward_train", nan_at_10)
+    with pytest.raises(DivergenceError) as ei:
+        tr.train_scheduled(p, splits, cfg)
+    err = ei.value
+    assert str(err) == "non-finite training loss at iteration 10, stage main"
+    assert [(r.iteration, r.split) for r in err.curves] == [
+        (0, "train"), (0, "val"), (0, "test"),
+        (5, "train"), (5, "val"), (5, "test")]
+    val = {r.iteration: r.value for r in err.curves if r.split == "val"}
+    assert val[5] < val[0]
+    for a, b in zip(err.params.tensors(), at_cadence[5]):
+        npt.assert_array_equal(a, b)
 
 
 def test_epsilon_exactly_0_draws_no_coin_flips():
