@@ -256,7 +256,7 @@ def _meta_path(cfg: ExperimentConfig) -> str:
     return os.path.join(_data_dir(cfg), "meta.txt")
 
 
-_META_KEYS = {*set().union(*_GENERATOR_KEYS.values()), "mean", "std",
+_META_KEYS = {*set().union(*_GENERATOR_KEYS.values()),
               *(f"{name}_{fact}" for name in _SPLIT_NAMES
                 for fact in ("windows", "crc32"))}
 
@@ -268,17 +268,16 @@ def _crc32(path) -> str:
 
 
 def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
-    """Load generated files and rebuild the named datasets, in order.
+    """Load generated files and window the named datasets, in order.
 
     meta.txt must record the config's value of every key `generate`
     reads, and the CRC-32 and window count of each loaded split. A file
     is checked against its CRC-32 after its reader has parsed it, so a
-    malformed file keeps the reader's message. A multinode dataset is
-    normalized with the training statistics recorded there, so only the
-    named files are read. When the training file is among them, its
-    statistics must equal the recorded ones.
+    malformed file keeps the reader's message. A multinode file holds
+    its split z-scored with the training statistics, so its windows are
+    the model's inputs as loaded, marked normalized, and only the named
+    files are read.
     """
-    import numpy as np
     from . import data as dt
 
     paths = dict(zip(_SPLIT_NAMES, _dataset_paths(cfg)))
@@ -291,36 +290,17 @@ def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
     rerun = "rerun `tpgf generate` with this config"
     pairs = _read_pairs(meta, _META_KEYS, DataFormatError, f"; {rerun}")
 
-    def field(key):
+    def expect(key, want, source):
         if key not in pairs:
             raise DataFormatError(f"{meta}: no '{key}' line; {rerun}")
         lineno, text = pairs[key]
-        return f"{meta}:{lineno}: key '{key}'", text
-
-    def expect(key, want, source):
-        where, text = field(key)
         if text != want:
-            raise DataFormatError(f"{where}: {text!r} does not match "
-                                  f"{want!r} from {source}; {rerun}")
+            raise DataFormatError(f"{meta}:{lineno}: key '{key}': {text!r} "
+                                  f"does not match {want!r} from {source}; "
+                                  f"{rerun}")
 
     for key, text in _config_pairs(cfg, _GENERATOR_KEYS[cfg.dataset]):
         expect(key, text, "the config")
-    stats = []
-    for key in ("mean", "std") if cfg.dataset == "multinode" else ():
-        where, text = field(key)
-        try:
-            values = np.array([_number(float, v) for v in text.split(",")])
-        except ValueError as exc:
-            raise DataFormatError(f"{where}: {exc}") from None
-        if values.size != cfg.channels:
-            raise DataFormatError(f"{where}: {values.size} values, expected "
-                                  f"one per channel (channels = "
-                                  f"{cfg.channels})")
-        if not np.isfinite(values).all():
-            raise DataFormatError(f"{where}: non-finite value in {text!r}")
-        if key == "std" and (values <= 0).any():
-            raise DataFormatError(f"{where}: must be > 0, got {text!r}")
-        stats.append(values)
     parts, sprites = [], cfg.dataset == "sprites"
     for name in names:
         path = paths[name]
@@ -333,15 +313,9 @@ def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
                 dt.windowize(source, cfg.t_in, cfg.horizon, cfg.stride,
                              target_channels=list(cfg.target_channels)))
         expect(f"{name}_windows", str(len(part)), path)
-        if name == "train" and stats:
-            for key, want, got in zip(("mean", "std"), stats,
-                                      dt.train_statistics(part)):
-                if want.tobytes() != got.tobytes():
-                    raise DataFormatError(
-                        f"{field(key)[0]} differs from the statistics of "
-                        f"{path}; {rerun}")
+        part.meta.normalized = not sprites
         parts.append(part)
-    return dt.normalize(*parts, stats=stats) if stats else tuple(parts)
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +384,8 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
                                     grid=(cfg.height, cfg.width))
         write = dt.write_frame_sequences
     parts = dt.split(ds, (cfg.train_frac, cfg.val_frac, cfg.test_frac))
-    # what train.csv windowizes to, so `evaluate` need not read it
-    stats = dt.train_statistics(parts[0]) if cfg.dataset == "multinode" else ()
+    if cfg.dataset == "multinode":
+        parts = dt.normalize(*parts)
     for part, path in zip(parts, paths):
         write(part.source, path)
     dropped = len(ds) - sum(map(len, parts))
@@ -424,8 +398,6 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
     _write_pairs(_meta_path(cfg), [
         *_config_pairs(cfg, _GENERATOR_KEYS[cfg.dataset]),
         *((f"{name}_windows", counts[name]) for name in _SPLIT_NAMES),
-        *((key, ",".join("%.17g" % v for v in values))
-          for key, values in zip(("mean", "std"), stats)),
         *((f"{name}_crc32", _crc32(path))
           for name, path in zip(_SPLIT_NAMES, paths))])
     for name in _SPLIT_NAMES:

@@ -322,13 +322,12 @@ def train_statistics(train: Dataset):
     return mean, std
 
 
-def normalize(*datasets: Dataset, stats=None):
+def normalize(*datasets: Dataset):
     """Z-score every channel of every dataset with the training
-    statistics `stats` = (mean, std); when they are not given, the first
-    dataset is the training split and they are its train_statistics.
-    Each dataset's source is z-scored and its windows formed over it
-    again."""
-    mean, std = train_statistics(datasets[0]) if stats is None else stats
+    statistics: the first dataset is the training split, and they are
+    its train_statistics. Each dataset's source is z-scored and its
+    windows formed over it again."""
+    mean, std = train_statistics(datasets[0])
     out = []
     for ds in datasets:
         if ds.meta.normalized:

@@ -89,6 +89,8 @@ RULES = (
      "must be < total_iters for strategy = tpg"),
     (("horizon", "strategy"), lambda k, how: how != "tpg" or k >= 2,
      "must be >= 2 for strategy = tpg to subsample"),
+    (("t_in", "strategy"), lambda t, how: how != "tpg" or t >= 2,
+     "must be >= 2 for strategy = tpg to subsample"),
 )
 
 # attribute name -> (predicate, rule text, the RULES entries it heads, or None)

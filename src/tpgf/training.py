@@ -585,7 +585,8 @@ def train_tpg(splits, cfg: TrainConfig):
     train, evals = _unpack_splits(splits)
     stage1 = cfg.schedule.stage1_iters
     check_ranges(strategy="tpg", stage1_iters=stage1,
-                 total_iters=cfg.total_iters, horizon=train.targets.shape[1])
+                 total_iters=cfg.total_iters, horizon=train.targets.shape[1],
+                 t_in=train.contexts.shape[1])
 
     curves: list = []
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from test_acceptance import CLI_CFG
 from tpgf import cli
@@ -87,12 +87,12 @@ def _windows(length=40, channels=9, targets=(0, 1, 2)):
                                 target_channels=list(targets))
 
 
-def _tpg(stage1, total=2000, horizon=12):
+def _tpg(stage1, total=2000, horizon=12, t_in=24):
     def train():
         schedule = sp.ScheduleConfig(strategy=sp.Strategy.TPG,
                                      stage1_iters=stage1)
         cfg = tr.TrainConfig(schedule=schedule, total_iters=total)
-        windows = dt.windowize(np.zeros((40, 1, 1)), 24, horizon)
+        windows = dt.windowize(np.zeros((40, 1, 1)), t_in, horizon)
         tr.train_tpg((windows, None, None), cfg)
     return train
 
@@ -153,6 +153,9 @@ def _tpg(stage1, total=2000, horizon=12):
     ("strategy = tpg\nstage1_iters = 5\nhorizon = 1\n",
      "key 'horizon' (line 3): must be >= 2 for strategy = tpg to subsample, "
      "got horizon = 1, strategy = tpg", _tpg(5, horizon=1)),
+    ("strategy = tpg\nstage1_iters = 5\nt_in = 1\n",
+     "key 't_in' (line 3): must be >= 2 for strategy = tpg to subsample, "
+     "got t_in = 1, strategy = tpg", _tpg(5, t_in=1)),
     # int() and float() alone accept any Unicode digit and '_' separators
     ("hidden = \u0661\u0662\n",
      "key 'hidden' (line 1): bad value '\u0661\u0662' (a number is ASCII, "
@@ -170,8 +173,8 @@ def _tpg(stage1, total=2000, horizon=12):
         "speed_max", "fraction_sum", "no_target_channel",
         "repeated_target_channel", "target_channel", "speed_order",
         "speed_zero", "seq_length", "stage1_zero", "stage1_iters",
-        "tpg_horizon", "non_ascii_int", "underscore_int", "underscore_float",
-        "empty_list_item"])
+        "tpg_horizon", "tpg_t_in", "non_ascii_int", "underscore_int",
+        "underscore_float", "empty_list_item"])
 def test_data_shape_errors_name_key_and_line(tmp_path, text, want, library):
     cfg_path = write_cfg(tmp_path / "shape.cfg", text)
     with pytest.raises(ConfigError) as ei:
@@ -258,6 +261,24 @@ def test_tpg_cross_field_error(tmp_path):
     assert "stage1_iters" in str(ei.value)
 
 
+@pytest.mark.parametrize("dataset", ["multinode", "sprites"])
+def test_tpg_with_one_context_frame_exits_2(tmp_path, capsys, dataset):
+    # stage 1's odd half holds every other context frame: none of one
+    out = tmp_path / "tin"
+    base = BASE if dataset == "multinode" else SPRITES
+    text = "".join(("t_in = 1" if line.startswith("t_in =") else line) + "\n"
+                   for line in base.splitlines())
+    cfg_path = write_cfg(tmp_path / "tin.cfg", text + f"out_dir = {out}\n"
+                         "strategy = tpg\nstage1_iters = 2\n")
+    line = text.splitlines().index("t_in = 1") + 1
+    for command in ("generate", "train", "evaluate"):
+        assert cli.main([command, "--config", cfg_path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: key 't_in' (line {line}): must be >= 2 for "
+            f"strategy = tpg to subsample, got t_in = 1, strategy = tpg\n")
+    assert not (out / "data").exists()
+
+
 def test_transition_iters_is_an_unknown_key(tmp_path):
     # stage 2 always runs total_iters - stage1_iters, so no key sets it
     cfg_path = write_cfg(tmp_path / "t.cfg",
@@ -327,12 +348,11 @@ def test_generate_multinode_counts(tmp_path, capsys):
     for name, part in zip(("train", "val", "test"), parts):
         assert f"{name}_windows = {len(part)}" in meta
         assert f"{name}: {len(part)} samples" in printed
-    # the training statistics of that split, one %.17g line each, then
-    # the CRC-32 of each file's bytes
-    mean, std = dt.train_statistics(parts[0])
-    assert meta.splitlines()[-5:] == [
-        "mean = " + ",".join("%.17g" % v for v in mean),
-        "std = " + ",".join("%.17g" % v for v in std),
+    # the window counts, then the CRC-32 of each file's bytes: no
+    # statistics line
+    assert meta.splitlines()[-6:] == [
+        *(f"{name}_windows = {len(part)}"
+          for name, part in zip(("train", "val", "test"), parts)),
         *(f"{name}_crc32 = %08x" % zlib.crc32(
             (out / "data" / f"{name}.csv").read_bytes())
           for name in ("train", "val", "test"))]
@@ -342,8 +362,8 @@ def test_generate_multinode_counts(tmp_path, capsys):
 @pytest.mark.parametrize("fracs", [(0.8, 0.1, 0.1), (0.6, 0.2, 0.2),
                                    (0.34, 0.33, 0.33)])
 def test_generate_statistics_roundtrip_exactly(tmp_path, stride, fracs):
-    # evaluate trusts meta.txt, train recomputes from train.csv: both
-    # must see the same bits
+    # the files hold the z-scored splits, so train and evaluate load the
+    # windows the in-memory pipeline builds, bit for bit
     out = tmp_path / "rt"
     cfg_path = write_cfg(
         tmp_path / "rt.cfg",
@@ -352,14 +372,17 @@ def test_generate_statistics_roundtrip_exactly(tmp_path, stride, fracs):
         f"val_frac = {fracs[1]}\ntest_frac = {fracs[2]}\n")
     assert cli.main(["generate", "--config", cfg_path]) == 0
     cfg = cli.parse_config(cfg_path)
-    pairs = cli._read_pairs(out / "data" / "meta.txt", cli._META_KEYS,
-                            ValueError, "")
-    raw = dt.load_series_csv(out / "data" / "train.csv")
+    raw = dt.gen_multinode_series(cfg.nodes, cfg.channels, cfg.length,
+                                  cfg.coupling, cfg.noise, cfg.seed)
     ds = dt.windowize(raw, cfg.t_in, cfg.horizon, stride,
                       target_channels=list(cfg.target_channels))
-    for key, want in zip(("mean", "std"), dt.train_statistics(ds)):
-        got = np.array([float(v) for v in pairs[key][1].split(",")])
-        assert want.tobytes() == got.tobytes()
+    want = dt.normalize(*dt.split(ds, fracs))
+    for got, part in zip(cli._load_splits(cfg), want):
+        assert got.meta.normalized
+        assert got.contexts.tobytes() == part.contexts.tobytes()
+        assert got.targets.tobytes() == part.targets.tobytes()
+    train = dt.load_series_csv(out / "data" / "train.csv")
+    assert train.tobytes() == want[0].source.tobytes()
 
 
 def test_generate_same_seed_byte_identical(tmp_path):
@@ -717,7 +740,7 @@ def test_evaluate_matches_final_training_rows(tmp_path):
 
 
 def test_evaluate_reads_only_test(tmp_path, monkeypatch):
-    # the test metrics come from test.csv and the statistics in meta.txt
+    # the test metrics come from test.csv, checked against meta.txt
     cfg_path, out = trained_run(tmp_path)
     assert cli.main(["evaluate", "--config", cfg_path]) == 0
     want = (out / "metrics.csv").read_bytes()
@@ -730,6 +753,23 @@ def test_evaluate_reads_only_test(tmp_path, monkeypatch):
     assert cli.main(["evaluate", "--config", cfg_path]) == 0
     assert (out / "metrics.csv").read_bytes() == want
     assert loaded == [str(out / "data" / "test.csv")]
+
+
+def test_train_and_evaluate_compute_no_statistics(tmp_path, monkeypatch):
+    # generate wrote the z-scored splits, so nothing after it computes or
+    # applies training statistics
+    cfg_path, out = trained_run(tmp_path)
+    assert cli.main(["evaluate", "--config", cfg_path]) == 0
+    names = ("curves.csv", "model.ckpt", "metrics.csv")
+    want = [(out / name).read_bytes() for name in names]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("training statistics used after generate")
+    monkeypatch.setattr(dt, "train_statistics", refuse)
+    monkeypatch.setattr(dt, "normalize", refuse)
+    for command in ("train", "evaluate"):
+        assert cli.main([command, "--config", cfg_path]) == 0
+    assert [(out / name).read_bytes() for name in names] == want
 
 
 def _edit_meta(out, key, value):
@@ -759,32 +799,33 @@ def _crc_refusal(out, path, line):
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 @pytest.mark.parametrize("key, value, want", [
-    ("mean", None, f"no 'mean' line{_RERUN}"),
-    ("std", None, f"no 'std' line{_RERUN}"),
-    ("mean", "0.5,0.25", "key 'mean': 2 values, expected one per channel "
-                         "(channels = 3)"),
-    ("std", "1,nan,1", "key 'std': non-finite value in '1,nan,1'"),
-    ("mean", "1,2,inf", "key 'mean': non-finite value in '1,2,inf'"),
-    ("std", "1,0,1", "key 'std': must be > 0, got '1,0,1'"),
-    ("std", "1,x,1", "key 'std': could not convert string to float: 'x'"),
-    ("wat", "1", f"meta.txt:22: unknown key 'wat'{_RERUN}"),
-    ("dataset", "sprites", "meta.txt:21: key 'dataset': 'sprites' does not "
+    # generate writes no statistics, and nothing asks for them
+    ("mean", None, None),
+    ("std", None, None),
+    # a statistics line, whatever its value, is one generate no longer
+    # writes
+    ("mean", "0.5,0.25", f"meta.txt:20: unknown key 'mean'{_RERUN}"),
+    ("std", "1,nan,1", f"meta.txt:20: unknown key 'std'{_RERUN}"),
+    ("mean", "1,2,inf", f"meta.txt:20: unknown key 'mean'{_RERUN}"),
+    ("std", "1,0,1", f"meta.txt:20: unknown key 'std'{_RERUN}"),
+    ("std", "1,x,1", f"meta.txt:20: unknown key 'std'{_RERUN}"),
+    ("wat", "1", f"meta.txt:20: unknown key 'wat'{_RERUN}"),
+    ("dataset", "sprites", "meta.txt:19: key 'dataset': 'sprites' does not "
                            f"match 'multinode' from the config{_RERUN}"),
-    ("test_windows", "999", "meta.txt:21: key 'test_windows': '999' does not "
+    ("test_windows", "999", "meta.txt:19: key 'test_windows': '999' does not "
                             "match '8' from "),
     # evaluate loads only test.csv, so it checks no val count
-    ("val_windows", "x", "meta.txt:21: key 'val_windows': 'x' does not match "
+    ("val_windows", "x", "meta.txt:19: key 'val_windows': 'x' does not match "
                          "'8' from "),
     # the line that a data directory written before meta.txt recorded the
     # generator keys fails on
-    ("dropped_windows", "10", f"meta.txt:22: unknown key 'dropped_windows'"
+    ("dropped_windows", "10", f"meta.txt:20: unknown key 'dropped_windows'"
                               f"{_RERUN}"),
     ("seed", None, f"no 'seed' line{_RERUN}"),
-    # int() and float() accept these; meta.txt holds what generate writes
-    ("test_windows", "0_8", "meta.txt:21: key 'test_windows': '0_8' does not "
+    # int() accepts this; meta.txt holds what generate writes
+    ("test_windows", "0_8", "meta.txt:19: key 'test_windows': '0_8' does not "
                             "match '8' from "),
-    ("mean", "0.0_1,0,0", "meta.txt:21: key 'mean': a number is ASCII, "
-                          "without '_'"),
+    ("mean", "0.0_1,0,0", f"meta.txt:20: unknown key 'mean'{_RERUN}"),
 ], ids=["no_mean", "no_std", "count", "nan_std", "inf_mean", "zero_std",
         "bad_float", "unknown_key", "dataset", "test_windows", "val_windows",
         "dropped_windows", "missing_seed", "underscore_count",
@@ -794,7 +835,8 @@ def test_bad_statistics_exit_3_naming_meta(tmp_path, capsys, command, key,
     cfg_path, out = trained_run(tmp_path, "meta")
     path = _edit_meta(out, key, value)
     capsys.readouterr()
-    code = 0 if (command, key) == ("evaluate", "val_windows") else 3
+    code = 0 if want is None or (command, key) == ("evaluate",
+                                                   "val_windows") else 3
     assert cli.main([command, "--config", cfg_path]) == code
     err = capsys.readouterr().err
     assert (str(path) in err and want in err) if code else err == ""
@@ -802,11 +844,11 @@ def test_bad_statistics_exit_3_naming_meta(tmp_path, capsys, command, key,
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 @pytest.mark.parametrize("line, want", [
-    ("mean = 0,0,0", "meta.txt:22: duplicate key 'mean' (first set on line "
-                     f"17){_RERUN}"),
-    ("no equals sign", "meta.txt:22: expected 'key = value', got "
+    ("seed = 3", "meta.txt:20: duplicate key 'seed' (first set on line "
+                 f"2){_RERUN}"),
+    ("no equals sign", "meta.txt:20: expected 'key = value', got "
                        f"'no equals sign'{_RERUN}"),
-], ids=["duplicate_mean", "no_equals"])
+], ids=["duplicate_seed", "no_equals"])
 def test_malformed_meta_line_exits_3(tmp_path, capsys, command, line, want):
     cfg_path, out = trained_run(tmp_path, "metaline")
     path = out / "data" / "meta.txt"
@@ -841,29 +883,42 @@ def test_missing_meta_exits_3(tmp_path, capsys, command):
 
 
 def test_evaluate_rejects_channel_count_unlike_meta(tmp_path, capsys):
-    # the recorded statistics fit the config's channels, not this file's
+    # the config's channels, not this file's, made the recorded checksum
     cfg_path, out = trained_run(tmp_path, "chan")
     path = out / "data" / "test.csv"
     dt.write_series_csv(dt.load_series_csv(path)[:, :, :2], path)
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", cfg_path]) == 3
-    assert capsys.readouterr().err == _crc_refusal(out, path, 21)
+    assert capsys.readouterr().err == _crc_refusal(out, path, 19)
 
 
-def test_train_rejects_statistics_edited_after_generate(tmp_path, capsys):
-    cfg_path, out = make_run(tmp_path, "edited")
-    assert cli.main(["generate", "--config", cfg_path]) == 0
-    meta = (out / "data" / "meta.txt").read_text()
-    std = next(l for l in meta.splitlines() if l.startswith("std = "))
-    values = [float(v) for v in std[len("std = "):].split(",")]
-    values[1] = np.nextafter(values[1], 1.0)  # one ulp off
-    path = _edit_meta(out, "std", ",".join("%.17g" % v for v in values))
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_meta_with_statistics_lines_exits_3(tmp_path, capsys, command):
+    # a data directory as generate wrote it while the files held raw
+    # values: their statistics in meta.txt and CRC-32s that match them
+    cfg_path, out = trained_run(tmp_path, "raw")
+    cfg = cli.parse_config(cfg_path)
+    raw = dt.gen_multinode_series(cfg.nodes, cfg.channels, cfg.length,
+                                  cfg.coupling, cfg.noise, cfg.seed)
+    parts = dt.split(dt.windowize(raw, cfg.t_in, cfg.horizon, cfg.stride,
+                                  target_channels=list(cfg.target_channels)),
+                     (0.8, 0.1, 0.1))
+    files = [out / "data" / f"{name}.csv" for name in ("train", "val", "test")]
+    for part, file in zip(parts, files):
+        dt.write_series_csv(part.source, file)
+    path = out / "data" / "meta.txt"
+    lines = [line for line in path.read_text().splitlines()
+             if "_crc32 = " not in line]
+    lines += [f"{key} = " + ",".join("%.17g" % v for v in values)
+              for key, values in zip(("mean", "std"),
+                                     dt.train_statistics(parts[0]))]
+    lines += [f"{file.stem}_crc32 = %08x" % zlib.crc32(file.read_bytes())
+              for file in files]
+    path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert cli.main(["train", "--config", cfg_path]) == 3
-    err = capsys.readouterr().err
-    assert str(path) in err and "key 'std'" in err
-    assert str(out / "data" / "train.csv") in err
-    assert not (out / "curves.csv").exists()
+    assert cli.main([command, "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {path}:17: unknown key 'mean'{_RERUN}\n")
 
 
 def test_evaluate_horizon_resolved_rows(tmp_path):
@@ -1208,15 +1263,16 @@ def test_data_file_shorter_than_window_exits_3(tmp_path, capsys, dataset):
         dt.write_frame_sequences(dt.load_frame_sequences(path)[:, :5], path)
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", cfg_path]) == 3
-    assert capsys.readouterr().err == _crc_refusal(out, path, 21)
+    line = 19 if dataset == "multinode" else 21
+    assert capsys.readouterr().err == _crc_refusal(out, path, line)
 
 
 # ---------------------------------------------------------------------------
 # meta.txt records the CRC-32 of each data file
 
 @pytest.mark.parametrize("command, name, line", [
-    ("train", "train", 19), ("train", "val", 20), ("train", "test", 21),
-    ("evaluate", "test", 21)])
+    ("train", "train", 17), ("train", "val", 18), ("train", "test", 19),
+    ("evaluate", "test", 19)])
 def test_value_edited_after_generate_exits_3(tmp_path, capsys, command, name,
                                              line):
     # the reader accepts one value rewritten in generate's format
@@ -1261,7 +1317,7 @@ def test_crlf_data_file_exits_3(tmp_path, capsys):
     assert dt.load_series_csv(path).tobytes() == want.tobytes()
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", cfg_path]) == 3
-    assert capsys.readouterr().err == _crc_refusal(out, path, 21)
+    assert capsys.readouterr().err == _crc_refusal(out, path, 19)
 
 
 @pytest.mark.parametrize("command, name", [("train", "train"),
@@ -1349,6 +1405,12 @@ def _mutate_meta(path, number, junk):
 
 @settings(max_examples=200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
+# tpg stage 1 gives the odd half every other context frame, so t_in = 1
+# left it none
+@example(overrides={"strategy": "tpg", "t_in": "1"}, junk=[], tail=b"",
+         meta_edit=0, meta_junk="", rough=0)
+@example(overrides={"dataset": "sprites", "strategy": "tpg", "t_in": "1"},
+         junk=[], tail=b"", meta_edit=0, meta_junk="", rough=0)
 @given(overrides=st.lists(_FUZZ_ENTRY, max_size=4).map(dict),
        junk=st.one_of(st.just([]), st.lists(_FUZZ_JUNK, min_size=1,
                                             max_size=2)),

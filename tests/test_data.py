@@ -435,8 +435,7 @@ def test_setup_memory_is_a_small_multiple_of_the_series():
     try:
         ds = dt.windowize(raw, 24, 12, 1, target_channels=[0, 1, 2])
         parts = dt.split(ds, (0.8, 0.1, 0.1))
-        stats = dt.train_statistics(parts[0])
-        normalized = dt.normalize(*parts, stats=stats)
+        normalized = dt.normalize(*parts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -464,7 +463,8 @@ def test_normalize_train_stats_only():
 
 
 def test_train_statistics_keep_numpy_mean_std_bits():
-    # meta.txt and every normalized split depend on these exact bits
+    # every normalized split, and so every multinode data file, depends
+    # on these exact bits
     rng = np.random.default_rng(3)
     for shape, loc, scale in (((3, 4, 2, 3), 0.0, 1.0),
                               ((60, 24, 10, 9), 5.0, 1e3),
