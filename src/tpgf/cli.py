@@ -247,8 +247,7 @@ _SPLIT_NAMES = ("train", "val", "test")
 
 
 def _dataset_paths(cfg: ExperimentConfig):
-    ext = "csv" if cfg.dataset == "multinode" else "frames"
-    return [os.path.join(_data_dir(cfg), f"{name}.{ext}")
+    return [os.path.join(_data_dir(cfg), f"{name}.frames")
             for name in _SPLIT_NAMES]
 
 
@@ -273,10 +272,10 @@ def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
     meta.txt must record the config's value of every key `generate`
     reads, and the CRC-32 and window count of each loaded split. A file
     is checked against its CRC-32 after its reader has parsed it, so a
-    malformed file keeps the reader's message. A multinode file holds
-    its split z-scored with the training statistics, so its windows are
-    the model's inputs as loaded, marked normalized, and only the named
-    files are read.
+    malformed file keeps the reader's message. Both families are frame
+    files; a multinode file is one sequence, its split's series z-scored
+    with the training statistics, so its windows are the model's inputs
+    as loaded, marked normalized, and only the named files are read.
     """
     from . import data as dt
 
@@ -304,13 +303,12 @@ def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
     parts, sprites = [], cfg.dataset == "sprites"
     for name in names:
         path = paths[name]
-        source = (dt.load_frame_sequences if sprites
-                  else dt.load_series_csv)(path)
+        source = dt.load_frame_sequences(path)
         expect(f"{name}_crc32", _crc32(path), path)
         part = (dt.windowize_sequences(source, cfg.t_in, cfg.horizon,
                                        grid=(cfg.height, cfg.width))
                 if sprites else
-                dt.windowize(source, cfg.t_in, cfg.horizon, cfg.stride,
+                dt.windowize(source[0], cfg.t_in, cfg.horizon, cfg.stride,
                              target_channels=list(cfg.target_channels)))
         expect(f"{name}_windows", str(len(part)), path)
         part.meta.normalized = not sprites
@@ -373,7 +371,6 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
                                          cfg.coupling, cfg.noise, cfg.seed)
         ds = dt.windowize(source, cfg.t_in, cfg.horizon, cfg.stride,
                           target_channels=list(cfg.target_channels))
-        write = dt.write_series_csv
     else:
         source = dt.gen_moving_sprites(cfg.height, cfg.width, cfg.num_sprites,
                                        (cfg.speed_min, cfg.speed_max),
@@ -382,12 +379,13 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
                                        sprite_size=cfg.sprite_size)
         ds = dt.windowize_sequences(source, cfg.t_in, cfg.horizon,
                                     grid=(cfg.height, cfg.width))
-        write = dt.write_frame_sequences
     parts = dt.split(ds, (cfg.train_frac, cfg.val_frac, cfg.test_frac))
     if cfg.dataset == "multinode":
         parts = dt.normalize(*parts)
     for part, path in zip(parts, paths):
-        write(part.source, path)
+        # a series segment [T, N, F] is one sequence of (N, F) frames
+        dt.write_frame_sequences(
+            part.source.reshape(-1, *part.source.shape[-3:]), path)
     dropped = len(ds) - sum(map(len, parts))
 
     counts = {name: len(part) for name, part in zip(_SPLIT_NAMES, parts)}

@@ -6,6 +6,10 @@ Two data families share one sample layout:
   - moving sprites: frames flattened to [T, H*W, 1] so the same
     Seq2Seq consumes both; grid dims are kept in meta for SSIM
 
+Both families are stored as frame files: a series [T, N, F] is one
+sequence with (H, W) = (N, F), a sprite bank count sequences, in the
+binary layout that checkpoints and data files share (errors.write_binary).
+
 Every generator is a pure function of (config, seed).
 """
 
@@ -13,13 +17,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConfigError, DataFormatError, check_ranges, read_binary,
-                     replacing, write_binary)
+                     write_binary)
 from .rng import RngState
 
 
@@ -341,134 +344,14 @@ def normalize(*datasets: Dataset):
 # ---------------------------------------------------------------------------
 # file formats
 
-_CSV_HEADER = "time,node,channel,value"
-
-
-def write_series_csv(series: np.ndarray, path):
-    """Dense long-format CSV; %.17g keeps float64 values exact.
-
-    One write per time step, from a %-template with node and channel
-    baked in (% formats exactly as an f-string's :.17g). Writing step by
-    step bounds the text held in memory.
-    """
-    series = np.asarray(series, dtype=np.float64)
-    total, nodes, channels = series.shape
-    block = "".join(f"{{t}},{n},{f},%.17g\n"
-                    for n in range(nodes) for f in range(channels))
-    with replacing(path) as fh:
-        fh.write(_CSV_HEADER + "\n")
-        for t in range(total):
-            fh.write(block.replace("{t}", str(t))
-                     % tuple(series[t].ravel().tolist()))
-
-
-def load_series_csv(path) -> np.ndarray:
-    """Read the layout write_series_csv writes: the header, then one row
-    per cell in (time, node, channel) order. One np.loadtxt pass parses
-    the rows. A line scan runs only to name a line numpy refuses, skips
-    (blank) or may misread (non-ASCII), or a non-finite value."""
-    try:
-        return _read_series_csv(path)
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-
-
-_CSV_ROW = np.dtype([("t", "i8"), ("n", "i8"), ("f", "i8"), ("v", "f8")])
-
-
-def _read_series_csv(path) -> np.ndarray:
-    # lines are counted and ASCII told on the bytes, which are never
-    # decoded: text mode reads '\r\n' and a lone '\r' as '\n', and no
-    # other UTF-8 sequence holds those bytes
-    with open(path, "rb") as raw:
-        blob = raw.read()
-    # the lines after the header
-    line_count = (np.count_nonzero(np.frombuffer(blob, np.uint8) == ord("\n"))
-                  + (blob[-1:] not in (b"\n", b"\r")) - 1)
-    if b"\r" in blob:
-        line_count += blob.count(b"\r") - blob.count(b"\r\n")
-    ascii_text = blob.isascii()
-    del blob
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != _CSV_HEADER:
-            raise DataFormatError(
-                f"expected header {_CSV_HEADER!r}, got {header!r}")
-        start = fh.tell()
-        if not ascii_text:
-            # an undecodable byte is named where a whole read names it
-            fh.read()
-            fh.seek(start)
-        if not line_count:
-            raise DataFormatError("CSV contains no data rows")
-        try:
-            # a warning (no data; an older numpy's float-as-int
-            # deprecation) is a refusal too; comments=None keeps '#' an error
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",",
-                                  comments=None, ndmin=1)
-        except (ValueError, Warning) as exc:
-            fh.seek(start)
-            raise DataFormatError(_first_bad_line(fh) or str(exc)) from None
-        if (rows.size != line_count or not ascii_text
-                or not np.isfinite(rows["v"]).all()):
-            fh.seek(start)
-            fault = _first_bad_line(fh)
-            if fault:
-                raise DataFormatError(fault)
-    # row i is line i + 2; time 0 spans the nodes and channels
-    t, n, f = rows["t"], rows["n"], rows["f"]
-    size = rows.size
-    nodes = min(int(n[t == 0].max(initial=0)) + 1, size)
-    channels = min(int(f[t == 0].max(initial=0)) + 1, size)
-    want = np.unravel_index(np.arange(size + 1),
-                            (size // (nodes * channels) + 1, nodes, channels))
-    bad = (t != want[0][:-1]) | (n != want[1][:-1]) | (f != want[2][:-1])
-    i = int(bad.argmax()) if bad.any() else size
-    cell = "time={}, node={}, channel={}".format(*(w[i] for w in want))
-    if i < size:
-        raise DataFormatError(f"line {i + 2}: expected {cell}, got "
-                              f"time={t[i]}, node={n[i]}, channel={f[i]}")
-    if size % (nodes * channels):
-        raise DataFormatError(f"missing entry for {cell}")
-    # a copy, so the 32-byte rows are freed
-    return rows["v"].copy().reshape(-1, nodes, channels)
-
-
-def _first_bad_line(lines):
-    """Name the first body line that numpy's parser refuses or whose
-    value is not finite; None when there is none. Unicode space around
-    a field is skipped, as numpy skips it; a number is ASCII, has no
-    '_' and, in an int64 field, fits."""
-    for lineno, line in enumerate(lines, start=2):
-        parts = line.strip().split(",")
-        if len(parts) != 4:
-            return f"line {lineno}: expected 4 fields, got {len(parts)}"
-        for part, kind in zip(parts, (int, int, int, float)):
-            field = part.strip()
-            try:
-                value = kind(field)
-            except ValueError as exc:
-                return f"line {lineno}: {exc}"
-            if (not field.isascii() or "_" in field
-                    or kind is int and not -2 ** 63 <= value < 2 ** 63):
-                return (f"line {lineno}: could not convert {field!r} "
-                        f"to {kind.__name__}64")
-        if not math.isfinite(value):
-            return f"line {lineno}: non-finite value {parts[3]!r}"
-    return None
-
-
 _FRAME_MAGIC = b"TPGFRAME"
 _FRAME_VERSION = 1
 
 
 def write_frame_sequences(seqs: np.ndarray, path):
     """Layout: errors.write_binary's, with dims T, H, W, count; the
-    payload is the frames in sequence order as float64."""
+    payload is the frames in sequence order as float64. A multinode
+    split is a count-1 file of its series [T, N, F] as [1, T, N, F]."""
     seqs = np.asarray(seqs, dtype="<f8")
     if seqs.ndim != 4 or not seqs.size:  # the reader refuses a zero dim
         raise ConfigError(f"expected non-empty [count, T, H, W] frames, got "
@@ -479,6 +362,9 @@ def write_frame_sequences(seqs: np.ndarray, path):
 
 
 def load_frame_sequences(path) -> np.ndarray:
+    """The [count, T, H, W] frames write_frame_sequences wrote, each
+    value checked finite; a multinode split is sequence 0 of a count-1
+    file."""
     (total, h, w, count), payload = read_binary(
         path, _FRAME_MAGIC, _FRAME_VERSION,
         ("seq_length", "height", "width", "seq_count"),

@@ -2,7 +2,7 @@
 and cross-key, that every config entry point (the dataclasses, the data
 and training functions and the CLI) checks its values against; the one
 temp-file writer every artifact goes through; and the one binary reader
-and writer that checkpoints and frame files share."""
+and writer that checkpoints and data files share."""
 
 import contextlib
 import math

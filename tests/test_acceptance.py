@@ -222,14 +222,14 @@ def test_criterion_6_command_determinism(tmp_path):
         assert cli.main(["train", "--config", str(cfg)]) == 0
         assert cli.main(["evaluate", "--config", str(cfg)]) == 0
         artifacts.append({
-            "data": (out / "data" / "train.csv").read_bytes(),
+            "data": (out / "data" / "train.frames").read_bytes(),
             "curves": (out / "curves.csv").read_bytes(),
             "ckpt": (out / "model.ckpt").read_bytes(),
             "metrics": (out / "metrics.csv").read_bytes(),
         })
     ok = all(artifacts[0][k] == artifacts[1][k] for k in artifacts[0])
     report(6, ok, "generate/train/evaluate reruns byte-identical "
-                  "(dataset CSV, curves, checkpoint, metrics)")
+                  "(dataset file, curves, checkpoint, metrics)")
 
 
 # ---------------------------------------------------------------------------

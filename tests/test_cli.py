@@ -197,7 +197,7 @@ def test_generate_rejects_empty_split(tmp_path, capsys, val_frac, want):
                              f"val_frac = {val_frac}\ntest_frac = 0.2\n")
     assert cli.main(["generate", "--config", cfg_path]) == 2
     assert want in capsys.readouterr().err
-    assert not (out / "data" / "val.csv").exists()
+    assert not (out / "data" / "val.frames").exists()
 
 
 def test_every_range_rule_rejects_nan_and_inf():
@@ -334,7 +334,7 @@ def test_generate_multinode_counts(tmp_path, capsys):
     cfg_path, out = make_run(tmp_path, "gen")
     assert cli.main(["generate", "--config", cfg_path]) == 0
     for name in ("train", "val", "test"):
-        assert (out / "data" / f"{name}.csv").exists()
+        assert (out / "data" / f"{name}.frames").exists()
 
     # counts printed and recorded must match an in-memory split
     cfg = cli.parse_config(cfg_path)
@@ -354,7 +354,7 @@ def test_generate_multinode_counts(tmp_path, capsys):
         *(f"{name}_windows = {len(part)}"
           for name, part in zip(("train", "val", "test"), parts)),
         *(f"{name}_crc32 = %08x" % zlib.crc32(
-            (out / "data" / f"{name}.csv").read_bytes())
+            (out / "data" / f"{name}.frames").read_bytes())
           for name in ("train", "val", "test"))]
 
 
@@ -381,7 +381,9 @@ def test_generate_statistics_roundtrip_exactly(tmp_path, stride, fracs):
         assert got.meta.normalized
         assert got.contexts.tobytes() == part.contexts.tobytes()
         assert got.targets.tobytes() == part.targets.tobytes()
-    train = dt.load_series_csv(out / "data" / "train.csv")
+    # the train file is one sequence: the z-scored train source
+    train = dt.load_frame_sequences(out / "data" / "train.frames")
+    assert train.shape == (1, *want[0].source.shape)
     assert train.tobytes() == want[0].source.tobytes()
 
 
@@ -391,19 +393,19 @@ def test_generate_same_seed_byte_identical(tmp_path):
     assert cli.main(["generate", "--config", cfg_a]) == 0
     assert cli.main(["generate", "--config", cfg_b]) == 0
     for name in ("train", "val", "test"):
-        pa = (out_a / "data" / f"{name}.csv").read_bytes()
-        pb = (out_b / "data" / f"{name}.csv").read_bytes()
+        pa = (out_a / "data" / f"{name}.frames").read_bytes()
+        pb = (out_b / "data" / f"{name}.frames").read_bytes()
         assert pa == pb
 
 
-def test_generate_huge_noise_exits_2_without_csv(tmp_path, capsys):
+def test_generate_huge_noise_exits_2_without_data_files(tmp_path, capsys):
     out = tmp_path / "noisy"
     cfg_path = write_cfg(tmp_path / "noisy.cfg",
                          BASE.replace("noise = 0.05", "noise = 1e308")
                          + f"out_dir = {out}\n")
     assert cli.main(["generate", "--config", cfg_path]) == 2
     assert "noise 1e+308" in capsys.readouterr().err
-    assert not list((out / "data").glob("*.csv"))
+    assert not list((out / "data").glob("*.frames"))
 
 
 def test_generate_sprites_header(tmp_path):
@@ -469,14 +471,14 @@ def test_seed_override_reaches_echo_and_files(tmp_path):
 @pytest.mark.parametrize("name, where, command, dataset", [
     ("config.echo", "config.echo", "generate", "multinode"),
     ("meta.txt", "data/meta.txt", "generate", "multinode"),
-    ("train.csv", "data/train.csv", "generate", "multinode"),
+    ("train.frames", "data/train.frames", "generate", "multinode"),
     ("train.frames", "data/train.frames", "generate", "sprites"),
     ("model.ckpt", "model.ckpt", "train", "multinode"),
     ("curves.csv", "curves.csv", "train", "multinode"),
     ("metrics.csv", "metrics.csv", "evaluate", "multinode"),
     ("comparison.csv", "comparison.csv", "compare", "multinode"),
-], ids=["config.echo", "meta.txt", "train.csv", "train.frames", "model.ckpt",
-        "curves.csv", "metrics.csv", "comparison.csv"])
+], ids=["config.echo", "meta.txt", "multinode-train.frames", "train.frames",
+        "model.ckpt", "curves.csv", "metrics.csv", "comparison.csv"])
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, name, where,
                                           command, dataset):
     sizes = ("height = 8\nwidth = 8\nsprite_size = 3\nseq_length = 12\n"
@@ -605,25 +607,15 @@ def test_diverging_train_keeps_curves_and_best_checkpoint(tmp_path, capsys):
 def test_train_rejects_non_finite_data_cell(tmp_path, capsys):
     cfg_path, out = make_run(tmp_path, "nan")
     assert cli.main(["generate", "--config", cfg_path]) == 0
-    path = out / "data" / "train.csv"
-    lines = path.read_text().splitlines()
-    t, n, f, _ = lines[5].split(",")
-    lines[5] = f"{t},{n},{f},nan"
-    path.write_text("\n".join(lines) + "\n")
+    # a series is one sequence whose frames are its time steps
+    path = out / "data" / "train.frames"
+    seqs = dt.load_frame_sequences(path)
+    seqs[0, 5, 1, 1] = np.nan
+    dt.write_frame_sequences(seqs, path)
     assert cli.main(["train", "--config", cfg_path]) == 3
     err = capsys.readouterr().err
-    assert "line 6" in err and "non-finite" in err and str(path) in err
-
-
-def test_train_rejects_non_utf8_data_file(tmp_path, capsys):
-    cfg_path, out = make_run(tmp_path, "latin1")
-    assert cli.main(["generate", "--config", cfg_path]) == 0
-    path = out / "data" / "val.csv"
-    blob = path.read_bytes()
-    path.write_bytes(blob[:40] + b"\xe9" + blob[41:])
-    assert cli.main(["train", "--config", cfg_path]) == 3
-    err = capsys.readouterr().err
-    assert str(path) in err and "UTF-8" in err
+    assert "sequence 0, frame 5" in err and "non-finite" in err
+    assert str(path) in err
 
 
 SPRITES = """
@@ -740,19 +732,19 @@ def test_evaluate_matches_final_training_rows(tmp_path):
 
 
 def test_evaluate_reads_only_test(tmp_path, monkeypatch):
-    # the test metrics come from test.csv, checked against meta.txt
+    # the test metrics come from test.frames, checked against meta.txt
     cfg_path, out = trained_run(tmp_path)
     assert cli.main(["evaluate", "--config", cfg_path]) == 0
     want = (out / "metrics.csv").read_bytes()
-    (out / "data" / "train.csv").unlink()
-    (out / "data" / "val.csv").unlink()
+    (out / "data" / "train.frames").unlink()
+    (out / "data" / "val.frames").unlink()
     loaded = []
-    load = dt.load_series_csv
-    monkeypatch.setattr(dt, "load_series_csv",
+    load = dt.load_frame_sequences
+    monkeypatch.setattr(dt, "load_frame_sequences",
                         lambda path: loaded.append(path) or load(path))
     assert cli.main(["evaluate", "--config", cfg_path]) == 0
     assert (out / "metrics.csv").read_bytes() == want
-    assert loaded == [str(out / "data" / "test.csv")]
+    assert loaded == [str(out / "data" / "test.frames")]
 
 
 def test_train_and_evaluate_compute_no_statistics(tmp_path, monkeypatch):
@@ -814,7 +806,7 @@ def _crc_refusal(out, path, line):
                            f"match 'multinode' from the config{_RERUN}"),
     ("test_windows", "999", "meta.txt:19: key 'test_windows': '999' does not "
                             "match '8' from "),
-    # evaluate loads only test.csv, so it checks no val count
+    # evaluate loads only test.frames, so it checks no val count
     ("val_windows", "x", "meta.txt:19: key 'val_windows': 'x' does not match "
                          "'8' from "),
     # the line that a data directory written before meta.txt recorded the
@@ -885,8 +877,8 @@ def test_missing_meta_exits_3(tmp_path, capsys, command):
 def test_evaluate_rejects_channel_count_unlike_meta(tmp_path, capsys):
     # the config's channels, not this file's, made the recorded checksum
     cfg_path, out = trained_run(tmp_path, "chan")
-    path = out / "data" / "test.csv"
-    dt.write_series_csv(dt.load_series_csv(path)[:, :, :2], path)
+    path = out / "data" / "test.frames"
+    dt.write_frame_sequences(dt.load_frame_sequences(path)[..., :2], path)
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", cfg_path]) == 3
     assert capsys.readouterr().err == _crc_refusal(out, path, 19)
@@ -903,9 +895,10 @@ def test_meta_with_statistics_lines_exits_3(tmp_path, capsys, command):
     parts = dt.split(dt.windowize(raw, cfg.t_in, cfg.horizon, cfg.stride,
                                   target_channels=list(cfg.target_channels)),
                      (0.8, 0.1, 0.1))
-    files = [out / "data" / f"{name}.csv" for name in ("train", "val", "test")]
+    files = [out / "data" / f"{name}.frames"
+             for name in ("train", "val", "test")]
     for part, file in zip(parts, files):
-        dt.write_series_csv(part.source, file)
+        dt.write_frame_sequences(part.source[None], file)
     path = out / "data" / "meta.txt"
     lines = [line for line in path.read_text().splitlines()
              if "_crc32 = " not in line]
@@ -919,6 +912,33 @@ def test_meta_with_statistics_lines_exits_3(tmp_path, capsys, command):
     assert cli.main([command, "--config", cfg_path]) == 3
     assert capsys.readouterr().err == (
         f"error: {path}:17: unknown key 'mean'{_RERUN}\n")
+
+
+@pytest.mark.parametrize("command, name", [("train", "train"),
+                                           ("evaluate", "test")])
+def test_series_csv_data_directory_exits_3(tmp_path, capsys, command, name):
+    # a data directory as generate wrote it while multinode splits were
+    # `time,node,channel,value` CSVs, with meta.txt recording their CRC-32s
+    cfg_path, out = trained_run(tmp_path, "csvdir")
+    data = out / "data"
+    meta = data / "meta.txt"
+    lines = [line for line in meta.read_text().splitlines()
+             if "_crc32 = " not in line]
+    for split in ("train", "val", "test"):
+        frames = data / f"{split}.frames"
+        series = dt.load_frame_sequences(frames)[0]
+        rows = [f"{t},{n},{f},{series[t, n, f]:.17g}\n"
+                for t, n, f in np.ndindex(series.shape)]
+        csv = data / f"{split}.csv"
+        csv.write_text("time,node,channel,value\n" + "".join(rows))
+        frames.unlink()
+        lines.append(f"{split}_crc32 = %08x" % zlib.crc32(csv.read_bytes()))
+    meta.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == (
+        f"error: dataset file {data / f'{name}.frames'} not found; run "
+        f"`tpgf generate` with this config first\n")
 
 
 def test_evaluate_horizon_resolved_rows(tmp_path):
@@ -1179,7 +1199,7 @@ def test_out_overrides_config_out_dir(tmp_path):
                          "--out", str(other)]) == 0
         echo = cli.parse_config(str(other / "config.echo"))
         assert echo.out_dir == str(other)
-    for name in ("data/train.csv", "data/val.csv", "data/test.csv",
+    for name in ("data/train.frames", "data/val.frames", "data/test.frames",
                  "data/meta.txt", "model.ckpt", "curves.csv", "metrics.csv"):
         assert (other / name).exists(), name
     assert not out.exists()
@@ -1241,7 +1261,7 @@ def test_train_runs_after_keys_generate_does_not_read(tmp_path):
         assert cli.main(["train", "--config", cfg_path]) == 0, new
 
 
-# a multinode run of 2 x 2 cells per step, so 8 rows are 2 steps
+# a multinode run whose windows span t_in + horizon = 6 steps
 _TINY = BASE.replace("nodes = 3", "nodes = 2").replace(
     "channels = 3", "channels = 2").replace("t_in = 8", "t_in = 4").replace(
     "horizon = 4", "horizon = 2")
@@ -1255,12 +1275,9 @@ def test_data_file_shorter_than_window_exits_3(tmp_path, capsys, dataset):
     for command in ("generate", "train"):
         assert cli.main([command, "--config", cfg_path]) == 0
     # 2 steps where t_in + horizon is 6, and 5 frames where it is 10
-    if dataset == "multinode":
-        path = out / "data" / "test.csv"
-        path.write_text("".join(path.read_text().splitlines(True)[:9]))
-    else:
-        path = out / "data" / "test.frames"
-        dt.write_frame_sequences(dt.load_frame_sequences(path)[:, :5], path)
+    path = out / "data" / "test.frames"
+    steps = 2 if dataset == "multinode" else 5
+    dt.write_frame_sequences(dt.load_frame_sequences(path)[:, :steps], path)
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", cfg_path]) == 3
     line = 19 if dataset == "multinode" else 21
@@ -1279,11 +1296,10 @@ def test_value_edited_after_generate_exits_3(tmp_path, capsys, command, name,
     cfg_path, out = make_run(tmp_path, "edit")
     for step in ("generate", "train")[:2 if command == "evaluate" else 1]:
         assert cli.main([step, "--config", cfg_path]) == 0
-    path = out / "data" / f"{name}.csv"
-    lines = path.read_text().splitlines(True)
-    t, n, f, _ = lines[5].split(",")
-    lines[5] = f"{t},{n},{f},9.5\n"
-    path.write_text("".join(lines))
+    path = out / "data" / f"{name}.frames"
+    seqs = dt.load_frame_sequences(path)
+    seqs[0, 0, 1, 1] = 9.5
+    dt.write_frame_sequences(seqs, path)
     capsys.readouterr()
     assert cli.main([command, "--config", cfg_path]) == 3
     assert capsys.readouterr().err == _crc_refusal(out, path, line)
@@ -1306,18 +1322,6 @@ def test_sprites_pixel_rewritten_after_generate_exits_3(tmp_path, capsys,
     capsys.readouterr()
     assert cli.main([command, "--config", cfg_path]) == 3
     assert capsys.readouterr().err == _crc_refusal(out, path, line)
-
-
-def test_crlf_data_file_exits_3(tmp_path, capsys):
-    # load_series_csv reads the same values; the bytes are not generate's
-    cfg_path, out = trained_run(tmp_path, "crlf")
-    path = out / "data" / "test.csv"
-    want = dt.load_series_csv(path)
-    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    assert dt.load_series_csv(path).tobytes() == want.tobytes()
-    capsys.readouterr()
-    assert cli.main(["evaluate", "--config", cfg_path]) == 3
-    assert capsys.readouterr().err == _crc_refusal(out, path, 19)
 
 
 @pytest.mark.parametrize("command, name", [("train", "train"),

@@ -510,71 +510,6 @@ def test_normalize_double_normalize_rejected():
         dt.normalize(nds)
 
 
-def test_csv_layout_and_roundtrip(tmp_path):
-    series = dt.gen_multinode_series(2, 1, 3, 0.4, 0.3, seed=77)
-    path = tmp_path / "series.csv"
-    dt.write_series_csv(series, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "time,node,channel,value"
-    assert len(lines) == 1 + 3 * 2 * 1
-    assert lines[1].startswith("0,0,0,")
-    back = dt.load_series_csv(path)
-    assert back.shape == (3, 2, 1)
-    npt.assert_array_equal(back, series)
-
-
-def test_csv_missing_cell_named(tmp_path):
-    path = tmp_path / "ragged.csv"
-    rows = ["time,node,channel,value"]
-    for t in range(2):
-        for n in range(2):
-            rows.append(f"{t},{n},0,1.5")
-    rows.remove("1,0,0,1.5")
-    path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(DataFormatError) as ei:
-        dt.load_series_csv(path)
-    assert "time=1, node=0, channel=0" in str(ei.value)
-
-
-def test_csv_bad_header_and_duplicate(tmp_path):
-    p1 = tmp_path / "h.csv"
-    p1.write_text("t,n,c,v\n0,0,0,1.0\n")
-    with pytest.raises(DataFormatError):
-        dt.load_series_csv(p1)
-    p2 = tmp_path / "d.csv"
-    p2.write_text("time,node,channel,value\n0,0,0,1.0\n0,0,0,2.0\n")
-    with pytest.raises(DataFormatError):
-        dt.load_series_csv(p2)
-    p3 = tmp_path / "n.csv"
-    p3.write_text("time,node,channel,value\n0,0,0,1.0\n-1,0,0,2.0\n")
-    with pytest.raises(DataFormatError) as ei:
-        dt.load_series_csv(p3)
-    assert "line 3" in str(ei.value) and "time=-1" in str(ei.value)
-
-
-def test_csv_rejects_non_finite_values(tmp_path):
-    for cell in ("nan", "NaN", "inf", "-inf", "Infinity", "1e999"):
-        path = tmp_path / "nf.csv"
-        path.write_text("time,node,channel,value\n0,0,0,1.0\n"
-                        f"1,0,0,{cell}\n2,0,0,0.5\n")
-        with pytest.raises(DataFormatError) as ei:
-            dt.load_series_csv(path)
-        assert "line 3" in str(ei.value) and "non-finite" in str(ei.value)
-
-
-def test_csv_rejects_index_numpy_misreads(tmp_path):
-    # numpy's int64 parser reads some non-ASCII letters as digits: 'Ǿ'
-    # as 462, which is the index this row needs
-    path = tmp_path / "misread.csv"
-    dt.write_series_csv(np.zeros((463, 1, 1)), path)
-    text = path.read_text(encoding="utf-8").replace("\n462,0,0,", "\nǾ,0,0,")
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(DataFormatError) as ei:
-        dt.load_series_csv(path)
-    assert str(ei.value) == (f"{path}: line 464: invalid literal for int() "
-                             f"with base 10: 'Ǿ'")
-
-
 def test_frames_roundtrip_bit_exact(tmp_path):
     seqs = dt.gen_moving_sprites(9, 7, 1, (1, 2), length=5, seed=8, count=3,
                                  sprite_size=3)
