@@ -398,14 +398,15 @@ def test_generate_same_seed_byte_identical(tmp_path):
         assert pa == pb
 
 
-def test_generate_huge_noise_exits_2_without_data_files(tmp_path, capsys):
+def test_generate_huge_noise_exits_2_without_csv(tmp_path, capsys):
+    # nor any other data file: no .frames file and no meta.txt
     out = tmp_path / "noisy"
     cfg_path = write_cfg(tmp_path / "noisy.cfg",
                          BASE.replace("noise = 0.05", "noise = 1e308")
                          + f"out_dir = {out}\n")
     assert cli.main(["generate", "--config", cfg_path]) == 2
     assert "noise 1e+308" in capsys.readouterr().err
-    assert not list((out / "data").glob("*.frames"))
+    assert not list((out / "data").glob("*"))
 
 
 def test_generate_sprites_header(tmp_path):
@@ -616,6 +617,19 @@ def test_train_rejects_non_finite_data_cell(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sequence 0, frame 5" in err and "non-finite" in err
     assert str(path) in err
+
+
+def test_train_rejects_non_utf8_data_file(tmp_path, capsys):
+    # a data file is binary, never decoded as text: a byte that is not
+    # UTF-8 changes a value, and the CRC-32 in meta.txt refuses the file
+    cfg_path, out = make_run(tmp_path, "latin1")
+    assert cli.main(["generate", "--config", cfg_path]) == 0
+    path = out / "data" / "val.frames"
+    blob = path.read_bytes()
+    path.write_bytes(blob[:40] + b"\xe9" + blob[41:])
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == _crc_refusal(out, path, 18)
 
 
 SPRITES = """
@@ -1322,6 +1336,21 @@ def test_sprites_pixel_rewritten_after_generate_exits_3(tmp_path, capsys,
     capsys.readouterr()
     assert cli.main([command, "--config", cfg_path]) == 3
     assert capsys.readouterr().err == _crc_refusal(out, path, line)
+
+
+def test_crlf_data_file_exits_3(tmp_path, capsys):
+    # a text-mode copy that turns each LF byte into CR LF lengthens the
+    # file, and the frame reader refuses it before any CRC-32 compare
+    cfg_path, out = trained_run(tmp_path, "crlf")
+    path = out / "data" / "test.frames"
+    blob = path.read_bytes()
+    assert b"\n" in blob[28:] and b"\n" not in blob[:28]
+    path.write_bytes(blob.replace(b"\n", b"\r\n"))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", cfg_path]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {path}: trailing bytes: {path.stat().st_size} bytes where "
+        f"the header implies {len(blob)}\n")
 
 
 @pytest.mark.parametrize("command, name", [("train", "train"),

@@ -217,3 +217,149 @@ def test_binary_fault_names_file(tmp_path, load, good, damaged, fault):
     with pytest.raises(DataFormatError) as ei:
         load(path)
     assert str(ei.value) == f"{path}: {fault}"
+
+
+# ---------------------------------------------------------------------------
+# series files
+#
+# A multinode split is stored as `generate` writes it: its series
+# [T, N, F] as a count-1 frame file whose frames are the time steps.
+# The tests keep the names they had when a series was stored as CSV.
+
+def _write_series(series, path):
+    dt.write_frame_sequences(np.asarray(series)[None], path)
+
+
+def _reference_series(series):
+    """The bytes of a series file: magic, version 1, dims (T, N, F, 1),
+    then the values in time, node, channel order as little-endian f8."""
+    total, nodes, channels = series.shape
+    return _binary(b"TPGFRAME", (total, nodes, channels, 1),
+                   np.asarray(series, dtype="<f8"))
+
+
+def _load_series(path, blob):
+    """Load a (possibly damaged) file: the series, which must be all
+    finite, or the DataFormatError message, which must name the path."""
+    path.write_bytes(blob)
+    try:
+        back = dt.load_frame_sequences(path)
+    except DataFormatError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return str(exc)[len(f"{path}: "):]
+    assert back.shape[0] == 1 and np.isfinite(back).all()
+    return back[0]
+
+
+extremes = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                            2.225073858507201e-308, 1e308, -1e308,
+                            1.7976931348623157e308, 0.1, 1 / 3])
+series = st.tuples(st.integers(1, 4), st.integers(1, 3),
+                   st.integers(1, 3)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=finite | extremes))
+
+
+@SETTINGS
+@given(raw=series)
+def test_series_csv_roundtrip(scratch, raw):
+    path = scratch / "rt.series"
+    assert _written(_write_series, raw, path) == _reference_series(raw)
+    back = _load_series(path, path.read_bytes())
+    npt.assert_array_equal(back.view(np.int64), raw.view(np.int64))
+    # C order, and no view that keeps the file's bytes alive
+    owner = back
+    while owner.base is not None:
+        owner = owner.base
+    assert back.flags.c_contiguous and owner.nbytes == back.nbytes
+
+
+@SETTINGS
+@given(raw=series, data=st.data())
+def test_series_csv_truncation(scratch, raw, data):
+    path = scratch / "cut.series"
+    blob = _written(_write_series, raw, path)
+    cut = data.draw(st.integers(0, len(blob) - 1), label="length")
+    assert isinstance(_load_series(path, blob[:cut]), str)
+
+
+@SETTINGS
+@given(raw=series, data=st.data())
+def test_series_csv_flipped_byte(scratch, raw, data):
+    # a flipped header byte changes the size the header implies, so a
+    # file that loads differs from the series in exactly one value
+    path = scratch / "flip.series"
+    blob = _written(_write_series, raw, path)
+    got = _load_series(path, _flip(blob, data))
+    if not isinstance(got, str):
+        assert np.count_nonzero(got.view(np.int64) != raw.view(np.int64)) == 1
+
+
+@SETTINGS
+@given(raw=series, data=st.data())
+def test_series_csv_rewritten_line(scratch, raw, data):
+    # one time step's values replaced by any float64s: the file loads
+    # them bit for bit, or, where one is not finite, names that step
+    path = scratch / "step.series"
+    total, nodes, channels = raw.shape
+    t = data.draw(st.integers(0, total - 1), label="time step")
+    step = data.draw(arrays(np.float64, (nodes, channels),
+                            elements=st.floats() | extremes), label="values")
+    want = raw.copy()
+    want[t] = step
+    got = _load_series(path, _reference_series(want))
+    if np.isfinite(step).all():
+        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    else:
+        assert got == f"non-finite pixel in sequence 0, frame {t}"
+
+
+def _series_corpus():
+    """(name, bytes, expected): one well-formed file and its damages.
+    A file that loads is expected to give the generated series; any
+    other is expected to give its error message without the path."""
+    raw = dt.gen_multinode_series(3, 2, 200, 0.4, 0.3, seed=11)
+    big = _reference_series(raw)
+    start = len(big) - raw.size * 8  # the header's length
+
+    def value(k):
+        return big[start + 8 * k:start + 8 * k + 8]
+
+    def edit(k, new):
+        return big[:start + 8 * k] + new + big[start + 8 * k + 8:]
+
+    def size(blob):
+        fault = "truncated" if len(blob) < len(big) else "trailing bytes"
+        return (f"{fault}: {len(blob)} bytes where the header implies "
+                f"{len(big)}")
+
+    # the series as the CSV that stored it before: text, not a frame file
+    rows = "".join(f"{t},{n},{f},{raw[t, n, f]:.17g}\n"
+                   for t, n, f in np.ndindex(raw.shape))
+    csv = ("time,node,channel,value\n" + rows).encode()
+    crlf = big.replace(b"\n", b"\r\n")
+    assert crlf != big
+    bom = b"\xef\xbb\xbf" + big
+    yield "well_formed", big, raw
+    yield "crlf", crlf, size(crlf)
+    yield "utf8_bom", bom, f"bad magic {bom[:8]!r}"
+    # the value of time 1, node 1, channel 1
+    yield ("nan", edit(9, struct.pack("<d", math.nan)),
+           "non-finite pixel in sequence 0, frame 1")
+    yield ("inf", edit(9, struct.pack("<d", -math.inf)),
+           "non-finite pixel in sequence 0, frame 1")
+    yield "missing_row", edit(20, b""), size(big[:-8])
+    yield "missing_last_row", big[:-8], size(big[:-8])
+    yield "duplicate_row", big + value(20), size(big + value(20))
+    yield "empty_file", b"", "truncated before header end"
+    yield "header_only", big[:start], size(big[:start])
+    yield "bad_header", csv, f"bad magic {csv[:8]!r}"
+
+
+@pytest.mark.parametrize("name, blob, want", list(_series_corpus()),
+                         ids=[name for name, _, _ in _series_corpus()])
+def test_series_csv_mutations_match_reference(tmp_path, name, blob, want):
+    got = _load_series(tmp_path / f"{name}.series", blob)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
