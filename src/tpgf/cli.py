@@ -166,6 +166,12 @@ def _write_pairs(path, pairs) -> None:
 
 def parse_config(path: str) -> ExperimentConfig:
     """Read and validate a flat key = value config file."""
+    return _parse_config(path)[0]
+
+
+def _parse_config(path: str):
+    """parse_config's config, and {key: the start of an error message
+    about it}: the file's path, the key and the line that sets it."""
     pairs = _read_pairs(path, _FIELDS, ConfigError, "")
     where = {key: f"{path}: key '{key}'"
              + (f" (line {pairs[key][0]}):" if key in pairs else ":")
@@ -178,7 +184,7 @@ def parse_config(path: str) -> ExperimentConfig:
         fields[attr] = values.get(key, default)
     cfg = ExperimentConfig(**fields)
     _validate(cfg, {attr: where[key] for key, attr, _, _ in _SCHEMA})
-    return cfg
+    return cfg, where
 
 
 def _validate(cfg: ExperimentConfig, where: dict) -> None:
@@ -359,7 +365,9 @@ def _read_metric_csv(path):
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_generate(cfg: ExperimentConfig) -> int:
+def cmd_generate(cfg: ExperimentConfig, where: dict) -> int:
+    """Write the data files; `where` names a config key in errors, as
+    _parse_config returns it."""
     from . import data as dt
 
     data_dir = _data_dir(cfg)
@@ -379,7 +387,8 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
                                        sprite_size=cfg.sprite_size)
         ds = dt.windowize_sequences(source, cfg.t_in, cfg.horizon,
                                     grid=(cfg.height, cfg.width))
-    parts = dt.split(ds, (cfg.train_frac, cfg.val_frac, cfg.test_frac))
+    parts = dt.split(ds, (cfg.train_frac, cfg.val_frac, cfg.test_frac),
+                     where)
     if cfg.dataset == "multinode":
         parts = dt.normalize(*parts)
     for part, path in zip(parts, paths):
@@ -579,7 +588,7 @@ def _dispatch(args) -> int:
 
     if len(args.config) != 1:
         raise ConfigError(f"{args.command} takes exactly one --config")
-    cfg = parse_config(args.config[0])
+    cfg, where = _parse_config(args.config[0])
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
@@ -587,7 +596,7 @@ def _dispatch(args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_echo(cfg, cfg.out_dir)
     if args.command == "generate":
-        return cmd_generate(cfg)
+        return cmd_generate(cfg, where)
     if args.command == "train":
         return cmd_train(cfg)
     return cmd_evaluate(cfg)

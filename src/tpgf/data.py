@@ -231,7 +231,7 @@ def _slide(a: np.ndarray, width: int, step: int, num: int) -> np.ndarray:
         writeable=False)
 
 
-def split(dataset: Dataset, fractions):
+def split(dataset: Dataset, fractions, where=None):
     """Chronological (train, val, test) partition.
 
     Windows are cut at source boundaries and windows that straddle a
@@ -240,9 +240,13 @@ def split(dataset: Dataset, fractions):
     none. Window starts and ends both ascend, so each part is one run of
     windows, and its source is the segment those windows cover: views of
     the dataset's arrays, not copies.
+
+    A fraction above 0 whose part gets no window is refused, naming the
+    part; `where` maps a fraction's name (`val_frac`) to the start of its
+    error messages, as in check_ranges.
     """
     f1, f2, f3 = (float(x) for x in fractions)
-    check_ranges(train_frac=f1, val_frac=f2, test_frac=f3)
+    check_ranges(where, train_frac=f1, val_frac=f2, test_frac=f3)
     num = len(dataset)
     starts, span = dataset.meta.window_starts, dataset.meta.window_span
     horizon = int(starts[-1]) + span if num else 0
@@ -255,11 +259,13 @@ def split(dataset: Dataset, fractions):
             int(np.searchsorted(ends, b2, side="right")), num]
     runs = [slice(lo, max(lo, hi)) for lo, hi in zip(first, last)]
     parts = []
-    for frac, run in zip((f1, f2, f3), runs):
+    for part, frac, run in zip(("train", "val", "test"), (f1, f2, f3), runs):
         if frac > 0 and run.start == run.stop:
+            lead = (where or {}).get(f"{part}_frac")
             raise ConfigError(
-                f"split fraction {frac} produced an empty partition "
-                f"({num} windows total)")
+                (f"{lead} " if lead else "")
+                + f"split fraction {frac} produced an empty partition: the "
+                f"{part} split gets none of the {num} windows")
         kept = starts[run]
         # the source steps the part's windows cover; step 0 is starts[0]
         lo = int(kept[0] - starts[0]) if kept.size else 0

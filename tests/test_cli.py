@@ -188,15 +188,24 @@ def test_data_shape_errors_name_key_and_line(tmp_path, text, want, library):
         assert str(ei.value).startswith(f"{key} {rule}, got ")
 
 
-@pytest.mark.parametrize("val_frac, want", [
-    ("0.0", "key 'val_frac' (line 19): must be > 0, got 0.0"),
-    ("1e-12", "split fraction 1e-12 produced an empty partition"),
-], ids=["zero", "tiny"])
-def test_generate_rejects_empty_split(tmp_path, capsys, val_frac, want):
-    cfg_path, out = make_run(tmp_path, "empty",
-                             f"val_frac = {val_frac}\ntest_frac = 0.2\n")
+# the config's text before out_dir, and what follows the file name in the
+# error: the fraction's key and line, and the split that got no window
+@pytest.mark.parametrize("text, want", [
+    (BASE + "val_frac = 0.0\ntest_frac = 0.2\n",
+     "key 'val_frac' (line 18): must be > 0, got 0.0"),
+    (BASE + "val_frac = 1e-12\ntest_frac = 0.2\n",
+     "key 'val_frac' (line 18): split fraction 1e-12 produced an empty "
+     "partition: the val split gets none of the 125 windows"),
+    ("length = 30\nt_in = 10\nhorizon = 5\ntrain_frac = 0.6\n"
+     "val_frac = 0.2\ntest_frac = 0.2\n",
+     "key 'val_frac' (line 5): split fraction 0.2 produced an empty "
+     "partition: the val split gets none of the 16 windows"),
+], ids=["zero", "tiny", "short_series"])
+def test_generate_rejects_empty_split(tmp_path, capsys, text, want):
+    out = tmp_path / "empty"
+    cfg_path = write_cfg(tmp_path / "empty.cfg", text + f"out_dir = {out}\n")
     assert cli.main(["generate", "--config", cfg_path]) == 2
-    assert want in capsys.readouterr().err
+    assert f"error: {cfg_path}: {want}\n" == capsys.readouterr().err
     assert not (out / "data" / "val.frames").exists()
 
 

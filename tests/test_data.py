@@ -271,8 +271,10 @@ def test_split_validation():
     ds = dt.windowize(np.zeros((40, 1, 1)), 6, 4, stride=10)
     with pytest.raises(ConfigError):
         dt.split(ds, (0.5, 0.2, 0.2))
-    with pytest.raises(ConfigError):
-        # 4 windows cannot fill a 1% partition
+    # 4 windows cannot fill a 1% partition; the message names the part
+    with pytest.raises(ConfigError, match="^split fraction 0.01 produced an "
+                       "empty partition: the val split gets none of the 4 "
+                       "windows$"):
         dt.split(ds, (0.98, 0.01, 0.01))
 
 

@@ -526,6 +526,128 @@ def test_rollout_into_parity_slots_keeps_the_bits(b):
         tr.rollout_batch(p, ctx, 6, out=buf[:, 1::3])
 
 
+def _encoder_inputs(monkeypatch, p):
+    """The shapes of the inputs that encode_full projects with p's
+    encoder, recorded as the calls happen: [span, F_in] when a context's
+    windows share rows, [steps, B, F_in] per chunk otherwise."""
+    shapes = []
+    project = nn.input_projection
+
+    def spy(x, lstm, out=None):
+        if lstm is p.encoder:
+            shapes.append(x.shape)
+        return project(x, lstm, out)
+
+    monkeypatch.setattr(nn, "input_projection", spy)
+    return shapes
+
+
+def _check_against_copy(monkeypatch, p, ctx, k, span):
+    """rollout_batch over ctx keeps the bits of rollout_batch over a
+    contiguous copy, which projects every window's steps. Each block of
+    ctx projects `span` shared rows in one GEMM, or, with span None,
+    takes the per-window path too."""
+    shapes = _encoder_inputs(monkeypatch, p)
+    got = tr.rollout_batch(p, ctx, k)
+    blocks = -(-len(ctx) // tr._ROLLOUT_ROWS)
+    if span is None:
+        assert len(shapes) >= blocks and all(len(s) == 3 for s in shapes)
+    else:
+        assert shapes == [(span, p.f_in)] * blocks
+    shapes.clear()
+    want = tr.rollout_batch(p, np.ascontiguousarray(ctx), k)
+    assert all(len(s) == 3 for s in shapes)
+    npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    return got
+
+
+# A closed-loop rollout over windows that share series rows projects each
+# row its block reaches once: a block of 256 stride-1 desk windows 279
+# rows, not 6,144. At desk shapes that keeps the bits of projecting every
+# window's steps (OpenBLAS 0.3.31); model.encode_full's docstring names
+# the shapes where it does not.
+@pytest.mark.parametrize("b", [1, 5, 165, 256, 300, 1565])
+def test_shared_row_projection_keeps_the_bits(monkeypatch, b):
+    p, ctx = _window_rollout_case(b, 10, 9, [0, 1, 2], 32, 24, 99)
+    # one window reaches as many rows as it has steps: nothing is shared
+    span = None if b == 1 else min(b, tr._ROLLOUT_ROWS) + 23
+    _check_against_copy(monkeypatch, p, ctx, 12, span)
+
+
+def test_shared_row_projection_keeps_the_bits_of_half_groups(monkeypatch):
+    # each half holds every other context step: rows b + 2t, 22 more rows
+    # than windows in a block
+    raw = dt.gen_multinode_series(10, 9, 2000, coupling=0.5, noise=0.2, seed=1)
+    ds = dt.windowize(raw, 24, 12, target_channels=[0, 1, 2])
+    train = dt.normalize(*dt.split(ds, (0.8, 0.1, 0.1)))[0]
+    assert len(train) == 1565
+    p, _ = _window_rollout_case(1, 10, 9, [0, 1, 2], 32, 24, 99)
+    for ctx, tgt, _ in tr._half_timescale_groups(train):
+        assert ctx.shape[1] == 12
+        _check_against_copy(monkeypatch, p, ctx, tgt.shape[1],
+                            tr._ROLLOUT_ROWS + 22)
+
+
+def test_shared_row_projection_keeps_the_bits_of_strided_windows(monkeypatch):
+    # windows 3 rows apart, t_in 8: rows 3b + t
+    ctx, tgt, _ = tr.flatten_dataset(make_splits()[0])
+    p = make_model_for(make_splits(), hidden=32)
+    _check_against_copy(monkeypatch, p, ctx, tgt.shape[1],
+                        3 * (len(ctx) - 1) + 8)
+
+
+def _fallback_contexts():
+    """Contexts whose entries are not rows of one row-major array that
+    reach fewer rows than there are entries, within the row bound."""
+    b, t_in, f_in = 40, 24, 90
+    _, windows = _window_rollout_case(b, 10, 9, [0, 1, 2], 32, t_in, 99)
+    wide = randn((b + t_in - 1, f_in + 1), 1.0, RngState(5))[:, :f_in]
+    far = randn((300 * 9 + t_in, f_in), 1.0, RngState(6))
+    return {
+        "contiguous": np.ascontiguousarray(windows),
+        "reversed": windows[:, ::-1],
+        "broadcast": np.broadcast_to(windows[:1], windows.shape),
+        # rows f_in + 1 values apart
+        "misaligned": np.lib.stride_tricks.sliding_window_view(
+            wide, t_in, axis=0).swapaxes(1, 2),
+        # 256 windows 9 rows apart reach 2,319 rows
+        "beyond_bound": np.lib.stride_tricks.sliding_window_view(
+            far, t_in, axis=0)[::9].swapaxes(1, 2)[:300],
+    }
+
+
+@pytest.mark.parametrize("name", ["contiguous", "reversed", "broadcast",
+                                  "misaligned", "beyond_bound"])
+def test_unshared_contexts_take_the_per_window_path(monkeypatch, name):
+    ctx = _fallback_contexts()[name]
+    p, _ = _window_rollout_case(1, 10, 9, [0, 1, 2], 32, 24, 99)
+    assert ctx.shape[1:] == (24, 90)
+    _check_against_copy(monkeypatch, p, ctx, 12, None)
+
+
+def test_sprite_bank_takes_the_per_window_path(monkeypatch):
+    # sample i is sequence i of the bank: windows share no frame
+    seqs = randn((6, 16, 8, 8), 1.0, RngState(7))
+    ds = dt.windowize_sequences(seqs, 10, 6, grid=(8, 8))
+    ctx, tgt, _ = tr.flatten_dataset(ds)
+    p = md.init_seq2seq(16, 64, 64, RngState(8))
+    _check_against_copy(monkeypatch, p, ctx, tgt.shape[1], None)
+
+
+def test_shared_rows_no_window_reaches_are_never_read(monkeypatch):
+    # windows 2 rows apart over every other row: the odd rows between them
+    # are projected with the rest of the span, and are NaN here
+    b, t_in = 40, 12
+    src = randn((2 * (b + t_in), 90), 1.0, RngState(9))
+    src[1::2] = np.nan
+    ctx = np.lib.stride_tricks.sliding_window_view(
+        src[::2], t_in, axis=0).swapaxes(1, 2)[:b]
+    p, _ = _window_rollout_case(1, 10, 9, [0, 1, 2], 32, t_in, 99)
+    got = _check_against_copy(monkeypatch, p, ctx, 6,
+                              2 * (b - 1) + 2 * (t_in - 1) + 1)
+    assert np.isfinite(got).all()
+
+
 def test_m1_precompute_interleaves_the_half_rollouts(monkeypatch):
     # stage 2's preferred source is m1's two half-timescale rollouts,
     # merged by interleave_odd_even, whatever the precompute writes into
@@ -553,7 +675,8 @@ def test_rollout_memory_is_bounded_by_the_block():
     # tracemalloc peak of a desk-shaped rollout, less its [B, K, F_out]
     # output: 2.52 MB at 300 rows and 12.75 MB at 1,565 (ratio 5.07) when
     # a rollout ran a whole split in one pass; 3.71 MB at both (ratio
-    # 1.00) in blocks of 256 rows
+    # 1.00) in blocks of 256 rows; 2.85 MB at both (ratio 1.00) once a
+    # block projected its windows' shared rows, not each window's steps
     p, ctx = _window_rollout_case(1565, 10, 9, [0, 1, 2], 32, 24, 95)
     peaks = {}
     for b in (300, 1565):
@@ -570,9 +693,11 @@ def test_m1_precompute_memory_holds_one_copy_of_the_estimates(monkeypatch):
     # tracemalloc rise over the m1 precompute of a desk-shaped split of
     # 3,000 windows (hidden 32, K 12, f_out 30), from the end of stage 1
     # to the start of stage 2, against its bound: m2's params, m1_full and
-    # one 256-row block's transients (13.25 MiB). Measured 16.73 MiB when
+    # one 256-row block's transients (11.16 MiB). Measured 16.73 MiB when
     # the two half rollouts and their interleaved copy were held at once;
-    # 12.02 MiB with the halves rolled out into m1_full's parity slots.
+    # 12.02 MiB with the halves rolled out into m1_full's parity slots,
+    # when the encoder projected 8 steps of each window at a time; 10.86
+    # MiB with the 278 rows a block's half windows reach projected once.
     t_in, k, h, rows = 24, 12, 32, tr._ROLLOUT_ROWS
     raw = dt.gen_multinode_series(10, 9, 3000 + t_in + k - 1, coupling=0.5,
                                   noise=0.2, seed=3)
@@ -600,10 +725,15 @@ def test_m1_precompute_memory_holds_one_copy_of_the_estimates(monkeypatch):
     finally:
         tracemalloc.stop()
     f_in, f_out, k_half = 90, 30, k // 2
-    steps = md._PROJECTION_ROWS // rows
-    # the encoder's projection buffer and its input chunk, four [rows, 4H]
-    # step temporaries, and the block's predictions
-    block = 8 * rows * (steps * (4 * h + f_in) + 4 * 4 * h + k_half * f_out)
+    # a block's half windows reach rows b + 2t
+    span = rows + 2 * (t_in // 2 - 1)
+    # the encoder's span projection; a decoder step's six [rows, 4H]
+    # arrays (the carrier's and the fed values' projections, the
+    # pre-activation, the activations and two sigmoid temporaries), the
+    # zeroed carrier and six [rows, H] states and temporaries; and the
+    # block's predictions
+    block = 8 * (span * 4 * h
+                 + rows * (6 * 4 * h + f_in + 6 * h + k_half * f_out))
     rise = seen["peak"] - seen["resident"]
     bound = seen["params"] + seen["m1_full"] + block
     assert seen["m1_full"] == 8 * 3000 * k * f_out
