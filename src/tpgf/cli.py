@@ -420,24 +420,30 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
     splits = _load_splits(cfg)
     tcfg = _train_config(cfg)
-    curves_path = os.path.join(cfg.out_dir, "curves.csv")
-
+    diverged = None
     try:
         if cfg.strategy == "tpg":
             m1, m2, curves = tr.train_tpg(splits, tcfg)
-            md.save_checkpoint(m1, os.path.join(cfg.out_dir, "m1.ckpt"))
-            md.save_checkpoint(m2, os.path.join(cfg.out_dir, "m2.ckpt"))
+            checkpoints = {"m1": m1, "m2": m2}
         else:
             p = tr.init_model(splits[0], tcfg)
             p, curves = tr.train_scheduled(p, splits, tcfg)
-            md.save_checkpoint(p, os.path.join(cfg.out_dir, "model.ckpt"))
+            checkpoints = {"model": p}
     except DivergenceError as exc:
         # keep what the run produced so far, then report the failure
-        _write_metric_csv(exc.curves, curves_path)
-        md.save_checkpoint(exc.params, os.path.join(cfg.out_dir, "best.ckpt"))
-        raise
+        diverged, curves = exc, exc.curves
+        checkpoints = {**exc.finished, "best": exc.params}
 
-    _write_metric_csv(curves, curves_path)
+    _write_metric_csv(curves, os.path.join(cfg.out_dir, "curves.csv"))
+    # an earlier run's checkpoint would be scored beside these curves
+    for name in ("model", "m1", "m2", "best"):
+        path = os.path.join(cfg.out_dir, f"{name}.ckpt")
+        if name in checkpoints:
+            md.save_checkpoint(checkpoints[name], path)
+        elif os.path.exists(path):
+            os.remove(path)
+    if diverged is not None:
+        raise diverged
     # the last row wins: for tf and ss, the kept parameters' evaluation
     final = {r.metric: r.value for r in curves
              if r.iteration == cfg.total_iters and r.split == "test"

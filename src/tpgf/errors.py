@@ -24,16 +24,17 @@ class DataFormatError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced non-finite values.
+    """Training produced non-finite values; the message names the stage.
 
-    Carries the best parameters and curves seen so far, so callers can
-    retain the last usable checkpoint.
+    Carries what callers keep: the diverged stage's best parameters, the
+    curves so far, and `finished`, {stage: parameters} of earlier stages.
     """
 
     def __init__(self, message, params=None, curves=None):
         super().__init__(message)
         self.params = params
         self.curves = curves
+        self.finished = {}
 
 
 # every predicate is False on nan

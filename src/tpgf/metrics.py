@@ -1,4 +1,4 @@
-"""Evaluation measures: MSE, RMSE, MAE, per-frame SSIM.
+"""Evaluation measures: RMSE, MAE, per-frame SSIM.
 
 SSIM uses the conventional defaults: 11x11 Gaussian window with sigma
 1.5 (applied as two 1-d passes, since it is separable), C1 = (0.01 L)^2,
@@ -38,19 +38,6 @@ def mae(pred: np.ndarray, target: np.ndarray) -> float:
     target = np.asarray(target, dtype=np.float64)
     _check_shapes(pred, target, "mae")
     return float(np.mean(np.abs(pred - target)))
-
-
-def mse_per_frame(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """One MSE per leading-axis frame; the mean of the result equals the
-    composite MSE over all frames."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    _check_shapes(pred, target, "mse_per_frame")
-    if pred.ndim < 2:
-        raise DimensionError(
-            f"expected at least [frames, values], got shape {list(pred.shape)}")
-    d = (pred - target).reshape(pred.shape[0], -1)
-    return np.mean(d * d, axis=1)
 
 
 def _gaussian_taps():

@@ -40,15 +40,16 @@ class Seq2SeqParams:
     encoder: nn.LstmParams
     decoder: nn.LstmParams
     projection: nn.LinearParams
-    hidden: int
-    f_in: int
-    f_out: int
     target_slots: np.ndarray  # f_out indices into the f_in input layout
 
     # names of the tensors() entries, for error messages
     TENSOR_NAMES = ("encoder.w_x", "encoder.w_h", "encoder.b",
                     "decoder.w_x", "decoder.w_h", "decoder.b",
                     "projection.w", "projection.b")
+
+    hidden = property(lambda self: self.encoder.hidden)
+    f_in = property(lambda self: self.encoder.f_in)
+    f_out = property(lambda self: self.projection.w.shape[0])
 
     def tensors(self):
         """Parameter arrays in declared (checkpoint) order."""
@@ -89,7 +90,7 @@ def init_seq2seq(hidden: int, f_in: int, f_out: int, rng: RngState,
         encoder=nn.init_lstm(hidden, f_in, rng),
         decoder=nn.init_lstm(hidden, f_in, rng),
         projection=nn.init_linear(f_out, hidden, rng),
-        hidden=hidden, f_in=f_in, f_out=f_out, target_slots=target_slots)
+        target_slots=target_slots)
 
 
 def _shared_rows(context: np.ndarray):
@@ -260,4 +261,4 @@ def load_checkpoint(path) -> Seq2SeqParams:
         encoder=nn.LstmParams(w_x=arrays[0], w_h=arrays[1], b=arrays[2]),
         decoder=nn.LstmParams(w_x=arrays[3], w_h=arrays[4], b=arrays[5]),
         projection=nn.LinearParams(w=arrays[6], b=arrays[7]),
-        hidden=hidden, f_in=f_in, f_out=f_out, target_slots=slots)
+        target_slots=slots)

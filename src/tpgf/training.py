@@ -12,6 +12,11 @@ Gradient-flow boundary: when a decoder input was sampled from ground
 truth or from the frozen intermediate model, backpropagation treats it
 as a constant; only inputs built from the model's own previous
 prediction pass gradient back through the feedback path.
+
+A divergence names its stage from the curves prefix and the schedule:
+main, M1, or in tpg stage 2 Transition until epsilon at v=2 drops below
+1e-3 and M2Solo after; at the end-of-stage cadence, the last trained
+iteration's. One in stage 2 carries the trained m1 in `finished`.
 """
 
 from __future__ import annotations
@@ -79,7 +84,6 @@ class TrainState:
     m: list
     v: list
     adam_t: int
-    stage: str
     rng: RngState
 
 
@@ -91,11 +95,11 @@ class MetricsRow:
     value: float
 
 
-def make_train_state(p: Seq2SeqParams, rng: RngState, stage: str = "main") -> TrainState:
+def make_train_state(p: Seq2SeqParams, rng: RngState) -> TrainState:
     return TrainState(iteration=0,
                       m=[np.zeros_like(t) for t in p.tensors()],
                       v=[np.zeros_like(t) for t in p.tensors()],
-                      adam_t=0, stage=stage, rng=rng)
+                      adam_t=0, rng=rng)
 
 
 def copy_into(dst: Seq2SeqParams, src: Seq2SeqParams):
@@ -374,9 +378,7 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
     for the closed-loop cadence rows. At an iteration i with i % val_every
     == 0 the cadence's rollouts run before the forward pass, which does
     not change p; its rows are written after the iteration's train row,
-    and none is written when the training loss is not finite. A tpg
-    schedule relabels state.stage M2Solo once epsilon at v=2 drops below
-    1e-3.
+    and none is written when the training loss is not finite.
     """
     best = copy.deepcopy(p)
     best_loss = np.inf
@@ -404,9 +406,6 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(start_iter, end_iter):
                 state.iteration = i
-                if (schedule.strategy is Strategy.TPG
-                        and epsilon_for(schedule, i, 2) < 1e-3):
-                    state.stage = "M2Solo"
                 # the cadence's rollouts run before this iteration's
                 # forward pass, on the same p, so their transients never
                 # sit on top of its caches
@@ -449,8 +448,11 @@ def _run_training(p: Seq2SeqParams, groups, eval_groups, cfg: TrainConfig,
                 state.iteration = end_iter
                 record(end_iter, measure())
     except FloatingPointError as exc:
+        eps = epsilon_for(schedule, min(state.iteration, end_iter - 1), 2)
+        stage = {"": "main", "m1.": "M1"}.get(
+            prefix, "M2Solo" if eps < 1e-3 else "Transition")
         raise DivergenceError(
-            f"{exc} at iteration {state.iteration}, stage {state.stage}",
+            f"{exc} at iteration {state.iteration}, stage {stage}",
             params=best, curves=curves) from exc
     if has_val and np.isfinite(best_loss):
         copy_into(p, best)
@@ -593,8 +595,7 @@ def train_tpg(splits, cfg: TrainConfig):
     # stage 1: half-timescale model on both parity halves
     m1 = init_model(train, cfg)
     odd, even = _half_timescale_groups(train)
-    state1 = make_train_state(m1, RngState(cfg.seed).split(_STREAM_STAGE1),
-                              stage="M1")
+    state1 = make_train_state(m1, RngState(cfg.seed).split(_STREAM_STAGE1))
     ss = ScheduleConfig(strategy=Strategy.SCHEDULED_SAMPLING, lam=cfg.schedule.lam)
     best1 = _run_training(m1, [odd, even],
                           {name: _half_timescale_groups(ds) for name, ds in evals},
@@ -626,15 +627,18 @@ def train_tpg(splits, cfg: TrainConfig):
                       for r in range(0, len(truth), _ROLLOUT_ROWS))
     if not np.isfinite(m1_loss):
         raise DivergenceError(
-            f"non-finite m1 precompute loss at iteration {stage1}, "
-            f"stage {state1.stage}", params=best1, curves=curves)
+            f"non-finite m1 precompute loss at iteration {stage1}, stage M1",
+            params=best1, curves=curves)
 
-    state2 = make_train_state(m2, RngState(cfg.seed).split(_STREAM_STAGE2),
-                              stage="Transition")
-    _run_training(m2, [(ctx, tgt, m1_full)],
-                  {name: [flatten_dataset(ds)] for name, ds in evals},
-                  cfg, cfg.schedule, state2, curves, stage1, cfg.total_iters,
-                  prefix="m2.")
+    state2 = make_train_state(m2, RngState(cfg.seed).split(_STREAM_STAGE2))
+    try:
+        _run_training(m2, [(ctx, tgt, m1_full)],
+                      {name: [flatten_dataset(ds)] for name, ds in evals},
+                      cfg, cfg.schedule, state2, curves, stage1,
+                      cfg.total_iters, prefix="m2.")
+    except DivergenceError as exc:
+        exc.finished["m1"] = m1
+        raise
     for name, ds in evals:
         curves.extend(evaluate(m2, ds, name, cfg.total_iters))
     return m1, m2, curves

@@ -173,10 +173,12 @@ def test_criterion_5_metric_oracles():
     tgt = np.array([[2.0, 4.0], [6.0, 8.0]])
     ok &= abs(mt.rmse(pred, tgt) - math.sqrt((1 + 4 + 9 + 16) / 4)) < 1e-15
     ok &= abs(mt.mae(pred, tgt) - (1 + 2 + 3 + 4) / 4) < 1e-15
+    # the training loss: the sum over channels (the last axis) of each
+    # channel's MSE, here (1 + 9) / 2 + (4 + 16) / 2, and for the stacked
+    # pair against zeros (1 + 9 + 4 + 36) / 4 + (4 + 16 + 16 + 64) / 4
+    ok &= abs(tr.composite_loss(pred, tgt) - 15.0) < 1e-15
     frames = np.stack([pred, tgt])
-    per = mt.mse_per_frame(frames, np.zeros_like(frames))
-    ok &= abs(per[0] - (1 + 4 + 9 + 16) / 4) < 1e-15
-    ok &= abs(per[1] - (4 + 16 + 36 + 64) / 4) < 1e-15
+    ok &= abs(tr.composite_loss(frames, np.zeros_like(frames)) - 37.5) < 1e-15
 
     img = randn((16, 16), 1.0, RngState(5))
     ok &= mt.ssim_per_frame(img, img.copy()) == 1.0
@@ -185,7 +187,7 @@ def test_criterion_5_metric_oracles():
     expected = (2 * a * b + 0.01 ** 2) / (a * a + b * b + 0.01 ** 2)
     got = mt.ssim_per_frame(np.full((15, 15), a), np.full((15, 15), b))
     ok &= abs(got - expected) < 1e-12
-    report(5, ok, "RMSE/MAE/MSE hand fixtures; SSIM identical = 1.0; "
+    report(5, ok, "RMSE/MAE/loss hand fixtures; SSIM identical = 1.0; "
                   "constant-frame SSIM closed form at 1e-12")
 
 

@@ -19,7 +19,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tpgf"
 
 # module.name -> why the package keeps it although no package code calls it
 ALLOWED = {
-    "metrics.mse_per_frame": "acceptance criterion 5's metric oracle",
     "sampling.interleave_odd_even": "acceptance criterion 4's round trip; "
                                     "it writes the parity slots the m1 "
                                     "precompute writes",

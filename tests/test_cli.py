@@ -614,6 +614,71 @@ def test_diverging_train_keeps_curves_and_best_checkpoint(tmp_path, capsys):
     assert not (out / "model.ckpt").exists()
 
 
+def test_stage2_divergence_keeps_m1(tmp_path, capsys, monkeypatch):
+    extra = "strategy = tpg\nstage1_iters = 25\n"
+    cfg_path, out = trained_run(tmp_path, "whole", extra)
+    # a fresh directory, so no earlier run's m1.ckpt can stand in
+    cfg_path, diverged = make_run(tmp_path, "div2", extra)
+    assert cli.main(["generate", "--config", cfg_path]) == 0
+    forward = tr.forward_train
+    iteration = iter(range(50))  # one forward pass per iteration
+
+    def nan_at_30(model, *args):
+        preds, caches = forward(model, *args)
+        return (preds * np.nan if next(iteration) == 30 else preds), caches
+
+    monkeypatch.setattr(tr, "forward_train", nan_at_30)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg_path]) == 3
+    assert ("non-finite training loss at iteration 30, stage Transition"
+            in capsys.readouterr().err)
+    assert (diverged / "m1.ckpt").read_bytes() == \
+        (out / "m1.ckpt").read_bytes()
+    assert (diverged / "best.ckpt").exists()
+    assert not (diverged / "m2.ckpt").exists()
+
+
+_SHORT = BASE.replace("total_iters = 50", "total_iters = 20")
+_TF = "strategy = teacher_forcing\n"
+_DIVERGE = "learning_rate = 1e300\n"
+
+
+def _train_twice(tmp_path, first, second):
+    """Generate, then train with the config extras `first` and `second` in
+    one out_dir. Returns (exit code, the .ckpt names left) of each train,
+    the second config's path and the out_dir."""
+    out, runs = tmp_path / "rerun", []
+    for i, extra in enumerate((first, second)):
+        cfg_path = write_cfg(tmp_path / f"rerun{i}.cfg",
+                             _SHORT + f"out_dir = {out}\n" + extra)
+        if i == 0:
+            assert cli.main(["generate", "--config", cfg_path]) == 0
+        code = cli.main(["train", "--config", cfg_path])
+        runs.append((code, sorted(p.name for p in out.glob("*.ckpt"))))
+    return runs, cfg_path, out
+
+
+def test_diverged_rerun_leaves_no_earlier_checkpoint(tmp_path, capsys):
+    # `evaluate` would score the first run's model beside the second
+    # run's curves and exit 0
+    runs, cfg_path, out = _train_twice(tmp_path, _TF, _TF + _DIVERGE)
+    assert runs == [(0, ["model.ckpt"]), (3, ["best.ckpt"])]
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", cfg_path]) == 3
+    assert f"checkpoint {out / 'model.ckpt'} not found" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first, first_run", [
+    (_TF + _DIVERGE, (3, ["best.ckpt"])),
+    ("strategy = tpg\nstage1_iters = 10\n", (0, ["m1.ckpt", "m2.ckpt"]))],
+    ids=["stale_best", "stale_tpg"])
+def test_finished_rerun_removes_earlier_checkpoints(tmp_path, first,
+                                                    first_run):
+    runs, _, _ = _train_twice(tmp_path, first, _TF)
+    assert runs == [first_run, (0, ["model.ckpt"])]
+
+
 def test_train_rejects_non_finite_data_cell(tmp_path, capsys):
     cfg_path, out = make_run(tmp_path, "nan")
     assert cli.main(["generate", "--config", cfg_path]) == 0

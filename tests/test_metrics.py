@@ -8,6 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from tpgf.errors import DimensionError
 from tpgf import metrics as mt
 from tpgf.rng import RngState
+from tpgf.training import composite_loss
 
 
 def test_rmse_hand_cases():
@@ -36,27 +37,15 @@ def test_shape_errors():
         mt.rmse(np.zeros(3), np.zeros(4))
     with pytest.raises(DimensionError):
         mt.mae(np.zeros((2, 2)), np.zeros(4))
-    with pytest.raises(DimensionError):
-        mt.mse_per_frame(np.zeros((2, 3)), np.zeros((3, 3)))
-
-
-def test_mse_per_frame():
-    target = np.zeros((3, 4, 4))
-    pred = target.copy()
-    npt.assert_array_equal(mt.mse_per_frame(pred, target), np.zeros(3))
-    pred[1] += 2.0
-    per = mt.mse_per_frame(pred, target)
-    npt.assert_allclose(per, [0.0, 4.0, 0.0])
-    # mean of per-frame values equals the composite mse
-    composite = np.mean((pred - target) ** 2)
-    assert abs(per.mean() - composite) < 1e-15
 
 
 def test_rmse_squared_equals_composite_mse():
+    # the training loss of one channel: a trailing axis of width 1
     rng = RngState(3)
     a = rng.normal(60).reshape(3, 20)
     b = rng.normal(60).reshape(3, 20)
-    assert abs(mt.rmse(a, b) ** 2 - mt.mse_per_frame(a, b).mean()) < 1e-14
+    loss = composite_loss(a[..., None], b[..., None])
+    assert abs(mt.rmse(a, b) ** 2 - loss) < 1e-14
 
 
 def test_time_reorder_invariance():
@@ -67,8 +56,6 @@ def test_time_reorder_invariance():
     # aggregates match up to summation order
     assert abs(mt.rmse(a, b) - mt.rmse(a[perm], b[perm])) < 1e-15
     assert abs(mt.mae(a, b) - mt.mae(a[perm], b[perm])) < 1e-15
-    npt.assert_array_equal(mt.mse_per_frame(a, b)[perm],
-                           mt.mse_per_frame(a[perm], b[perm]))
 
 
 def _oracle_ssim(x, y):

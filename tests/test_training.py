@@ -979,6 +979,49 @@ def test_train_divergence_keeps_checkpoint():
         "non-finite m1 precompute loss at iteration 1, stage M1"
 
 
+# lambda 1 with index-aware decay: epsilon at v = 2 is 1 / (1 + 2^j) at
+# stage-2 step j, 1/513 at step 9 and 1/1025 at step 10, so stage 2 is the
+# Transition through step 9 and M2Solo from step 10
+@pytest.mark.parametrize("step, stage", [(9, "Transition"), (10, "M2Solo")])
+def test_stage2_divergence_names_its_stage(monkeypatch, step, stage):
+    cfg = tpg_cfg(total=40, stage1=20, lam=1.0)
+    assert epsilon_for(cfg.schedule, 29, 2) == pytest.approx(1 / 513)
+    assert epsilon_for(cfg.schedule, 30, 2) == pytest.approx(1 / 1025)
+    forward = tr.forward_train
+    iteration = itertools.count()  # one forward pass per iteration
+
+    def nan_at_step(model, *args):
+        preds, caches = forward(model, *args)
+        return (preds * np.nan if next(iteration) == 20 + step
+                else preds), caches
+
+    monkeypatch.setattr(tr, "forward_train", nan_at_step)
+    with pytest.raises(DivergenceError) as ei:
+        tr.train_tpg(make_splits(seed=5, k=4), cfg)
+    assert str(ei.value) == (f"non-finite training loss at iteration "
+                             f"{20 + step}, stage {stage}")
+
+
+def test_end_of_stage_divergence_names_the_last_trained_stage(monkeypatch):
+    # the cadence at iteration 30 ends a stage whose last trained step is
+    # 9, still in the Transition, although epsilon at 30 is below 1e-3
+    cfg = tpg_cfg(total=30, stage1=20, lam=1.0)
+    forward, loss = tr.forward_train, tr._closed_loop_loss
+    trained = []  # one forward pass per iteration
+
+    def counted(*args):
+        trained.append(None)
+        return forward(*args)
+
+    monkeypatch.setattr(tr, "forward_train", counted)
+    monkeypatch.setattr(tr, "_closed_loop_loss", lambda *args: (
+        np.nan if len(trained) == 30 else loss(*args)))
+    with pytest.raises(DivergenceError) as ei:
+        tr.train_tpg(make_splits(seed=5, k=4), cfg)
+    assert str(ei.value) == \
+        "non-finite validation loss at iteration 30, stage Transition"
+
+
 # ---------------------------------------------------------------------------
 # train_tpg
 
