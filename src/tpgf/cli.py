@@ -272,6 +272,19 @@ def _crc32(path) -> str:
         return "%08x" % zlib.crc32(fh.read())
 
 
+def _windows(cfg: ExperimentConfig, frames):
+    """The dataset of the config's family over [count, T, H, W] frames:
+    one sample per sprite sequence, or sliding windows over a multinode
+    series, which is sequence 0 of a count-1 array."""
+    from . import data as dt
+
+    if cfg.dataset == "sprites":
+        return dt.windowize_sequences(frames, cfg.t_in, cfg.horizon,
+                                      grid=(cfg.height, cfg.width))
+    return dt.windowize(frames[0], cfg.t_in, cfg.horizon, cfg.stride,
+                        target_channels=list(cfg.target_channels))
+
+
 def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
     """Load generated files and window the named datasets, in order.
 
@@ -306,18 +319,14 @@ def _load_splits(cfg: ExperimentConfig, names=_SPLIT_NAMES):
 
     for key, text in _config_pairs(cfg, _GENERATOR_KEYS[cfg.dataset]):
         expect(key, text, "the config")
-    parts, sprites = [], cfg.dataset == "sprites"
+    parts = []
     for name in names:
         path = paths[name]
         source = dt.load_frame_sequences(path)
         expect(f"{name}_crc32", _crc32(path), path)
-        part = (dt.windowize_sequences(source, cfg.t_in, cfg.horizon,
-                                       grid=(cfg.height, cfg.width))
-                if sprites else
-                dt.windowize(source[0], cfg.t_in, cfg.horizon, cfg.stride,
-                             target_channels=list(cfg.target_channels)))
+        part = _windows(cfg, source)
         expect(f"{name}_windows", str(len(part)), path)
-        part.meta.normalized = not sprites
+        part.meta.normalized = cfg.dataset == "multinode"
         parts.append(part)
     return tuple(parts)
 
@@ -375,18 +384,16 @@ def cmd_generate(cfg: ExperimentConfig, where: dict) -> int:
     paths = _dataset_paths(cfg)
 
     if cfg.dataset == "multinode":
-        source = dt.gen_multinode_series(cfg.nodes, cfg.channels, cfg.length,
-                                         cfg.coupling, cfg.noise, cfg.seed)
-        ds = dt.windowize(source, cfg.t_in, cfg.horizon, cfg.stride,
-                          target_channels=list(cfg.target_channels))
+        frames = dt.gen_multinode_series(cfg.nodes, cfg.channels, cfg.length,
+                                         cfg.coupling, cfg.noise,
+                                         cfg.seed)[None]
     else:
-        source = dt.gen_moving_sprites(cfg.height, cfg.width, cfg.num_sprites,
+        frames = dt.gen_moving_sprites(cfg.height, cfg.width, cfg.num_sprites,
                                        (cfg.speed_min, cfg.speed_max),
                                        cfg.seq_length, cfg.seed,
                                        count=cfg.seq_count,
                                        sprite_size=cfg.sprite_size)
-        ds = dt.windowize_sequences(source, cfg.t_in, cfg.horizon,
-                                    grid=(cfg.height, cfg.width))
+    ds = _windows(cfg, frames)
     parts = dt.split(ds, (cfg.train_frac, cfg.val_frac, cfg.test_frac),
                      where)
     if cfg.dataset == "multinode":
@@ -435,11 +442,14 @@ def cmd_train(cfg: ExperimentConfig) -> int:
         checkpoints = {**exc.finished, "best": exc.params}
 
     _write_metric_csv(curves, os.path.join(cfg.out_dir, "curves.csv"))
-    # an earlier run's checkpoint would be scored beside these curves
-    for name in ("model", "m1", "m2", "best"):
-        path = os.path.join(cfg.out_dir, f"{name}.ckpt")
-        if name in checkpoints:
-            md.save_checkpoint(checkpoints[name], path)
+    # an earlier run's checkpoint would be scored beside these curves, and
+    # its metrics.csv scored a checkpoint this run replaced
+    for name in ("model.ckpt", "m1.ckpt", "m2.ckpt", "best.ckpt",
+                 "metrics.csv"):
+        path = os.path.join(cfg.out_dir, name)
+        stem = os.path.splitext(name)[0]
+        if stem in checkpoints:
+            md.save_checkpoint(checkpoints[stem], path)
         elif os.path.exists(path):
             os.remove(path)
     if diverged is not None:

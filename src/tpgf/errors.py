@@ -94,34 +94,24 @@ RULES = (
      "must be >= 2 for strategy = tpg to subsample"),
 )
 
-# attribute name -> (predicate, rule text, the RULES entries it heads, or None)
-_CHECKS = {name: (*RANGES.get(name, (lambda v: True, "")),
-                  tuple(r for r in RULES if r[0][0] == name) or None)
-           for name in {*RANGES, *(n for names, _, _ in RULES for n in names)}}
-
 
 def check_ranges(where=None, **values):
     """Raise ConfigError for the first value that breaks its RANGES rule,
-    else for the first broken RULES entry whose attributes were all passed.
-    A message starts with the (first) attribute's name, or `where[name]`."""
-    later = None
+    else for the first broken RULES entry, in table order, whose
+    attributes were all passed. A message starts with the (first)
+    attribute's name, or `where[name]`."""
+    where = where or {}
     for name, value in values.items():
-        test, rule, rules = _CHECKS[name]
-        if not test(value):
-            raise ConfigError(f"{(where or {}).get(name, name)} must be "
-                              f"{rule}, got {value}")
-        if rules is not None:
-            later = rules if later is None else later + rules
-    # every decoder step calls this with one name that heads no entry: keep
-    # that to two `is None` tests, and no closure over `values` (a cell each)
-    if later is None:
-        return
-    for names, test, rule in later:
-        args = tuple(map(values.get, names))
-        if values.keys() >= set(names) and not test(*args):
-            got = ", ".join(map("{} = {}".format, names, args))
-            raise ConfigError(f"{(where or {}).get(names[0], names[0])} "
-                              f"{rule}, got {got}")
+        if name in RANGES and not RANGES[name][0](value):
+            raise ConfigError(f"{where.get(name, name)} must be "
+                              f"{RANGES[name][1]}, got {value}")
+    for names, test, rule in RULES:
+        if values.keys() >= set(names):
+            args = tuple(map(values.get, names))
+            if not test(*args):
+                got = ", ".join(map("{} = {}".format, names, args))
+                raise ConfigError(f"{where.get(names[0], names[0])} {rule}, "
+                                  f"got {got}")
 
 
 @contextlib.contextmanager

@@ -26,15 +26,6 @@ from .errors import (ConfigError, DataFormatError, check_ranges, read_binary,
 from . import nn
 from .rng import RngState
 
-# The most rows the encoder's input projection forms in one GEMM. A
-# batch of B rows projects max(1, _PROJECTION_ROWS // B) steps at once, so
-# training batches project their whole context and a batch of thousands
-# of rows keeps its transient memory bounded. A closed-loop rollout's
-# sliding windows project the series rows they reach, when those are at
-# most this many, once each (encode_full).
-_PROJECTION_ROWS = 2048
-
-
 @dataclass
 class Seq2SeqParams:
     encoder: nn.LstmParams
@@ -93,78 +84,71 @@ def init_seq2seq(hidden: int, f_in: int, f_out: int, rng: RngState,
         target_slots=target_slots)
 
 
-def _shared_rows(context: np.ndarray):
-    """(rows, r0, r1) when context [B, T, F_in] holds whole rows of one
-    row-major array, entry (b, t) being its row b * r0 + t * r1, and
-    reaches fewer rows than B * T but at most _PROJECTION_ROWS: `rows` is
-    a read-only [span, F_in] view of those rows, from context[0, 0] on.
-    None otherwise: a contiguous batch, a bank of frame sequences, or a
-    reversed, broadcast or misaligned view."""
+def _context_rows(context: np.ndarray):
+    """(rows, r0, r1): a read-only [span, F_in] array whose row
+    b * r0 + t * r1 is context[b, t], for a [B, T, F_in] context. It is
+    a view of the context's own memory, from context[0, 0] on, when the
+    entries are rows of one row-major array that reach at most B * T
+    rows (sliding windows over one series and their parity halves, or a
+    contiguous batch); of np.ascontiguousarray(context) otherwise (a bank
+    of frame sequences, or a reversed, broadcast or misaligned view)."""
     b, t_in, f_in = context.shape
     row = f_in * context.itemsize
     s0, s1, s2 = context.strides
-    if s2 != context.itemsize or min(s0, s1) <= 0 or s0 % row or s1 % row:
-        return None
-    r0, r1 = s0 // row, s1 // row
-    span = (b - 1) * r0 + (t_in - 1) * r1 + 1
-    if not span < b * t_in or span > _PROJECTION_ROWS:
-        return None
-    # every row in [0, span) lies between the context's first and last
-    # entries, so inside its buffer; rows no entry reaches are projected
-    # and never read
-    rows = np.lib.stride_tricks.as_strided(
-        context, (span, f_in), (row, context.itemsize), writeable=False)
-    return rows, r0, r1
+    if s2 == context.itemsize and min(s0, s1) > 0 and not (s0 % row or s1 % row):
+        r0, r1 = s0 // row, s1 // row
+        span = (b - 1) * r0 + (t_in - 1) * r1 + 1
+        if span <= b * t_in:
+            # every row in [0, span) lies between the context's first and
+            # last entries, so inside its buffer; rows no entry reaches
+            # are projected and never read
+            return np.lib.stride_tricks.as_strided(
+                context, (span, f_in), (row, context.itemsize),
+                writeable=False), r0, r1
+    rows = np.ascontiguousarray(context).reshape(b * t_in, f_in)
+    return rows, t_in, 1
 
 
 def encode_full(context: np.ndarray, p: Seq2SeqParams,
                 caches: nn.LstmCaches | None = None) -> nn.LstmState:
     """Run the encoder over every step of a [B, T_in, F_in] batch and
-    return its final state. Fills `caches` (T_in steps from the zero
-    state) when given; keeps nothing otherwise.
+    return its final state. The context is projected in one GEMM per
+    call, so its callers bound the memory: a training batch, or one of
+    training.rollout_batch's 256-row blocks.
 
-    Without caches, a context of overlapping windows over one series
-    (training.flatten_dataset's views and their parity halves), whose
-    entries are rows of one row-major array, projects the rows its
-    windows reach once, in one GEMM of `span` rows, and each step reads
-    its [B, 4C] input as a strided view of that projection; a 256-row
-    block of stride-1 desk windows projects 279 rows, not 6,144.
-    Otherwise the projection is formed time-major for as many steps at
-    once as fit in _PROJECTION_ROWS rows (at least one step), so a large
-    batch never holds the projection of its whole context. With caches
-    it is formed in their activation slots, which each step then
-    overwrites; without, in one buffer that every chunk reuses.
+    With `caches` (training), the time-major projection fills their
+    activation slots, which each of the T_in steps from the zero state
+    then overwrites. Without (every closed-loop rollout), the context's
+    rows (_context_rows) are projected and each step reads its [B, 4C]
+    input as a strided view of that projection: overlapping windows
+    over one series project each row they reach once (279 rows for a
+    256-row block of stride-1 desk windows, not 6,144), and any other
+    context projects its B * T rows batch-major.
 
-    Either way an entry's projection is the same row product, but the
-    GEMM's row count differs, and on OpenBLAS 0.3.31 a row's bits can
-    depend on that count, as with training.rollout_batch's blocks.
-    Against contiguous copies of 10x9-input windows, rollouts through the
-    shared rows kept every bit at hidden 17, 64 and 96. At hidden 32 they
-    moved bits only at spans of a few rows (2 windows of t_in 6 at stride
-    3, 5 windows of t_in 2), by up to 1.1e-16 in a prediction; at hidden
-    49, at every window count tried (2 to 1,565), by up to 3.3e-16. The
-    desk shapes keep their bits (tests/test_training.py).
+    An entry's projection is the same row product on every path, but
+    the GEMM's row count differs, and on OpenBLAS 0.3.31 a row's bits
+    can depend on that count, as with rollout_batch's blocks. Against
+    contiguous copies of 10x9-input windows, rollouts through the shared
+    rows kept every bit at hidden 17, 64 and 96. At hidden 32 they moved
+    bits only at spans of a few rows (2 windows of t_in 6 at stride 3, 5
+    windows of t_in 2), by up to 1.1e-16 in a prediction; at hidden 49,
+    at every window count tried (2 to 1,565), by up to 3.3e-16. The desk
+    and sprite shapes keep their bits (tests/test_training.py).
     """
     b, t_in, _ = context.shape
     state = nn.zero_state(p.hidden, b)
-    shared = _shared_rows(context) if caches is None else None
-    if shared is not None:
-        rows, r0, r1 = shared
-        xw = nn.input_projection(rows, p.encoder)
+    if caches is not None:
+        xw = nn.input_projection(context.swapaxes(0, 1), p.encoder, caches.act)
         for t in range(t_in):
-            start = t * r1
-            state = nn.lstm_step(xw[start:start + (b - 1) * r0 + 1:r0],
-                                 state, p.encoder)
+            state = nn.lstm_step(xw[t], state, p.encoder, caches, t)
         return state
-    chunk = max(1, _PROJECTION_ROWS // b)
-    buf = np.empty((min(chunk, t_in), b, 4 * p.hidden)) if caches is None else None
-    for t0 in range(0, t_in, chunk):
-        steps = slice(t0, t0 + chunk)
-        x = context[:, steps].swapaxes(0, 1)
-        xw = nn.input_projection(
-            x, p.encoder, caches.act[steps] if buf is None else buf[:len(x)])
-        for t, xw_t in enumerate(xw, start=t0):
-            state = nn.lstm_step(xw_t, state, p.encoder, caches, t)
+    rows, r0, r1 = _context_rows(context)
+    xw = nn.input_projection(rows, p.encoder)
+    del rows  # a contiguous copy is not held through the steps
+    for t in range(t_in):
+        start = t * r1
+        state = nn.lstm_step(xw[start:start + (b - 1) * r0 + 1:r0],
+                             state, p.encoder)
     return state
 
 

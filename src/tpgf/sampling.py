@@ -47,7 +47,6 @@ class ScheduleConfig:
 def _decayed(i: int, lam: float, rate: float) -> float:
     """lam / (lam + exp(i * rate / lam)), clipped to 0 when exp would
     overflow."""
-    check_ranges(lam=lam)
     if i < 0:
         raise ConfigError(f"batch index must be non-negative, got {i}")
     e = i * rate / lam

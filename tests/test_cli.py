@@ -679,6 +679,27 @@ def test_finished_rerun_removes_earlier_checkpoints(tmp_path, first,
     assert runs == [first_run, (0, ["model.ckpt"])]
 
 
+def test_diverged_rerun_leaves_no_earlier_metrics(tmp_path, capsys):
+    # `compare` would table the first run's metrics beside the second
+    # run's curves and exit 0
+    cfgs = {}
+    for name, extra in (("runA", _TF), ("runB", "")):
+        out = tmp_path / name
+        cfgs[name] = write_cfg(tmp_path / f"{name}.cfg",
+                               _SHORT + f"out_dir = {out}\n" + extra)
+        for command in ("generate", "train", "evaluate"):
+            assert cli.main([command, "--config", cfgs[name]]) == 0
+    rerun = write_cfg(tmp_path / "runA.cfg", _SHORT + _TF + _DIVERGE
+                      + f"out_dir = {tmp_path / 'runA'}\n")
+    assert cli.main(["train", "--config", rerun]) == 3
+    assert not (tmp_path / "runA" / "metrics.csv").exists()
+    capsys.readouterr()
+    assert cli.main(["compare", "--config", rerun,
+                     "--config", cfgs["runB"]]) == 3
+    assert (f"run 'runA': {tmp_path / 'runA' / 'metrics.csv'} not found"
+            in capsys.readouterr().err)
+
+
 def test_train_rejects_non_finite_data_cell(tmp_path, capsys):
     cfg_path, out = make_run(tmp_path, "nan")
     assert cli.main(["generate", "--config", cfg_path]) == 0

@@ -167,9 +167,14 @@ def test_clip_gradients():
     zeros = tr.clip_gradients([np.zeros(4)], 1.0)
     npt.assert_array_equal(zeros[0], np.zeros(4))
 
-    for bad in (0.0, np.inf, np.nan):
-        with pytest.raises(ConfigError, match="clip_norm"):
-            tr.clip_gradients(g, bad)
+
+@pytest.mark.parametrize("key", ["learning_rate", "clip_norm"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_train_config_rejects_out_of_range_values(key, bad):
+    # clip_gradients and adam_step read these unchecked, every iteration
+    schedule = ScheduleConfig(strategy=Strategy.TEACHER_FORCING)
+    with pytest.raises(ConfigError, match=key):
+        tr.TrainConfig(schedule=schedule, **{key: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +462,10 @@ def test_decoder_without_carrier_matches_carrier_path(shape, k):
         npt.assert_array_equal(_bits(g), _bits(w), err_msg=name)
 
 
-@pytest.mark.parametrize("b", [7, 600, md._PROJECTION_ROWS + 52])
+@pytest.mark.parametrize("b", [7, 600, 2100])
 def test_rollout_rows_match_single_rows_across_projection_bound(b):
-    # encode_full on 7 rows projects all 5 context steps in one GEMM, on
-    # 600 three steps at a time, and on a batch above the bound one step
-    # at a time (training batches above 1,024 rows take that branch).
-    # rollout_batch reaches the encoder in blocks of tr._ROLLOUT_ROWS
-    # rows, which project up to 8 steps per GEMM, so only the direct
-    # encode_full call reaches the one-step branch.
+    # a row's rollout and encoder state do not depend on the rows beside
+    # it, whether it runs alone, in one block or in one of several
     slots = md.make_target_slots(2, 2, [0])
     p = md.init_seq2seq(3, 4, 2, RngState(91), target_slots=slots)
     ctx = randn((b, 5, 4), 1.0, RngState(92))
@@ -528,8 +529,7 @@ def test_rollout_into_parity_slots_keeps_the_bits(b):
 
 def _encoder_inputs(monkeypatch, p):
     """The shapes of the inputs that encode_full projects with p's
-    encoder, recorded as the calls happen: [span, F_in] when a context's
-    windows share rows, [steps, B, F_in] per chunk otherwise."""
+    encoder, recorded as the calls happen."""
     shapes = []
     project = nn.input_projection
 
@@ -544,19 +544,17 @@ def _encoder_inputs(monkeypatch, p):
 
 def _check_against_copy(monkeypatch, p, ctx, k, span):
     """rollout_batch over ctx keeps the bits of rollout_batch over a
-    contiguous copy, which projects every window's steps. Each block of
-    ctx projects `span` shared rows in one GEMM, or, with span None,
-    takes the per-window path too."""
+    contiguous copy. Each block projects exactly one [span, F_in] input:
+    the rows its windows reach, or B * T rows when they share none; each
+    block of the copy projects its B * T rows."""
     shapes = _encoder_inputs(monkeypatch, p)
     got = tr.rollout_batch(p, ctx, k)
     blocks = -(-len(ctx) // tr._ROLLOUT_ROWS)
-    if span is None:
-        assert len(shapes) >= blocks and all(len(s) == 3 for s in shapes)
-    else:
-        assert shapes == [(span, p.f_in)] * blocks
+    assert shapes == [(span, p.f_in)] * blocks
     shapes.clear()
     want = tr.rollout_batch(p, np.ascontiguousarray(ctx), k)
-    assert all(len(s) == 3 for s in shapes)
+    rows = min(len(ctx), tr._ROLLOUT_ROWS) * ctx.shape[1]
+    assert shapes == [(rows, p.f_in)] * blocks
     npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
     return got
 
@@ -569,9 +567,8 @@ def _check_against_copy(monkeypatch, p, ctx, k, span):
 @pytest.mark.parametrize("b", [1, 5, 165, 256, 300, 1565])
 def test_shared_row_projection_keeps_the_bits(monkeypatch, b):
     p, ctx = _window_rollout_case(b, 10, 9, [0, 1, 2], 32, 24, 99)
-    # one window reaches as many rows as it has steps: nothing is shared
-    span = None if b == 1 else min(b, tr._ROLLOUT_ROWS) + 23
-    _check_against_copy(monkeypatch, p, ctx, 12, span)
+    # one window reaches as many rows as it has steps
+    _check_against_copy(monkeypatch, p, ctx, 12, min(b, tr._ROLLOUT_ROWS) + 23)
 
 
 def test_shared_row_projection_keeps_the_bits_of_half_groups(monkeypatch):
@@ -596,13 +593,24 @@ def test_shared_row_projection_keeps_the_bits_of_strided_windows(monkeypatch):
                         3 * (len(ctx) - 1) + 8)
 
 
-def _fallback_contexts():
+def test_shared_row_projection_keeps_the_bits_of_distant_windows(monkeypatch):
+    # 300 windows 9 rows apart: each 256-row block reaches 2,319 rows,
+    # fewer than its 6,144 window steps
+    t_in = 24
+    far = randn((300 * 9 + t_in, 90), 1.0, RngState(6))
+    ctx = np.lib.stride_tricks.sliding_window_view(
+        far, t_in, axis=0)[::9].swapaxes(1, 2)[:300]
+    p, _ = _window_rollout_case(1, 10, 9, [0, 1, 2], 32, t_in, 99)
+    _check_against_copy(monkeypatch, p, ctx, 12, 255 * 9 + t_in)
+
+
+def _unshared_contexts():
     """Contexts whose entries are not rows of one row-major array that
-    reach fewer rows than there are entries, within the row bound."""
+    reach at most as many rows as there are entries, and a contiguous
+    batch, whose rows are its entries."""
     b, t_in, f_in = 40, 24, 90
     _, windows = _window_rollout_case(b, 10, 9, [0, 1, 2], 32, t_in, 99)
     wide = randn((b + t_in - 1, f_in + 1), 1.0, RngState(5))[:, :f_in]
-    far = randn((300 * 9 + t_in, f_in), 1.0, RngState(6))
     return {
         "contiguous": np.ascontiguousarray(windows),
         "reversed": windows[:, ::-1],
@@ -610,28 +618,26 @@ def _fallback_contexts():
         # rows f_in + 1 values apart
         "misaligned": np.lib.stride_tricks.sliding_window_view(
             wide, t_in, axis=0).swapaxes(1, 2),
-        # 256 windows 9 rows apart reach 2,319 rows
-        "beyond_bound": np.lib.stride_tricks.sliding_window_view(
-            far, t_in, axis=0)[::9].swapaxes(1, 2)[:300],
     }
 
 
 @pytest.mark.parametrize("name", ["contiguous", "reversed", "broadcast",
-                                  "misaligned", "beyond_bound"])
-def test_unshared_contexts_take_the_per_window_path(monkeypatch, name):
-    ctx = _fallback_contexts()[name]
+                                  "misaligned"])
+def test_unshared_contexts_project_every_entry_once(monkeypatch, name):
+    ctx = _unshared_contexts()[name]
     p, _ = _window_rollout_case(1, 10, 9, [0, 1, 2], 32, 24, 99)
     assert ctx.shape[1:] == (24, 90)
-    _check_against_copy(monkeypatch, p, ctx, 12, None)
+    _check_against_copy(monkeypatch, p, ctx, 12, 40 * 24)
 
 
-def test_sprite_bank_takes_the_per_window_path(monkeypatch):
-    # sample i is sequence i of the bank: windows share no frame
+def test_sprite_bank_projects_every_frame_once(monkeypatch):
+    # sample i is sequence i of the bank: windows share no frame, and the
+    # frames after each context are not projected
     seqs = randn((6, 16, 8, 8), 1.0, RngState(7))
     ds = dt.windowize_sequences(seqs, 10, 6, grid=(8, 8))
     ctx, tgt, _ = tr.flatten_dataset(ds)
     p = md.init_seq2seq(16, 64, 64, RngState(8))
-    _check_against_copy(monkeypatch, p, ctx, tgt.shape[1], None)
+    _check_against_copy(monkeypatch, p, ctx, tgt.shape[1], 6 * 10)
 
 
 def test_shared_rows_no_window_reaches_are_never_read(monkeypatch):
@@ -646,6 +652,18 @@ def test_shared_rows_no_window_reaches_are_never_read(monkeypatch):
     got = _check_against_copy(monkeypatch, p, ctx, 6,
                               2 * (b - 1) + 2 * (t_in - 1) + 1)
     assert np.isfinite(got).all()
+
+
+def test_training_encoder_projects_its_context_once(monkeypatch):
+    # a training batch of 128 windows of t_in 24 (3,072 rows) projects
+    # its time-major context in one GEMM, into the encoder caches
+    b, t_in, k = 128, 24, 4
+    p, ctx = _window_rollout_case(b, 10, 9, [0, 1, 2], 32, t_in, 99)
+    shapes = _encoder_inputs(monkeypatch, p)
+    taus = np.ones((b, k - 1), dtype=np.int64)
+    preferred = randn((b, k - 1, p.f_out), 1.0, RngState(3))
+    tr.forward_train(p, ctx, preferred, taus)
+    assert shapes == [(t_in, b, p.f_in)]
 
 
 def test_m1_precompute_interleaves_the_half_rollouts(monkeypatch):
@@ -672,21 +690,30 @@ def test_m1_precompute_interleaves_the_half_rollouts(monkeypatch):
 
 
 def test_rollout_memory_is_bounded_by_the_block():
-    # tracemalloc peak of a desk-shaped rollout, less its [B, K, F_out]
-    # output: 2.52 MB at 300 rows and 12.75 MB at 1,565 (ratio 5.07) when
-    # a rollout ran a whole split in one pass; 3.71 MB at both (ratio
+    # tracemalloc peak of a rollout, less its [B, K, F_out] output.
+    # Desk-shaped: 2.52 MB at 300 rows and 12.75 MB at 1,565 (ratio 5.07)
+    # when a rollout ran a whole split in one pass; 3.71 MB at both (ratio
     # 1.00) in blocks of 256 rows; 2.85 MB at both (ratio 1.00) once a
-    # block projected its windows' shared rows, not each window's steps
+    # block projected its windows' shared rows, not each window's steps.
+    # A sprite bank (hidden 96, 8x8 frames, t_in 20) shares no rows, so
+    # each block projects a contiguous copy of its 5,120 frames at once:
+    # 19.66 MB at 300 and 1,000 rows (ratio 1.00), against 10.23 MB when
+    # the encoder projected at most 2,048 rows per GEMM.
     p, ctx = _window_rollout_case(1565, 10, 9, [0, 1, 2], 32, 24, 95)
-    peaks = {}
-    for b in (300, 1565):
-        tracemalloc.start()
-        try:
-            out = tr.rollout_batch(p, ctx[:b], 12)
-            peaks[b] = tracemalloc.get_traced_memory()[1] - out.nbytes
-        finally:
-            tracemalloc.stop()
-    assert peaks[1565] < 1.5 * peaks[300], peaks
+    seqs = randn((1000, 30, 8, 8), 1.0, RngState(96))
+    bank = tr.flatten_dataset(dt.windowize_sequences(seqs, 20, 10, (8, 8)))[0]
+    sprites = md.init_seq2seq(96, 64, 64, RngState(97))
+    for model, contexts, k, sizes in ((p, ctx, 12, (300, 1565)),
+                                      (sprites, bank, 10, (300, 1000))):
+        peaks = {}
+        for b in sizes:
+            tracemalloc.start()
+            try:
+                out = tr.rollout_batch(model, contexts[:b], k)
+                peaks[b] = tracemalloc.get_traced_memory()[1] - out.nbytes
+            finally:
+                tracemalloc.stop()
+        assert peaks[sizes[1]] < 1.5 * peaks[sizes[0]], peaks
 
 
 def test_m1_precompute_memory_holds_one_copy_of_the_estimates(monkeypatch):
